@@ -57,7 +57,6 @@ from .step_alignment import (
     evaluate_steps,
     step_prf,
     step_segment_stats,
-    time_overlap,
 )
 from .text_metrics import CaptionPair, bleu_n, lcs_length, meteor, rouge_l, tokenize
 from .pooling import Pool, PoolBand, PoolSpec, build_pool

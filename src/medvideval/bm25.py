@@ -135,20 +135,15 @@ def run_from_searches(
     k: int,
     params: Bm25Params = Bm25Params(),
     tag: str = BASELINE_TAG,
-    threads: int = 1,
 ) -> dict[str, list[RetrievalRunEntry]]:
     """Scoreable run entries for a batch of queries, tagged for evaluation."""
-    from .parallel import parallel_map
-
-    question_ids = list(queries)
-    results = parallel_map(lambda qid: search(index, queries[qid], k, params), question_ids, threads)
-    run: dict[str, list[RetrievalRunEntry]] = {}
-    for qid, ranked in zip(question_ids, results):
-        run[qid] = [
+    return {
+        qid: [
             RetrievalRunEntry(qid, video, rank, score, tag)
-            for rank, (video, score) in enumerate(ranked, start=1)
+            for rank, (video, score) in enumerate(search(index, text, k, params), start=1)
         ]
-    return run
+        for qid, text in queries.items()
+    }
 
 
 # ---------------------------------------------------------------------------

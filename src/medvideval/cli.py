@@ -8,7 +8,6 @@ and are byte-identical for identical inputs, parameters, and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -27,7 +26,6 @@ from .io_formats import (
     write_report,
     write_retrieval_run,
 )
-from .parallel import default_threads
 from .pooling import PoolSpec, build_pool, write_pool
 from .retrieval_metrics import evaluate_retrieval, retrieval_report
 from .segment_metrics import (
@@ -48,7 +46,6 @@ from .step_alignment import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
-THREADS_ENV = "MEDVIDEVAL_THREADS"
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,25 +68,26 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise FormatError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if parsed < 1:
-            raise FormatError(f"{THREADS_ENV} must be >= 1, got {parsed}")
-        return parsed
-    return default_threads()
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
+    # Scoring is pure-Python CPU work that threads cannot speed up under the
+    # GIL; the flag is kept so existing command lines keep working.
+    parser.add_argument("--threads", type=_positive_int, metavar="N", help="accepted for compatibility and ignored")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["tsv", "structured"], default="tsv", help="report format")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument("--threads", type=int, metavar="N", help=f"worker threads (default: {THREADS_ENV} or all cores)")
+    _add_threads_flag(parser)
 
 
 def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=float, default=0.9, help="BM25 k1 (default 0.9)")
     p.add_argument("--b", type=float, default=0.4, help="BM25 b (default 0.4)")
     p.add_argument("--out", metavar="PATH", help="write the run here instead of stdout")
-    p.add_argument("--threads", type=int, metavar="N", help=f"worker threads (default: {THREADS_ENV} or all cores)")
+    _add_threads_flag(p)
     p.set_defaults(handler=_cmd_search)
 
     return parser
@@ -205,6 +203,14 @@ def _load_qrels(paths: Sequence[str]):
     )
 
 
+def _params(cls, **values):
+    """Build a parameter object, reporting an out-of-range flag value as bad input."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
 def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
     run = parse_retrieval_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
@@ -216,8 +222,8 @@ def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
 def _cmd_eval_localization(args: argparse.Namespace) -> int:
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
-    params = IoUParams(tuple(args.n), tuple(args.mu), args.lam)
-    score = evaluate_localization(run, qrels, params, threads=_resolve_threads(args.threads))
+    params = _params(IoUParams, n_values=tuple(args.n), mu_values=tuple(args.mu), lam=args.lam)
+    score = evaluate_localization(run, qrels, params)
     _emit_report(localization_report(score), args)
     return EXIT_OK
 
@@ -243,8 +249,8 @@ def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
     retrieval = evaluate_retrieval(_ranking_from_candidates(run), qrels, ks=args.k)
-    params = IoUParams(tuple(args.n), tuple(args.mu), args.lam)
-    localization = evaluate_localization(run, qrels, params, threads=_resolve_threads(args.threads))
+    params = _params(IoUParams, n_values=tuple(args.n), mu_values=tuple(args.mu), lam=args.lam)
+    localization = evaluate_localization(run, qrels, params)
     retrieval_part = retrieval_report(retrieval)
     localization_part = localization_report(localization)
     combined = MetricReport(
@@ -256,17 +262,10 @@ def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _alignment_params(args: argparse.Namespace, lam: float) -> AlignmentParams:
-    try:
-        return AlignmentParams(theta=args.theta, alpha=args.alpha, beta=args.beta, lam=lam)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
 def _cmd_eval_steps(args: argparse.Namespace) -> int:
     pred = parse_steps(read_text(args.pred), source=args.pred)
     gold = parse_steps(read_text(args.gold), source=args.gold)
-    params = _alignment_params(args, args.lam)
+    params = _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, lam=args.lam)
     score = evaluate_steps(pred, gold, params, mu_values=tuple(args.mu))
     _emit_report(steps_report(score), args)
     return EXIT_OK
@@ -275,7 +274,7 @@ def _cmd_eval_steps(args: argparse.Namespace) -> int:
 def _cmd_eval_captions(args: argparse.Namespace) -> int:
     pred = parse_steps(read_text(args.pred), source=args.pred)
     gold = parse_steps(read_text(args.gold), source=args.gold)
-    params = _alignment_params(args, 3.0)
+    params = _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta)
     score = evaluate_captions(pred, gold, params)
     _emit_report(captions_report(score), args)
     return EXIT_OK
@@ -303,11 +302,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise FormatError("search takes a single --k cutoff")
     index = load_index(args.index_dir)
     queries = parse_queries(read_text(args.queries), source=args.queries)
-    try:
-        params = Bm25Params(k1=args.k1, b=args.b)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    run = run_from_searches(index, queries, args.k[0], params, threads=_resolve_threads(args.threads))
+    params = _params(Bm25Params, k1=args.k1, b=args.b)
+    run = run_from_searches(index, queries, args.k[0], params)
     _emit(write_retrieval_run(run), args.out)
     return EXIT_OK
 

@@ -38,24 +38,36 @@ def relaxed_iou(pred: TimeInterval, gt: TimeInterval, lam: float) -> float:
     return temporal_iou(extend_interval(pred, lam), extend_interval(gt, lam))
 
 
-def question_iou(
+def _best_iou_prefix(
     candidates: Sequence[LocalizationCandidate],
     judged: Sequence[JudgedVideo],
-    lam: float = 0.0,
-) -> float:
-    """Best gated IoU over an already-truncated (top-n) candidate list.
+    lam: float,
+) -> list[float]:
+    """Running best gated IoU after each candidate, in rank order.
 
     Candidates in videos that are not positively judged score 0; otherwise
     the best overlap against any of that video's answer intervals counts.
     """
     answers_by_video = {jv.video: jv.answers for jv in judged if jv.grade.is_positive}
     best = 0.0
+    prefix = []
     for candidate in candidates:
         for answer in answers_by_video.get(candidate.video, ()):
             value = relaxed_iou(candidate.interval, answer, lam)
             if value > best:
                 best = value
-    return best
+        prefix.append(best)
+    return prefix
+
+
+def question_iou(
+    candidates: Sequence[LocalizationCandidate],
+    judged: Sequence[JudgedVideo],
+    lam: float = 0.0,
+) -> float:
+    """Best gated IoU over an already-truncated (top-n) candidate list."""
+    prefix = _best_iou_prefix(candidates, judged, lam)
+    return prefix[-1] if prefix else 0.0
 
 
 def mean_iou(
@@ -69,12 +81,10 @@ def mean_iou(
     The divisor is the number of judged questions, so unanswered questions
     drag the mean down rather than disappearing.
     """
-    if n < 1:
-        raise ValueError(f"depth n must be >= 1, got {n}")
-    if not qrels:
+    score = evaluate_localization(run, qrels, IoUParams((n,), lam=lam))
+    if not score.question_count:
         return 0.0
-    total = sum(question_iou(list(run.get(qid, ()))[:n], qrels[qid], lam) for qid in sorted(qrels))
-    return total / len(qrels)
+    return sum(score.per_question[qid][n] for qid in sorted(qrels)) / score.question_count
 
 
 def recall_at_n_iou(
@@ -85,18 +95,7 @@ def recall_at_n_iou(
     lam: float = 0.0,
 ) -> float:
     """Percentage of questions whose best top-n IoU reaches mu (boundary counts)."""
-    if n < 1:
-        raise ValueError(f"depth n must be >= 1, got {n}")
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"threshold mu must be in (0, 1], got {mu}")
-    if not qrels:
-        return 0.0
-    hits = sum(
-        1
-        for qid in sorted(qrels)
-        if question_iou(list(run.get(qid, ()))[:n], qrels[qid], lam) >= mu
-    )
-    return 100.0 * hits / len(qrels)
+    return evaluate_localization(run, qrels, IoUParams((n,), (mu,), lam)).table[n][f"IoU={mu:g}"]
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ def evaluate_localization(
     run: Mapping[QuestionId, Sequence[LocalizationCandidate]],
     qrels: Mapping[QuestionId, Sequence[JudgedVideo]],
     params: IoUParams = IoUParams(),
-    threads: int = 1,
 ) -> LocalizationScore:
     """Build the full depth-by-threshold table for one localization run.
 
@@ -142,26 +140,9 @@ def evaluate_localization(
     question_ids = sorted(qrels)
     max_n = max(params.n_values)
 
-    def best_prefix(qid: QuestionId) -> list[float]:
-        judged = qrels[qid]
-        answers_by_video = {jv.video: jv.answers for jv in judged if jv.grade.is_positive}
-        best = 0.0
-        prefix = []
-        for candidate in list(run.get(qid, ()))[:max_n]:
-            for answer in answers_by_video.get(candidate.video, ()):
-                value = relaxed_iou(candidate.interval, answer, params.lam)
-                if value > best:
-                    best = value
-            prefix.append(best)
-        return prefix
-
-    from .parallel import parallel_map  # local import avoids a cycle at module load
-
-    prefixes = dict(zip(question_ids, parallel_map(best_prefix, question_ids, threads)))
-
     per_question: dict[QuestionId, dict[int, float]] = {}
     for qid in question_ids:
-        prefix = prefixes[qid]
+        prefix = _best_iou_prefix(list(run.get(qid, ()))[:max_n], qrels[qid], params.lam)
         per_question[qid] = {
             n: (prefix[min(n, len(prefix)) - 1] if prefix else 0.0) for n in params.n_values
         }

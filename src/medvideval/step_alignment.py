@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import TimeInterval, ToolkitWarning
+from .core import ToolkitWarning
 from .io_formats import MetricReport, Step, StepSequence
 from .segment_metrics import relaxed_iou, temporal_iou
 from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l
@@ -61,14 +61,9 @@ def _steps(sequence: StepSequence | Sequence) -> Sequence:
     return sequence.steps if isinstance(sequence, StepSequence) else sequence
 
 
-def time_overlap(pred: TimeInterval, gt: TimeInterval) -> float:
-    """Temporal overlap of two step intervals, measured as IoU."""
-    return temporal_iou(pred, gt)
-
-
 def alignment_score(pred_step: Step, gt_step: Step, params: AlignmentParams = AlignmentParams()) -> float:
     """alpha * interval IoU + beta * caption ROUGE-L F."""
-    overlap = time_overlap(pred_step.interval, gt_step.interval)
+    overlap = temporal_iou(pred_step.interval, gt_step.interval)
     rouge = rouge_l(CaptionPair(pred_step.caption, gt_step.caption)).f
     return params.alpha * overlap + params.beta * rouge
 
@@ -113,6 +108,18 @@ def align_steps(
 def step_prf(result: AlignmentResult) -> PRF:
     """Precision, recall, and F from the alignment counts (0 for 0/0 forms)."""
     return prf(result.tp, result.tp + result.fp, result.tp + result.fn)
+
+
+def _align_segments(
+    pred_map: Mapping[str, StepSequence],
+    gold_map: Mapping[str, StepSequence],
+    params: AlignmentParams,
+) -> Iterator[tuple[str, StepSequence, StepSequence, AlignmentResult]]:
+    """Align every gold segment in id order; a missing prediction is empty."""
+    for segment_id in sorted(gold_map):
+        gold = gold_map[segment_id]
+        pred = pred_map.get(segment_id, StepSequence(segment_id, []))
+        yield segment_id, pred, gold, align_steps(pred, gold, params)
 
 
 @dataclass
@@ -192,21 +199,14 @@ def evaluate_steps(
     per_segment: dict[str, AlignmentResult] = {}
     alignments = []
     tp = fp = fn = 0
-    for segment_id in sorted(gold_map):
-        gold = gold_map[segment_id]
-        pred = pred_map.get(segment_id, StepSequence(segment_id, []))
-        result = align_steps(pred, gold, params)
+    for segment_id, pred, gold, result in _align_segments(pred_map, gold_map, params):
         per_segment[segment_id] = result
         alignments.append((pred, gold, result))
         tp += result.tp
         fp += result.fp
         fn += result.fn
     stats = step_segment_stats(alignments, params.lam, mu_values)
-    return StepScore(params, tuple(mu_values), tp, fp, fn, step_prf_from_totals(tp, fp, fn), stats, per_segment)
-
-
-def step_prf_from_totals(tp: int, fp: int, fn: int) -> PRF:
-    return prf(tp, tp + fp, tp + fn)
+    return StepScore(params, tuple(mu_values), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats, per_segment)
 
 
 def steps_report(score: StepScore) -> MetricReport:
@@ -242,14 +242,11 @@ def matched_caption_pairs(
     params: AlignmentParams = AlignmentParams(),
 ) -> list[CaptionPair]:
     """Caption pairs for every greedy match, in segment then pair order."""
-    pairs: list[CaptionPair] = []
-    for segment_id in sorted(gold_map):
-        gold = gold_map[segment_id]
-        pred = pred_map.get(segment_id, StepSequence(segment_id, []))
-        result = align_steps(pred, gold, params)
-        for p_idx, g_idx, _ in result.pairs:
-            pairs.append(CaptionPair(pred.steps[p_idx].caption, gold.steps[g_idx].caption))
-    return pairs
+    return [
+        CaptionPair(pred.steps[p_idx].caption, gold.steps[g_idx].caption)
+        for _, pred, gold, result in _align_segments(pred_map, gold_map, params)
+        for p_idx, g_idx, _ in result.pairs
+    ]
 
 
 @dataclass

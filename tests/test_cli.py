@@ -328,19 +328,55 @@ class TestThreads:
         )
         assert code == 0
 
-    def test_bad_env_value_exits_2(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("MEDVIDEVAL_THREADS", "many")
-        code = main(
-            [
+    def test_thread_count_does_not_change_output(self, files, tmp_path, capsys):
+        index_dir = tmp_path / "idx"
+        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
+        commands = {
+            "loc": [
                 "eval-localization",
                 "--run",
                 files["loc.jsonl"],
                 "--qrels",
                 files["qrels.txt"],
                 files["answers.jsonl"],
-            ]
-        )
-        assert code == 2
+            ],
+            "search": ["search", str(index_dir), SMOKE_QUERIES, "--k", "1000"],
+        }
+        for name, argv in commands.items():
+            outputs = []
+            for threads in (["--threads", "1"], ["--threads", "2"], []):
+                out_path = tmp_path / f"{name}-{len(outputs)}.out"
+                assert main([*argv, *threads, "--out", str(out_path)]) == 0
+                outputs.append(out_path.read_bytes())
+            assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["eval-retrieval", "eval-localization", "eval-vcval", "eval-steps", "eval-captions", "search"],
+    )
+    def test_zero_threads_exits_2(self, files, command, capsys):
+        qrels = ["--qrels", files["qrels.txt"], files["answers.jsonl"]]
+        argv = {
+            "eval-retrieval": ["--run", files["run.txt"], *qrels],
+            "eval-localization": ["--run", files["loc.jsonl"], *qrels],
+            "eval-vcval": ["--run", files["loc.jsonl"], *qrels],
+            "eval-steps": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
+            "eval-captions": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
+            "search": [str(files["dir"]), SMOKE_QUERIES],
+        }[command]
+        assert main([command, *argv, "--threads", "0"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval-localization", "eval-vcval"])
+@pytest.mark.parametrize("flag", [["--mu", "1.5"], ["--lambda", "-1"]])
+def test_out_of_range_iou_flag_exits_2(files, command, flag, capsys):
+    code = main(
+        [command, "--run", files["loc.jsonl"], "--qrels", files["qrels.txt"], files["answers.jsonl"], *flag]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_module_entry_point(files):

@@ -280,14 +280,6 @@ class TestEvaluateLocalization:
                     recall_at_n_iou(prod_run, prod_qrels, n, mu)
                 )
 
-    def test_thread_count_does_not_change_results(self):
-        rng = random.Random(5)
-        run, qrels = random_localization_fixture(rng)
-        prod_run, prod_qrels = to_production(run, qrels)
-        single = evaluate_localization(prod_run, prod_qrels, threads=1)
-        multi = evaluate_localization(prod_run, prod_qrels, threads=4)
-        assert single.table == multi.table
-
     def test_report_embeds_parameters(self):
         run = {"Q1": [candidate("Q1", "v1", 0, 10, 1)]}
         qrels = {"Q1": [judged_video("Q1", "v1", 2, [(0, 10)])]}

@@ -17,7 +17,6 @@ from medvideval.step_alignment import (
     step_prf,
     step_segment_stats,
     steps_report,
-    time_overlap,
 )
 from oracles import align_oracle
 
@@ -31,11 +30,6 @@ def sequence(segment_id, *steps_):
 
 
 class TestScoring:
-    def test_time_overlap_is_interval_iou(self):
-        assert time_overlap(TimeInterval(3, 7), TimeInterval(3, 7)) == 1.0
-        assert time_overlap(TimeInterval(0, 1), TimeInterval(5, 6)) == 0.0
-        assert time_overlap(TimeInterval(10, 20), TimeInterval(15, 25)) == pytest.approx(1 / 3)
-
     def test_worked_example(self):
         # overlap 0.5 ([0,5] vs [0,10]) and ROUGE-L F 2/3
         pred = step("tie the elbow", 0, 5)
