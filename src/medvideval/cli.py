@@ -292,7 +292,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     index = build_index(corpus, include_title=not args.no_title)
     target = save_index(index, args.out)
     sys.stderr.write(
-        f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {target}\n"
+        f"indexed {index.doc_count} documents, {len(index.terms)} terms -> {target}\n"
     )
     return EXIT_OK
 

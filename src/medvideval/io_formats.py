@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -210,8 +211,11 @@ def _interval(start: float, end: float, source: str, line: int) -> TimeInterval:
         raise FormatError(str(exc), source=source, line=line) from None
 
 
+_TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace for str patterns
+
+
 def _check_token(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
+    if _TOKEN.fullmatch(value) is None:
         raise ValueError(f"{what} must be a non-empty whitespace-free token, got {value!r}")
     return value
 
@@ -227,7 +231,9 @@ def _plain_number(value: float) -> str:
     """repr's exact digits without scientific notation, so parsing round-trips."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
-    return format(Decimal(repr(float(value))), "f")
+    text = repr(float(value))
+    # repr uses an exponent only outside [1e-4, 1e16); elsewhere its digits are already plain.
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +529,13 @@ def write_steps(sequences: Mapping[str, StepSequence]) -> str:
 
 
 def parse_corpus(stream: Iterable[str] | str, source: str = "<corpus>") -> list[CorpusDocument]:
-    """Parse JSONL records ``{video, title?, subtitle?}`` with unique video ids."""
+    """Parse JSONL records ``{video, title?, subtitle?}`` with unique, whitespace-free video ids."""
     documents: list[CorpusDocument] = []
     seen: set[str] = set()
     for lineno, obj in _jsonl_records(stream, source):
         video = _str_field(obj, "video", source, lineno)
+        if _TOKEN.fullmatch(video) is None:
+            raise FormatError(f"video id must not contain whitespace, got {video!r}", source=source, line=lineno)
         if video in seen:
             raise FormatError(f"duplicate video id {video!r}", source=source, line=lineno)
         seen.add(video)

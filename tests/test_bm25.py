@@ -1,7 +1,13 @@
 import math
 import random
+import struct
+import sys
+import zlib
+from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from medvideval.bm25 import (
     Bm25Params,
@@ -192,3 +198,149 @@ class TestPersistence:
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_index(tmp_path / "nowhere")
+
+
+# ---------------------------------------------------------------------------
+# Index format version 2
+# ---------------------------------------------------------------------------
+
+
+def _v2_file(videos, lengths, terms, offsets, doc_ids, tfs, *, average=None, version=2, tail=b""):
+    """Encode an index file from its parts, independently of save_index."""
+
+    def blob(strings):
+        raw = "\n".join(strings).encode("utf-8")
+        return struct.pack("<Q", len(raw)) + raw
+
+    def le(typecode, values):
+        values = array(typecode, values)
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values.tobytes()
+
+    if average is None:
+        average = sum(lengths) / len(lengths) if lengths else 0.0
+    payload = b"".join(
+        [
+            struct.pack("<QQQd", len(videos), len(terms), len(doc_ids), average),
+            blob(videos),
+            le("I", lengths),
+            blob(terms),
+            le("Q", offsets),
+            le("I", doc_ids),
+            le("I", tfs),
+            tail,
+        ]
+    )
+    return struct.pack("<BI", version, zlib.crc32(payload)) + payload
+
+
+VALID_PARTS = dict(
+    videos=["v1", "v2"],
+    lengths=[2, 1],
+    terms=["alpha", "beta"],
+    offsets=[0, 2, 3],
+    doc_ids=[0, 1, 0],
+    tfs=[1, 1, 1],
+)
+
+
+class TestFormatV2:
+    def write(self, tmp_path, data):
+        (tmp_path / "bm25.idx").write_bytes(data)
+        return tmp_path
+
+    def test_hand_built_file_loads(self, tmp_path):
+        index = load_index(self.write(tmp_path, _v2_file(**VALID_PARTS)))
+        assert index.postings == {"alpha": [("v1", 1), ("v2", 1)], "beta": [("v1", 1)]}
+        assert index.doc_lengths == {"v1": 2, "v2": 1}
+        assert index.avg_doc_length == 1.5
+
+    def test_save_index_writes_the_documented_layout(self, tmp_path):
+        index = build_index(docs("alpha beta", "alpha"))
+        assert save_index(index, tmp_path).read_bytes() == _v2_file(**VALID_PARTS)
+
+    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
+        target = save_index(build_index(docs("attach the mouthpiece", "rinse the ear canal")), tmp_path)
+        payload = bytearray(target.read_bytes())
+        payload[-1] ^= 0x01
+        target.write_bytes(bytes(payload))
+        with pytest.raises(FormatError, match="checksum"):
+            load_index(tmp_path)
+
+    def test_version_1_file_named(self, tmp_path):
+        data = bytearray(_v2_file(**VALID_PARTS))
+        data[0] = 1
+        with pytest.raises(FormatError, match="version 1"):
+            load_index(self.write(tmp_path, bytes(data)))
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="empty"):
+            load_index(self.write(tmp_path, b""))
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 20])
+    def test_short_header_rejected(self, tmp_path, size):
+        with pytest.raises(FormatError, match="truncated"):
+            load_index(self.write(tmp_path, _v2_file(**VALID_PARTS)[:size]))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="trailing"):
+            load_index(self.write(tmp_path, _v2_file(**VALID_PARTS, tail=b"\0")))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"doc_ids": [0, 2, 0]}, "unknown document"),
+            ({"videos": ["v2", "v1"]}, "ascending"),
+            ({"videos": ["v1", "v1"]}, "ascending"),
+            ({"videos": ["", "v1"]}, "empty or whitespace"),
+            ({"videos": ["v 1", "v2"]}, "empty or whitespace"),
+            ({"terms": ["alpha", "alpha"]}, "duplicate term"),
+            ({"offsets": [0, 3, 2]}, "offsets"),
+            ({"offsets": [0, 1, 2]}, "offsets"),
+            ({"offsets": [1, 2, 3]}, "offsets"),
+            ({"tfs": [1, 0, 1]}, "zero term frequency"),
+            ({"average": 2.0}, "inconsistent"),
+            ({"average": math.nan}, "inconsistent"),
+        ],
+    )
+    def test_inconsistent_structure_rejected(self, tmp_path, change, message):
+        data = _v2_file(**{**VALID_PARTS, **change})
+        with pytest.raises(FormatError, match=message):
+            load_index(self.write(tmp_path, data))
+
+    def test_save_over_existing_index_leaves_one_file(self, tmp_path):
+        save_index(build_index(docs("a b")), tmp_path)
+        save_index(build_index(docs("c d", "e")), tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["bm25.idx"]
+        assert load_index(tmp_path).doc_count == 2
+
+    def test_whitespace_video_id_rejected(self):
+        with pytest.raises(ValueError, match="video id"):
+            build_index([CorpusDocument("v 1", "", "a")])
+
+
+@st.composite
+def corpora_and_queries(draw):
+    vocab = [f"w{i}" for i in range(8)]
+    words = st.lists(st.sampled_from(vocab), max_size=12).map(" ".join)
+    videos = draw(st.lists(st.text("abcXYZ01-_.", min_size=1, max_size=4), max_size=12, unique=True))
+    corpus = [CorpusDocument(video, draw(words), draw(words)) for video in videos]
+    return corpus, draw(words)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    corpora_and_queries(),
+    st.integers(min_value=1, max_value=15),
+    st.floats(min_value=0.01, max_value=5.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_round_trip_search_is_identical(tmp_path, case, k, k1, b):
+    corpus, query = case
+    params = Bm25Params(k1=k1, b=b)
+    index = build_index(corpus)
+    save_index(index, tmp_path)
+    loaded = load_index(tmp_path)
+    assert loaded == index
+    assert search(loaded, query, k, params) == search(index, query, k, params)

@@ -10,6 +10,7 @@ from medvideval.io_formats import parse_retrieval_run, read_report
 
 SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
 SMOKE_QUERIES = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "queries.txt")
+SMOKE_GOLDEN_RUN = Path(__file__).resolve().parent / "data" / "smoke_bm25_k10.run"
 
 RUN_TEXT = """\
 Q1 Q0 v1 1 9.5 sysA
@@ -296,6 +297,51 @@ class TestIndexAndSearch:
         assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
         code = main(["search", str(index_dir), SMOKE_QUERIES, "--k", "5,10"])
         assert code == 2
+
+    def test_smoke_run_matches_golden_bytes(self, tmp_path, capsys):
+        index_dir = tmp_path / "idx"
+        run_path = tmp_path / "run.txt"
+        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
+        assert main(["search", str(index_dir), SMOKE_QUERIES, "--k", "10", "--out", str(run_path)]) == 0
+        assert run_path.read_bytes() == SMOKE_GOLDEN_RUN.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--k1", "--b"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309", "1e308"])
+    def test_non_finite_or_huge_bm25_parameter_exits_2(self, tmp_path, flag, value, capsys):
+        index_dir = tmp_path / "idx"
+        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
+        capsys.readouterr()
+        assert main(["search", str(index_dir), SMOKE_QUERIES, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag[2:]} must be")
+
+    def test_whitespace_video_id_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"video": "v 1", "subtitle": "press the wound"}) + "\n", encoding="utf-8")
+        assert main(["index", str(corpus), "--out", str(tmp_path / "idx")]) == 2
+        assert f"{corpus}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize("damage", ["version-1", "corrupt", "truncated"])
+    def test_damaged_index_exits_2_naming_the_file(self, tmp_path, damage, capsys):
+        index_dir = tmp_path / "idx"
+        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
+        target = index_dir / "bm25.idx"
+        data = bytearray(target.read_bytes())
+        if damage == "version-1":
+            data[0] = 1
+        elif damage == "corrupt":
+            data[len(data) // 2] ^= 0xFF
+        else:
+            del data[len(data) // 2 :]
+        target.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["search", str(index_dir), SMOKE_QUERIES]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: ")
+        if damage == "version-1":
+            assert "version 1" in err
 
 
 class TestThreads:

@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,8 @@ from medvideval.io_formats import (
     Step,
     StepLintWarning,
     StepSequence,
+    _check_token,
+    _plain_number,
     parse_corpus,
     parse_localization_run,
     parse_qrels,
@@ -246,6 +250,13 @@ class TestCorpusParsing:
         with pytest.raises(FormatError, match="duplicate video"):
             parse_corpus(text)
 
+    @pytest.mark.parametrize("video", ["v 1", "v\t1", "v\n1", "v\u00a01", "v\u20281"])
+    def test_whitespace_in_video_id_rejected(self, video):
+        text = json.dumps({"video": "v0"}) + "\n" + json.dumps({"video": video})
+        with pytest.raises(FormatError, match="whitespace") as info:
+            parse_corpus(text, source="corpus.jsonl")
+        assert str(info.value).startswith("corpus.jsonl:2:")
+
 
 class TestQueryParsing:
     def test_query_text_joined(self):
@@ -403,6 +414,52 @@ def corpora(draw):
 def test_corpus_round_trip(documents):
     normalized = parse_corpus(write_corpus(documents))
     assert parse_corpus(write_corpus(normalized)) == normalized
+
+
+# ---------------------------------------------------------------------------
+# writer helpers against their reference definitions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15, 1e16, 1.7976931348623157e308],
+)
+def test_plain_number_edge_values(value):
+    assert _plain_number(value) == format(Decimal(repr(value)), "f")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_plain_number_matches_decimal_rendering(value):
+    assert _plain_number(value) == format(Decimal(repr(value)), "f")
+
+
+def _has_space(value):
+    return any(ch.isspace() for ch in value)
+
+
+SPACE_CODE_POINTS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("ch", SPACE_CODE_POINTS, ids=[f"U+{ord(ch):04X}" for ch in SPACE_CODE_POINTS])
+def test_check_token_rejects_every_space_code_point(ch):
+    for value in (ch, "a" + ch, ch + "b", "a" + ch + "b"):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            _check_token(value, "token")
+
+
+def test_check_token_accepts_every_other_code_point():
+    others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not chr(c).isspace())
+    assert _check_token(others, "token") == others
+
+
+@given(st.text(max_size=20))
+def test_check_token_agrees_with_isspace(value):
+    if not value or _has_space(value):
+        with pytest.raises(ValueError):
+            _check_token(value, "token")
+    else:
+        assert _check_token(value, "token") == value
 
 
 # ---------------------------------------------------------------------------
