@@ -34,6 +34,7 @@ from .io_formats import (
 )
 from .retrieval_metrics import (
     average_precision,
+    evaluate_rankings,
     evaluate_retrieval,
     ndcg,
     precision_at_k,

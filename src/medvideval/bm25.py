@@ -15,7 +15,6 @@ little-endian, so loading is a handful of ``frombytes`` calls.
 from __future__ import annotations
 
 import math
-import os
 import re
 import struct
 import sys
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import FormatError, VideoId
-from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token
+from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token, write_atomically
 from .text_metrics import tokenize
 
 BASELINE_TAG = "bm25-baseline"
@@ -245,8 +244,7 @@ def _strings_blob(strings: list[str]) -> bytes:
 def save_index(index: InvertedIndex, directory: str | Path) -> Path:
     """Write the index under ``directory`` and return the file path.
 
-    The bytes go to a temporary file in the same directory that then replaces
-    the target, so the index is never seen half-written.
+    The file is written atomically, so the index is never seen half-written.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -262,15 +260,7 @@ def save_index(index: InvertedIndex, directory: str | Path) -> Path:
         )
     )
     target = path / INDEX_FILENAME
-    temporary = path / f".{INDEX_FILENAME}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as handle:
-            handle.write(_HEADER.pack(INDEX_FORMAT_VERSION, zlib.crc32(payload)))
-            handle.write(payload)
-        os.replace(temporary, target)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+    write_atomically(target, _HEADER.pack(INDEX_FORMAT_VERSION, zlib.crc32(payload)), payload)
     return target
 
 

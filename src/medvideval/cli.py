@@ -15,7 +15,6 @@ from .bm25 import Bm25Params, build_index, load_index, run_from_searches, save_i
 from .core import FormatError
 from .io_formats import (
     MetricReport,
-    RetrievalRunEntry,
     parse_corpus,
     parse_localization_run,
     parse_qrels,
@@ -23,11 +22,12 @@ from .io_formats import (
     parse_retrieval_run,
     parse_steps,
     read_text,
+    write_atomically,
     write_report,
     write_retrieval_run,
 )
 from .pooling import PoolSpec, build_pool, write_pool
-from .retrieval_metrics import evaluate_retrieval, retrieval_report
+from .retrieval_metrics import evaluate_rankings, evaluate_retrieval, retrieval_report
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
@@ -179,15 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_atomically(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
 
 def _emit_report(report: MetricReport, args: argparse.Namespace) -> None:
-    fmt = "structured" if args.format == "structured" else "tabular"
-    _emit(write_report(report, fmt), args.out)
+    _emit(write_report(report, args.format), args.out)
 
 
 def _load_qrels(paths: Sequence[str]):
@@ -228,27 +226,12 @@ def _cmd_eval_localization(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ranking_from_candidates(run) -> dict[str, list[RetrievalRunEntry]]:
-    """Video ranking induced by a localization run: first appearance wins."""
-    induced: dict[str, list[RetrievalRunEntry]] = {}
-    for qid, candidates in run.items():
-        seen: set[str] = set()
-        entries = []
-        for candidate in candidates:
-            if candidate.video in seen:
-                continue
-            seen.add(candidate.video)
-            entries.append(
-                RetrievalRunEntry(qid, candidate.video, len(entries) + 1, candidate.score, "vcval")
-            )
-        induced[qid] = entries
-    return induced
-
-
 def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
-    retrieval = evaluate_retrieval(_ranking_from_candidates(run), qrels, ks=args.k)
+    # The video ranking a candidate list induces: first appearance wins.
+    rankings = {qid: dict.fromkeys(c.video for c in candidates) for qid, candidates in run.items()}
+    retrieval = evaluate_rankings(rankings, qrels, ks=args.k)
     params = _params(IoUParams, n_values=tuple(args.n), mu_values=tuple(args.mu), lam=args.lam)
     localization = evaluate_localization(run, qrels, params)
     retrieval_part = retrieval_report(retrieval)
@@ -266,6 +249,7 @@ def _cmd_eval_steps(args: argparse.Namespace) -> int:
     pred = parse_steps(read_text(args.pred), source=args.pred)
     gold = parse_steps(read_text(args.gold), source=args.gold)
     params = _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, lam=args.lam)
+    _params(IoUParams, mu_values=tuple(args.mu))  # --mu follows the eval-localization rule
     score = evaluate_steps(pred, gold, params, mu_values=tuple(args.mu))
     _emit_report(steps_report(score), args)
     return EXIT_OK
@@ -318,10 +302,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return int(code) if isinstance(code, int) else EXIT_INPUT
     try:
         return args.handler(args)
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - last-resort boundary for exit code 1

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import IntEnum
+from typing import Iterable
 
 QuestionId = str
 VideoId = str
@@ -123,8 +124,29 @@ def format_timestamp(seconds: float) -> str:
     if value.is_integer():
         total = int(value)
         return f"{total // 60:02d}:{total % 60:02d}"
-    # Decimal keeps repr's exact digits while avoiding scientific notation.
-    return format(Decimal(repr(value)), "f")
+    return plain_number(value)
+
+
+def plain_number(value: float) -> str:
+    """repr's exact digits without scientific notation, so parsing round-trips."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite number {value!r}")
+    text = repr(float(value))
+    # repr uses an exponent only outside [1e-4, 1e16); elsewhere its digits are already plain.
+    return format(Decimal(text), "f") if "e" in text else text
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """Left-to-right float total.
+
+    ``sum`` compensates float rounding from Python 3.12 on, which moves the
+    last digits of some totals; every total that reaches a report goes
+    through here so reports are identical on every supported interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def intersection_length(a: TimeInterval, b: TimeInterval) -> float:

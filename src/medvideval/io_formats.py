@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal
+from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     VideoId,
     format_timestamp,
     parse_timestamp,
+    plain_number as _plain_number,
 )
 
 TABULAR = "tabular"
@@ -227,15 +229,6 @@ def _timestamp_json(seconds: float) -> str | float:
     return float(seconds)
 
 
-def _plain_number(value: float) -> str:
-    """repr's exact digits without scientific notation, so parsing round-trips."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite number {value!r}")
-    text = repr(float(value))
-    # repr uses an exponent only outside [1e-4, 1e16); elsewhere its digits are already plain.
-    return format(Decimal(text), "f") if "e" in text else text
-
-
 # ---------------------------------------------------------------------------
 # Retrieval runs (flat six-column format)
 # ---------------------------------------------------------------------------
@@ -390,7 +383,7 @@ def parse_localization_run(
     absent they are assigned from descending score.  Candidates come back
     sorted by descending score with rank as tiebreak.
     """
-    staged: dict[QuestionId, list[tuple[int, dict, int | None]]] = {}
+    staged: dict[QuestionId, list[tuple[int, VideoId, TimeInterval, float, int | None]]] = {}
     for lineno, obj in _jsonl_records(stream, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
@@ -404,31 +397,26 @@ def parse_localization_run(
             if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
                 raise FormatError(f"rank must be a positive integer, got {raw!r}", source=source, line=lineno)
             rank = raw
-        staged.setdefault(qid, []).append(
-            (lineno, {"video": video, "interval": interval, "score": score}, rank)
-        )
+        staged.setdefault(qid, []).append((lineno, video, interval, score, rank))
 
     result: dict[QuestionId, list[LocalizationCandidate]] = {}
     for qid, rows in staged.items():
-        explicit = [rank for _, _, rank in rows if rank is not None]
-        if explicit and len(explicit) != len(rows):
-            lineno = rows[0][0]
-            raise FormatError(
-                f"question {qid!r} mixes records with and without ranks", source=source, line=lineno
-            )
-        if explicit:
-            if len(set(explicit)) != len(explicit):
-                lineno = rows[0][0]
-                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=lineno)
-            ranked = [(rank, data) for _, data, rank in rows]
+        ranks = {row[4] for row in rows}
+        if None in ranks:
+            if len(ranks) > 1:
+                raise FormatError(
+                    f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][0]
+                )
+            rows.sort(key=lambda row: -row[3])  # stable, so file order breaks score ties
+            candidates = [
+                LocalizationCandidate(qid, video, interval, score, rank)
+                for rank, (_, video, interval, score, _) in enumerate(rows, start=1)
+            ]
         else:
-            by_score = sorted(enumerate(rows), key=lambda item: (-item[1][1]["score"], item[0]))
-            ranked = [(position, data) for position, (_, (_, data, _)) in enumerate(by_score, start=1)]
-        candidates = [
-            LocalizationCandidate(qid, data["video"], data["interval"], data["score"], rank)
-            for rank, data in ranked
-        ]
-        candidates.sort(key=lambda c: (-c.score, c.rank))
+            if len(ranks) != len(rows):
+                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][0])
+            candidates = [LocalizationCandidate(qid, *row[1:]) for row in rows]
+            candidates.sort(key=lambda c: (-c.score, c.rank))
         result[qid] = candidates
     return result
 
@@ -577,17 +565,6 @@ def parse_queries(stream: Iterable[str] | str, source: str = "<queries>") -> dic
 # ---------------------------------------------------------------------------
 
 
-def _validate_values(values: Mapping[str, Any], path: str = "") -> None:
-    for key, value in values.items():
-        where = f"{path}/{key}" if path else str(key)
-        if isinstance(value, Mapping):
-            _validate_values(value, where)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"report value {where!r} must be a number")
-        elif not math.isfinite(float(value)):
-            raise ValueError(f"report value {where!r} must be finite")
-
-
 def _flatten(values: Mapping[str, Any], path: str = "") -> Iterator[tuple[str, Any]]:
     for key, value in values.items():
         where = f"{path}/{key}" if path else str(key)
@@ -597,21 +574,20 @@ def _flatten(values: Mapping[str, Any], path: str = "") -> Iterator[tuple[str, A
             yield where, value
 
 
+def _validate_values(values: Mapping[str, Any]) -> None:
+    for where, value in _flatten(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"report value {where!r} must be a number")
+        if not math.isfinite(float(value)):
+            raise ValueError(f"report value {where!r} must be finite")
+
+
 def _render_param(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(_render_param(v) for v in value)
     if isinstance(value, float):
         return _plain_number(value)
     return str(value)
-
-
-def _param_lines(params: Mapping[str, Any], path: str = "") -> Iterator[str]:
-    for key, value in params.items():
-        where = f"{path}/{key}" if path else str(key)
-        if isinstance(value, Mapping):
-            yield from _param_lines(value, where)
-        else:
-            yield f"# {where} = {_render_param(value)}"
 
 
 def write_report(report: MetricReport, fmt: str = TABULAR) -> str:
@@ -630,7 +606,7 @@ def write_report(report: MetricReport, fmt: str = TABULAR) -> str:
     if name not in _TABULAR_NAMES:
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"# report: {report.name}"]
-    lines.extend(_param_lines(report.params))
+    lines.extend(f"# {where} = {_render_param(value)}" for where, value in _flatten(report.params))
     for key, value in _flatten(report.values):
         if isinstance(value, int) and not isinstance(value, bool):
             lines.append(f"{key}\t{value}")
@@ -664,3 +640,22 @@ def read_text(path: str) -> str:
         raise FormatError(f"not valid UTF-8: {exc.reason}", source=path) from exc
     except OSError as exc:
         raise FormatError(str(exc.strerror or exc), source=path) from exc
+
+
+def write_atomically(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` so that readers never see it half-written.
+
+    The bytes go to a temporary file in the same directory that then replaces
+    ``path``; if anything fails, the temporary file is removed and an existing
+    ``path`` is left as it was.
+    """
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import QuestionId, VideoId
@@ -45,20 +46,20 @@ class PoolSpec:
         if not self.bands:
             raise ValueError("a pool spec needs at least one band")
 
+    @cached_property
+    def rank_probabilities(self) -> tuple[float, ...]:
+        """Inclusion probability of each 1-based rank in the schedule, in order."""
+        return tuple(band.probability for band in self.bands for _ in range(band.depth))
+
     @property
     def max_depth(self) -> int:
-        return sum(band.depth for band in self.bands)
+        return len(self.rank_probabilities)
 
     def probability_for_rank(self, rank: int) -> float | None:
         """Inclusion probability of a 1-based rank; None beyond the schedule."""
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        cutoff = 0
-        for band in self.bands:
-            cutoff += band.depth
-            if rank <= cutoff:
-                return band.probability
-        return None
+        return self.rank_probabilities[rank - 1] if rank <= self.max_depth else None
 
     def expected_inclusions(self) -> float:
         """Expected pool contributions of one full-depth run for one question."""
@@ -94,10 +95,7 @@ def build_pool(
     members: dict[QuestionId, dict[VideoId, list[tuple[str, int]]]] = {}
     for run in runs:
         for qid, entries in run.items():
-            for position, entry in enumerate(entries, start=1):
-                probability = spec.probability_for_rank(position)
-                if probability is None:
-                    break
+            for position, (entry, probability) in enumerate(zip(entries, spec.rank_probabilities), start=1):
                 if probability >= 1.0 or inclusion_draw(spec.seed, entry.tag, qid, position) < probability:
                     members.setdefault(qid, {}).setdefault(entry.video, []).append((entry.tag, position))
     ordered = {

@@ -10,58 +10,65 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import QuestionId, ToolkitWarning, VideoId
+from .core import QuestionId, ToolkitWarning, VideoId, plain_sum
 from .io_formats import JudgedVideo, MetricReport, RetrievalRunEntry
 
 
-def _positive_videos(judged: Sequence[JudgedVideo]) -> set[VideoId]:
-    return {jv.video for jv in judged if jv.grade.is_positive}
+def _cutoffs(ks: Iterable[int]) -> tuple[int, ...]:
+    cutoffs = tuple(sorted({int(k) for k in ks}))
+    if cutoffs and cutoffs[0] < 1:
+        raise ValueError(f"cutoff k must be >= 1, got {cutoffs[0]}")
+    return cutoffs
+
+
+def _question_row(
+    ranking: Iterable[VideoId], judged: Sequence[JudgedVideo], cutoffs: Sequence[int]
+) -> dict[str, float]:
+    """MAP, R@k and P@k for each cutoff, and nDCG, from one pass over the ranking."""
+    grades = {jv.video: int(jv.grade) for jv in judged}
+    relevant = {jv.video for jv in judged if jv.grade.is_positive}
+    hit_positions: list[int] = []
+    dcg = 0.0
+    for position, video in enumerate(ranking, start=1):
+        if video in relevant:
+            hit_positions.append(position)
+        gain = grades.get(video, 0)
+        if gain:
+            dcg += gain / math.log2(position + 1)
+    ideal = sorted(grades.values(), reverse=True)
+    idcg = plain_sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1) if g > 0)
+    hits_within = [bisect_right(hit_positions, k) for k in cutoffs]
+
+    precision_sum = plain_sum(hits / position for hits, position in enumerate(hit_positions, start=1))
+    row = {"MAP": precision_sum / len(relevant) if relevant else 0.0}
+    for k, hits in zip(cutoffs, hits_within):
+        row[f"R@{k}"] = hits / len(relevant) if relevant else 0.0
+    for k, hits in zip(cutoffs, hits_within):
+        row[f"P@{k}"] = hits / k
+    row["nDCG"] = dcg / idcg if idcg else 0.0
+    return row
 
 
 def average_precision(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo]) -> float:
     """Mean of precision at each relevant retrieved position, over all relevant."""
-    relevant = _positive_videos(judged)
-    if not relevant:
-        return 0.0
-    hits = 0
-    total = 0.0
-    for position, video in enumerate(ranking, start=1):
-        if video in relevant:
-            hits += 1
-            total += hits / position
-    return total / len(relevant)
+    return _question_row(ranking, judged, ())["MAP"]
 
 
 def precision_at_k(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo], k: int) -> float:
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
-    relevant = _positive_videos(judged)
-    hits = sum(1 for video in ranking[:k] if video in relevant)
-    return hits / k
+    return _question_row(ranking, judged, _cutoffs((k,)))[f"P@{k}"]
 
 
 def recall_at_k(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo], k: int) -> float:
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
-    relevant = _positive_videos(judged)
-    if not relevant:
-        return 0.0
-    hits = sum(1 for video in ranking[:k] if video in relevant)
-    return hits / len(relevant)
+    return _question_row(ranking, judged, _cutoffs((k,)))[f"R@{k}"]
 
 
 def ndcg(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo]) -> float:
     """Linear-gain nDCG over the full ranking, ideal over all judged documents."""
-    grades = {jv.video: int(jv.grade) for jv in judged}
-    ideal = sorted(grades.values(), reverse=True)
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1) if g > 0)
-    if idcg == 0.0:
-        return 0.0
-    dcg = sum(grades.get(v, 0) / math.log2(i + 1) for i, v in enumerate(ranking, start=1))
-    return dcg / idcg
+    return _question_row(ranking, judged, ())["nDCG"]
 
 
 @dataclass
@@ -73,12 +80,30 @@ class RetrievalScore:
     macro: dict[str, float]
 
 
-def _metric_keys(ks: Sequence[int]) -> list[str]:
-    keys = ["MAP"]
-    keys += [f"R@{k}" for k in ks]
-    keys += [f"P@{k}" for k in ks]
-    keys.append("nDCG")
-    return keys
+def evaluate_rankings(
+    rankings: Mapping[QuestionId, Iterable[VideoId]],
+    qrels: Mapping[QuestionId, Sequence[JudgedVideo]],
+    ks: Sequence[int] = (5, 10),
+) -> RetrievalScore:
+    """Macro-average the metrics of ranked video lists over every judged question.
+
+    Questions missing from ``rankings`` score 0; ranked questions absent from
+    the judgments are ignored with a warning.
+    """
+    if not ks:
+        raise ValueError("at least one cutoff k is required")
+    cutoffs = _cutoffs(ks)
+    for qid in rankings:
+        if qid not in qrels:
+            warnings.warn(
+                ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"),
+                stacklevel=2,
+            )
+    per_question = {qid: _question_row(rankings.get(qid, ()), qrels[qid], cutoffs) for qid in sorted(qrels)}
+    count = len(per_question)
+    keys = _question_row((), (), cutoffs)  # every row has these keys, in this order
+    macro = {key: plain_sum(row[key] for row in per_question.values()) / count if count else 0.0 for key in keys}
+    return RetrievalScore(cutoffs, per_question, macro)
 
 
 def evaluate_retrieval(
@@ -86,39 +111,8 @@ def evaluate_retrieval(
     qrels: Mapping[QuestionId, Sequence[JudgedVideo]],
     ks: Sequence[int] = (5, 10),
 ) -> RetrievalScore:
-    """Macro-average the metrics over every question in the judgments.
-
-    Questions missing from the run score 0; run questions absent from the
-    judgments are ignored with a warning.
-    """
-    if not ks:
-        raise ValueError("at least one cutoff k is required")
-    cutoffs = tuple(sorted({int(k) for k in ks}))
-    if cutoffs[0] < 1:
-        raise ValueError(f"cutoffs must be >= 1, got {cutoffs[0]}")
-    for qid in run:
-        if qid not in qrels:
-            warnings.warn(
-                ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"),
-                stacklevel=2,
-            )
-    per_question: dict[QuestionId, dict[str, float]] = {}
-    for qid in sorted(qrels):
-        judged = qrels[qid]
-        ranking = [entry.video for entry in run.get(qid, ())]
-        row = {"MAP": average_precision(ranking, judged)}
-        for k in cutoffs:
-            row[f"R@{k}"] = recall_at_k(ranking, judged, k)
-        for k in cutoffs:
-            row[f"P@{k}"] = precision_at_k(ranking, judged, k)
-        row["nDCG"] = ndcg(ranking, judged)
-        per_question[qid] = row
-    count = len(per_question)
-    macro = {
-        key: (sum(row[key] for row in per_question.values()) / count if count else 0.0)
-        for key in _metric_keys(cutoffs)
-    }
-    return RetrievalScore(cutoffs, per_question, macro)
+    """:func:`evaluate_rankings` over a parsed run, each question in run order."""
+    return evaluate_rankings({qid: [entry.video for entry in entries] for qid, entries in run.items()}, qrels, ks)
 
 
 def retrieval_report(score: RetrievalScore) -> MetricReport:

@@ -8,10 +8,11 @@ top n, which is what makes mIoU grow with n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import QuestionId, TimeInterval, intersection_length, union_length
+from .core import QuestionId, TimeInterval, intersection_length, plain_sum, union_length
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -84,7 +85,7 @@ def mean_iou(
     score = evaluate_localization(run, qrels, IoUParams((n,), lam=lam))
     if not score.question_count:
         return 0.0
-    return sum(score.per_question[qid][n] for qid in sorted(qrels)) / score.question_count
+    return plain_sum(score.per_question[qid][n] for qid in sorted(qrels)) / score.question_count
 
 
 def recall_at_n_iou(
@@ -111,8 +112,8 @@ class IoUParams:
             raise ValueError("n_values must be positive integers")
         if not self.mu_values or any(not 0.0 < mu <= 1.0 for mu in self.mu_values):
             raise ValueError("mu_values must lie in (0, 1]")
-        if self.lam < 0:
-            raise ValueError(f"extension must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"extension must be a finite number >= 0, got {self.lam}")
         object.__setattr__(self, "n_values", tuple(sorted(self.n_values)))
         object.__setattr__(self, "mu_values", tuple(sorted(self.mu_values)))
 
@@ -155,7 +156,7 @@ def evaluate_localization(
         for mu in params.mu_values:
             hits = sum(1 for value in values if value >= mu)
             row[f"IoU={mu:g}"] = 100.0 * hits / count if count else 0.0
-        row["mIoU"] = 100.0 * sum(values) / count if count else 0.0
+        row["mIoU"] = 100.0 * plain_sum(values) / count if count else 0.0
         table[n] = row
     return LocalizationScore(params, count, per_question, table)
 

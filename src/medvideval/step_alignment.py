@@ -13,16 +13,15 @@ Scores combine temporal IoU and ROUGE-L F with weights alpha and beta.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import ToolkitWarning
+from .core import ToolkitWarning, plain_sum
 from .io_formats import MetricReport, Step, StepSequence
-from .segment_metrics import relaxed_iou, temporal_iou
+from .segment_metrics import DEFAULT_MU_VALUES, relaxed_iou, temporal_iou
 from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l
-
-DEFAULT_MU_VALUES = (0.3, 0.5, 0.7)
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,10 @@ class AlignmentParams:
     lam: float = 3.0
 
     def __post_init__(self) -> None:
+        named = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam}
+        for name, value in named.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alignment weights must be >= 0")
         if self.theta < 0:
@@ -156,7 +159,7 @@ def step_segment_stats(
             else:
                 ious.append(0.0)
     total = len(ious)
-    mean = sum(ious) / total if total else 0.0
+    mean = plain_sum(ious) / total if total else 0.0
     fraction_at = {
         mu: (100.0 * sum(1 for value in ious if value >= mu) / total if total else 0.0)
         for mu in mu_values
@@ -271,8 +274,8 @@ def evaluate_captions(
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in bleu_orders}, 0.0, 0.0)
     bleu = {order: bleu_n(pairs, order) for order in bleu_orders}
-    meteor_mean = sum(meteor(pair) for pair in pairs) / len(pairs)
-    rouge_mean = sum(rouge_l(pair).f for pair in pairs) / len(pairs)
+    meteor_mean = plain_sum(meteor(pair) for pair in pairs) / len(pairs)
+    rouge_mean = plain_sum(rouge_l(pair).f for pair in pairs) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)
 
 

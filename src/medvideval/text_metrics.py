@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import plain_sum
+
 _PUNCT = string.punctuation
 
 
@@ -118,7 +120,7 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
         return 0.0
     if any(c == 0 or m == 0 for m, c in zip(matched, candidates)):
         return 0.0
-    log_precision = sum(math.log(m / c) for m, c in zip(matched, candidates)) / n
+    log_precision = plain_sum(math.log(m / c) for m, c in zip(matched, candidates)) / n
     brevity = math.exp(min(0.0, 1.0 - ref_len / pred_len))
     return brevity * math.exp(log_precision)
 

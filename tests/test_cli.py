@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -437,3 +439,70 @@ def test_module_entry_point(files):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        *[("eval-steps", flag, value) for flag in ("--theta", "--alpha", "--lambda") for value in ("nan", "inf")],
+        ("eval-steps", "--beta", "nan"),
+        *[("eval-steps", "--mu", value) for value in ("nan", "5", "-1", "0")],
+        ("eval-captions", "--theta", "nan"),
+        ("eval-captions", "--alpha", "inf"),
+        *[(command, "--lambda", value) for command in ("eval-localization", "eval-vcval") for value in ("nan", "inf")],
+    ],
+)
+def test_non_finite_or_out_of_range_scoring_flag_exits_2(files, command, flag, value, capsys):
+    qrels = ["--qrels", files["qrels.txt"], files["answers.jsonl"]]
+    argv = {
+        "eval-localization": ["--run", files["loc.jsonl"], *qrels],
+        "eval-vcval": ["--run", files["loc.jsonl"], *qrels],
+        "eval-steps": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
+        "eval-captions": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
+    }[command]
+    code = main([command, *argv, flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
+ORGANISER = Path(__file__).resolve().parent / "data" / "organiser"
+ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        *[
+            (f"{name}.{ext}", [command, "--run", str(ORGANISER / run), *ORGANISER_QRELS, "--format", fmt])
+            for name, command, run in [
+                ("retrieval", "eval-retrieval", "retrieval.run"),
+                ("localization", "eval-localization", "localization.jsonl"),
+                ("vcval", "eval-vcval", "localization.jsonl"),
+            ]
+            for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
+        ],
+        ("pool.txt", ["pool", "--run", str(ORGANISER / "retrieval.run")]),
+    ],
+)
+def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
+    out_path = tmp_path / golden
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the fixture's unjudged question warns by design
+        assert main([*argv, "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (ORGANISER / "expected" / golden).read_bytes()
+
+
+def test_failed_out_write_keeps_the_previous_file(files, tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "report.tsv"
+    out_path.write_bytes(b"previous report\n")
+
+    def fail(source, target):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code = main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--out", str(out_path)])
+    assert code == 2
+    assert "no space left" in capsys.readouterr().err
+    assert out_path.read_bytes() == b"previous report\n"
+    assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]

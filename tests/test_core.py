@@ -9,6 +9,7 @@ from medvideval.core import (
     format_timestamp,
     intersection_length,
     parse_timestamp,
+    plain_sum,
     union_length,
 )
 
@@ -109,3 +110,10 @@ def test_relevance_grades_are_ordered():
     assert not RelevanceGrade.NOT_RELEVANT.is_positive
     with pytest.raises(ValueError):
         RelevanceGrade(3)
+
+
+def test_plain_sum_adds_left_to_right():
+    # Compensated summation (``sum`` from Python 3.12 on) gives exactly 1.0 here.
+    assert plain_sum([0.1] * 10) == 0.9999999999999999
+    assert plain_sum([]) == 0.0
+    assert plain_sum(iter([1e16, 1.0, -1e16])) == 0.0

@@ -29,6 +29,7 @@ from medvideval.io_formats import (
     write_localization_run,
     write_qrels,
     write_report,
+    write_atomically,
     write_retrieval_run,
     write_steps,
 )
@@ -161,6 +162,25 @@ class TestLocalizationRunParsing:
         text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b")])
         with pytest.raises(FormatError, match="mixes"):
             parse_localization_run(text)
+
+    def test_score_ties_ranked_in_file_order(self):
+        text = "\n".join(
+            [
+                _loc_record(video="a", score=0.5),
+                _loc_record(video="b", score=0.9),
+                _loc_record(video="c", score=0.5),
+                _loc_record(video="d", score=0.5),
+            ]
+        )
+        run = parse_localization_run(text)
+        assert [(c.video, c.rank) for c in run["Q1"]] == [("b", 1), ("a", 2), ("c", 3), ("d", 4)]
+
+    def test_explicit_ranks_break_score_ties(self):
+        text = "\n".join(
+            [_loc_record(video="a", score=0.5, rank=3), _loc_record(video="b", score=0.5, rank=2)]
+        )
+        run = parse_localization_run(text)
+        assert [(c.video, c.rank) for c in run["Q1"]] == [("b", 2), ("a", 3)]
 
     def test_duplicate_explicit_rank_rejected(self):
         text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b", rank=1)])
@@ -485,3 +505,25 @@ def test_parsers_never_crash(parser, text):
         parser(text)
     except FormatError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+
+def test_write_atomically_writes_every_chunk(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old")
+    write_atomically(target, b"new ", b"bytes")
+    assert target.read_bytes() == b"new bytes"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_that_raises_leaves_target_and_no_temporary(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomically(target, b"partial", "not bytes")
+    assert target.read_bytes() == b"old"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]

@@ -136,3 +136,10 @@ def test_write_pool_lists_every_contribution_sorted():
     assert lines == sorted(lines)
     assert "# pool seed = 0" in text
     assert "# pool bands = 10:1,5:0.3,5:0.2,5:0.1" in text
+
+
+def test_rank_probabilities_follow_the_bands():
+    spec = PoolSpec((PoolBand(2, 1.0), PoolBand(3, 0.25)))
+    assert spec.rank_probabilities == (1.0, 1.0, 0.25, 0.25, 0.25)
+    assert spec.max_depth == 5
+    assert [spec.probability_for_rank(rank) for rank in range(1, 7)] == [1.0, 1.0, 0.25, 0.25, 0.25, None]

@@ -8,6 +8,7 @@ from medvideval.core import RelevanceGrade, ToolkitWarning
 from medvideval.io_formats import JudgedVideo, RetrievalRunEntry
 from medvideval.retrieval_metrics import (
     average_precision,
+    evaluate_rankings,
     evaluate_retrieval,
     ndcg,
     precision_at_k,
@@ -180,3 +181,31 @@ def test_rank_metrics_ignore_score_scale(seed):
         ]
     }
     assert evaluate_retrieval(base, qrels).macro == evaluate_retrieval(squashed, qrels).macro
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_evaluate_retrieval_is_evaluate_rankings_of_run_order(seed):
+    rng = random.Random(seed)
+    ranking, grades = random_instance(rng)
+    qrels = {"Q": judged("Q", grades), "Q2": judged("Q2", {"z": 2})}
+    by_run = evaluate_retrieval({"Q": run_entries("Q", ranking)}, qrels, ks=(1, 3, 50))
+    by_ranking = evaluate_rankings({"Q": ranking}, qrels, ks=(1, 3, 50))
+    assert by_run == by_ranking
+    row = by_ranking.per_question["Q"]
+    assert row["MAP"] == average_precision(ranking, qrels["Q"])
+    assert row["nDCG"] == ndcg(ranking, qrels["Q"])
+    assert row["P@3"] == precision_at_k(ranking, qrels["Q"], 3)
+    assert row["R@3"] == recall_at_k(ranking, qrels["Q"], 3)
+
+
+def test_evaluate_rankings_accepts_any_iterable_ranking():
+    qrels = {"Q": judged("Q", {"a": 2, "b": 1})}
+    score = evaluate_rankings({"Q": dict.fromkeys(["a", "x", "a", "b"])}, qrels, ks=[2])
+    assert score.per_question["Q"]["P@2"] == 0.5
+    assert score.per_question["Q"]["MAP"] == pytest.approx((1 / 1 + 2 / 3) / 2)
+
+
+def test_evaluate_rankings_warns_on_unjudged_question():
+    with pytest.warns(ToolkitWarning, match="Q9"):
+        score = evaluate_rankings({"Q9": ["a"]}, {"Q": judged("Q", {"a": 1})})
+    assert score.macro["MAP"] == 0.0

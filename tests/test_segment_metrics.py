@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -294,3 +295,9 @@ class TestEvaluateLocalization:
             IoUParams(mu_values=(0.0,))
         with pytest.raises(ValueError):
             IoUParams(lam=-1)
+
+
+@pytest.mark.parametrize("values", [{"lam": math.nan}, {"lam": math.inf}, {"mu_values": (math.nan,)}])
+def test_params_reject_non_finite_values(values):
+    with pytest.raises(ValueError):
+        IoUParams(**values)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -249,3 +250,9 @@ class TestCaptions:
         report = captions_report(evaluate_captions(gold, gold), external={"SPICE": 23.66})
         assert report.values["SPICE"] == 23.66
         assert "BLEU-2" in report.values and "BLEU-3" in report.values
+
+
+@pytest.mark.parametrize("values", [{"theta": math.nan}, {"alpha": math.inf}, {"beta": -math.inf}, {"lam": math.nan}])
+def test_params_reject_non_finite_values(values):
+    with pytest.raises(ValueError):
+        AlignmentParams(**values)
