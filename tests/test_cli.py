@@ -493,6 +493,30 @@ def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
     assert out_path.read_bytes() == (ORGANISER / "expected" / golden).read_bytes()
 
 
+STEPS = Path(__file__).resolve().parent / "data" / "steps"
+STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (f"{name}.{ext}", [command, *STEPS_FILES, *flags, "--format", fmt])
+        for name, command, flags in [
+            ("steps", "eval-steps", []),
+            ("steps_lambda0_mu0.5", "eval-steps", ["--lambda", "0", "--mu", "0.5"]),
+            ("captions", "eval-captions", []),
+        ]
+        for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
+    ],
+)
+def test_step_outputs_match_golden_bytes(golden, argv, tmp_path):
+    out_path = tmp_path / golden
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a long caption and a prediction-only segment warn by design
+        assert main([*argv, "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (STEPS / "expected" / golden).read_bytes()
+
+
 def test_failed_out_write_keeps_the_previous_file(files, tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "report.tsv"
     out_path.write_bytes(b"previous report\n")
