@@ -161,16 +161,24 @@ def bm25_score(
     doc = bisect_left(index.videos, video)
     if doc == index.doc_count or index.videos[doc] != video:
         raise KeyError(f"video {video!r} is not in the index")
-    norm = index.length_norms(params)[doc]
-    score = 0.0
+    return _scores(index, query_terms, params)[doc]
+
+
+def _scores(index: InvertedIndex, query_terms: Iterable[str], params: Bm25Params) -> list[float]:
+    """BM25 score of every document id, each summing its query terms in order."""
+    norms = index.length_norms(params)
+    scale = params.k1 + 1.0
+    # One dense accumulator per query: list indexing beats dict get/set in the
+    # posting loop, and allocating it is a single C-level fill.
+    scores = [0.0] * index.doc_count
     for term in query_terms:
         start, end = index.span(term)
-        at = bisect_left(index.doc_ids, doc, start, end)
-        if at == end or index.doc_ids[at] != doc:
+        if start == end:
             continue
-        tf = index.tfs[at]
-        score += _idf_from_df(index.doc_count, end - start) * tf * (params.k1 + 1.0) / (tf + norm)
-    return score
+        weight = _idf_from_df(index.doc_count, end - start)
+        for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
+            scores[doc] += weight * tf * scale / (tf + norms[doc])
+    return scores
 
 
 def search(
@@ -182,18 +190,7 @@ def search(
     """Top-k positively scoring videos, ties broken by ascending video id."""
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    norms = index.length_norms(params)
-    scale = params.k1 + 1.0
-    # One dense accumulator per query: list indexing beats dict get/set in the
-    # posting loop, and allocating it is a single C-level fill.
-    scores = [0.0] * index.doc_count
-    for term in tokenize(query):
-        start, end = index.span(term)
-        if start == end:
-            continue
-        weight = _idf_from_df(index.doc_count, end - start)
-        for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
-            scores[doc] += weight * tf * scale / (tf + norms[doc])
+    scores = _scores(index, tokenize(query), params)
     # Every contribution is positive (tf >= 1, idf > 0), so the positively
     # scoring documents are the non-zero entries, picked in ascending video-id
     # order; the stable sort keeps that order among equal scores.

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .bm25 import Bm25Params, build_index, load_index, run_from_searches, save_index
 from .core import FormatError
@@ -33,7 +34,9 @@ from .segment_metrics import (
     DEFAULT_N_VALUES,
     IoUParams,
     evaluate_localization,
+    judged_questions,
     localization_report,
+    normalise_thresholds,
 )
 from .step_alignment import (
     AlignmentParams,
@@ -48,34 +51,29 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _comma_list(text: str, convert: Callable[[str], object], what: str) -> list:
+    """One or more comma-separated values, each read by ``convert``."""
+    try:
+        values = [convert(part) for part in text.split(",") if part.strip()]
+    except (ValueError, argparse.ArgumentTypeError):
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return values
+
+
+_int_list = partial(_comma_list, convert=_positive_int, what="positive integers")
+_float_list = partial(_comma_list, convert=float, what="numbers")
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +88,23 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     _add_threads_flag(parser)
 
 
-def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
+def _add_judged_run_flags(parser: argparse.ArgumentParser, run_help: str, *, cutoffs: bool) -> None:
+    parser.add_argument("--run", required=True, metavar="PATH", help=run_help)
+    parser.add_argument("--qrels", required=True, nargs="+", metavar="PATH", help="grade file, then the optional answer sidecar")
+    if cutoffs:
+        parser.add_argument("--k", type=_int_list, default=[5, 10], help="retrieval cutoffs (default 5,10)")
+
+
+def _add_iou_flags(parser: argparse.ArgumentParser, *, lam: float, depths: bool) -> None:
+    if depths:
+        parser.add_argument("--n", type=_int_list, default=list(DEFAULT_N_VALUES), help="candidate depths (default 1,3,5,10)")
+    parser.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU_VALUES), help="IoU thresholds (default 0.3,0.5,0.7)")
+    parser.add_argument("--lambda", dest="lam", type=float, default=lam, help=f"IoU extension in seconds (default {lam:g})")
+
+
+def _add_step_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pred", required=True, metavar="PATH", help="predicted step file (JSON lines)")
+    parser.add_argument("--gold", required=True, metavar="PATH", help="ground-truth step file (JSON lines)")
     parser.add_argument("--theta", type=float, default=0.4, help="alignment score threshold")
     parser.add_argument("--alpha", type=float, default=0.5, help="temporal overlap weight")
     parser.add_argument("--beta", type=float, default=0.5, help="caption ROUGE-L weight")
@@ -105,50 +119,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("eval-retrieval", help="score a retrieval run against graded judgments")
-    p.add_argument("--run", required=True, metavar="PATH", help="six-column run file")
-    p.add_argument(
-        "--qrels",
-        required=True,
-        nargs="+",
-        metavar="PATH",
-        help="grade file, optionally followed by the answer-interval sidecar",
-    )
-    p.add_argument("--k", type=_int_list, default=[5, 10], help="cutoffs, comma separated (default 5,10)")
+    _add_judged_run_flags(p, "six-column run file", cutoffs=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_retrieval)
 
     p = sub.add_parser("eval-localization", help="score a temporal localization run")
-    p.add_argument("--run", required=True, metavar="PATH", help="localization run (JSON lines)")
-    p.add_argument("--qrels", required=True, nargs="+", metavar="PATH", help="grade file plus answer sidecar")
-    p.add_argument("--n", type=_int_list, default=list(DEFAULT_N_VALUES), help="candidate depths (default 1,3,5,10)")
-    p.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU_VALUES), help="IoU thresholds (default 0.3,0.5,0.7)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="IoU extension in seconds (default 0)")
+    _add_judged_run_flags(p, "localization run (JSON lines)", cutoffs=False)
+    _add_iou_flags(p, lam=0.0, depths=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_localization)
 
     p = sub.add_parser("eval-vcval", help="retrieval plus localization from one candidate run")
-    p.add_argument("--run", required=True, metavar="PATH", help="localization run (JSON lines)")
-    p.add_argument("--qrels", required=True, nargs="+", metavar="PATH", help="grade file plus answer sidecar")
-    p.add_argument("--k", type=_int_list, default=[5, 10], help="retrieval cutoffs (default 5,10)")
-    p.add_argument("--n", type=_int_list, default=list(DEFAULT_N_VALUES), help="candidate depths (default 1,3,5,10)")
-    p.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU_VALUES), help="IoU thresholds (default 0.3,0.5,0.7)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="IoU extension in seconds (default 0)")
+    _add_judged_run_flags(p, "localization run (JSON lines)", cutoffs=True)
+    _add_iou_flags(p, lam=0.0, depths=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_vcval)
 
     p = sub.add_parser("eval-steps", help="score predicted instructional steps against gold steps")
-    p.add_argument("--pred", required=True, metavar="PATH", help="predicted step file (JSON lines)")
-    p.add_argument("--gold", required=True, metavar="PATH", help="ground-truth step file (JSON lines)")
-    _add_alignment_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=3.0, help="IoU extension in seconds (default 3)")
-    p.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU_VALUES), help="IoU thresholds (default 0.3,0.5,0.7)")
+    _add_step_flags(p)
+    _add_iou_flags(p, lam=3.0, depths=False)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_steps)
 
     p = sub.add_parser("eval-captions", help="text metrics over greedily matched step captions")
-    p.add_argument("--pred", required=True, metavar="PATH", help="predicted step file (JSON lines)")
-    p.add_argument("--gold", required=True, metavar="PATH", help="ground-truth step file (JSON lines)")
-    _add_alignment_flags(p)
+    _add_step_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_captions)
 
@@ -191,20 +185,15 @@ def _emit_report(report: MetricReport, args: argparse.Namespace) -> None:
 def _load_qrels(paths: Sequence[str]):
     if len(paths) > 2:
         raise FormatError("--qrels takes a grade file plus at most one answer sidecar")
-    grades = read_text(paths[0])
-    answers = read_text(paths[1]) if len(paths) > 1 else None
-    return parse_qrels(
-        grades,
-        answers,
-        grades_source=paths[0],
-        answers_source=paths[1] if len(paths) > 1 else "<answers>",
-    )
+    grades, *sidecar = paths
+    texts = [read_text(path) for path in paths]
+    return parse_qrels(*texts, grades_source=grades, answers_source=sidecar[0] if sidecar else "<answers>")
 
 
-def _params(cls, **values):
-    """Build a parameter object, reporting an out-of-range flag value as bad input."""
+def _params(build, **values):
+    """Build parameters (an object or a normalised grid), reporting an out-of-range flag value as bad input."""
     try:
-        return cls(**values)
+        return build(**values)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -217,22 +206,25 @@ def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_eval_localization(args: argparse.Namespace) -> int:
+def _localization_inputs(args: argparse.Namespace):
+    """The run's judged questions, the judgments, and the IoU grid."""
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
-    params = _params(IoUParams, n_values=tuple(args.n), mu_values=tuple(args.mu), lam=args.lam)
-    score = evaluate_localization(run, qrels, params)
+    params = _params(IoUParams, n_values=args.n, mu_values=args.mu, lam=args.lam)
+    return judged_questions(run, qrels), qrels, params
+
+
+def _cmd_eval_localization(args: argparse.Namespace) -> int:
+    score = evaluate_localization(*_localization_inputs(args))
     _emit_report(localization_report(score), args)
     return EXIT_OK
 
 
 def _cmd_eval_vcval(args: argparse.Namespace) -> int:
-    run = parse_localization_run(read_text(args.run), source=args.run)
-    qrels = _load_qrels(args.qrels)
+    run, qrels, params = _localization_inputs(args)
     # The video ranking a candidate list induces: first appearance wins.
     rankings = {qid: dict.fromkeys(c.video for c in candidates) for qid, candidates in run.items()}
     retrieval = evaluate_rankings(rankings, qrels, ks=args.k)
-    params = _params(IoUParams, n_values=tuple(args.n), mu_values=tuple(args.mu), lam=args.lam)
     localization = evaluate_localization(run, qrels, params)
     retrieval_part = retrieval_report(retrieval)
     localization_part = localization_report(localization)
@@ -245,21 +237,22 @@ def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_eval_steps(args: argparse.Namespace) -> int:
+def _step_inputs(args: argparse.Namespace, **extra):
+    """Predicted and gold steps plus the alignment parameters."""
     pred = parse_steps(read_text(args.pred), source=args.pred)
     gold = parse_steps(read_text(args.gold), source=args.gold)
-    params = _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, lam=args.lam)
-    _params(IoUParams, mu_values=tuple(args.mu))  # --mu follows the eval-localization rule
-    score = evaluate_steps(pred, gold, params, mu_values=tuple(args.mu))
+    return pred, gold, _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, **extra)
+
+
+def _cmd_eval_steps(args: argparse.Namespace) -> int:
+    pred, gold, params = _step_inputs(args, lam=args.lam)
+    score = evaluate_steps(pred, gold, params, _params(normalise_thresholds, values=args.mu))
     _emit_report(steps_report(score), args)
     return EXIT_OK
 
 
 def _cmd_eval_captions(args: argparse.Namespace) -> int:
-    pred = parse_steps(read_text(args.pred), source=args.pred)
-    gold = parse_steps(read_text(args.gold), source=args.gold)
-    params = _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta)
-    score = evaluate_captions(pred, gold, params)
+    score = evaluate_captions(*_step_inputs(args))
     _emit_report(captions_report(score), args)
     return EXIT_OK
 

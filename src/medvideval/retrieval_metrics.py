@@ -9,20 +9,13 @@ relevant documents contribute 0, so macro averages are deterministic.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import QuestionId, ToolkitWarning, VideoId, plain_sum
+from .core import QuestionId, VideoId, plain_sum
 from .io_formats import JudgedVideo, MetricReport, RetrievalRunEntry
-
-
-def _cutoffs(ks: Iterable[int]) -> tuple[int, ...]:
-    cutoffs = tuple(sorted({int(k) for k in ks}))
-    if cutoffs and cutoffs[0] < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {cutoffs[0]}")
-    return cutoffs
+from .segment_metrics import judged_questions, normalise_depths
 
 
 def _question_row(
@@ -59,11 +52,11 @@ def average_precision(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo])
 
 
 def precision_at_k(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo], k: int) -> float:
-    return _question_row(ranking, judged, _cutoffs((k,)))[f"P@{k}"]
+    return _question_row(ranking, judged, normalise_depths((k,), "k"))[f"P@{k}"]
 
 
 def recall_at_k(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo], k: int) -> float:
-    return _question_row(ranking, judged, _cutoffs((k,)))[f"R@{k}"]
+    return _question_row(ranking, judged, normalise_depths((k,), "k"))[f"R@{k}"]
 
 
 def ndcg(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo]) -> float:
@@ -90,15 +83,8 @@ def evaluate_rankings(
     Questions missing from ``rankings`` score 0; ranked questions absent from
     the judgments are ignored with a warning.
     """
-    if not ks:
-        raise ValueError("at least one cutoff k is required")
-    cutoffs = _cutoffs(ks)
-    for qid in rankings:
-        if qid not in qrels:
-            warnings.warn(
-                ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"),
-                stacklevel=2,
-            )
+    cutoffs = normalise_depths(ks, "k")
+    rankings = judged_questions(rankings, qrels)
     per_question = {qid: _question_row(rankings.get(qid, ()), qrels[qid], cutoffs) for qid in sorted(qrels)}
     count = len(per_question)
     keys = _question_row((), (), cutoffs)  # every row has these keys, in this order

@@ -4,19 +4,60 @@ A candidate only scores when its video is positively judged for the question;
 within such a video the best overlap against any assessed answer interval
 counts.  Per-question scores at depth n take the best candidate among the
 top n, which is what makes mIoU grow with n.
+
+Every command's scoring grid is normalised here: depths (retrieval cutoffs k,
+localization depths n) and IoU thresholds mu, each sorted and deduplicated.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import QuestionId, TimeInterval, intersection_length, plain_sum, union_length
+from .core import QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum, union_length
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
 DEFAULT_MU_VALUES = (0.3, 0.5, 0.7)
+
+
+def normalise_depths(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """Positive integer depths, sorted and deduplicated; ``name`` appears in errors."""
+    depths = tuple(sorted(set(values)))
+    if not depths or not all(isinstance(depth, int) and depth >= 1 for depth in depths):
+        raise ValueError(f"{name} must be one or more integers >= 1, got {list(depths)}")
+    return depths
+
+
+def threshold_key(mu: float) -> str:
+    """Column label of an IoU threshold."""
+    return f"IoU={mu:g}"
+
+
+def normalise_thresholds(values: Iterable[float]) -> tuple[float, ...]:
+    """IoU thresholds in (0, 1], sorted and deduplicated, each with its own label."""
+    thresholds = tuple(sorted(set(values)))
+    if not thresholds or not all(0.0 < mu <= 1.0 for mu in thresholds):
+        raise ValueError(f"mu must be one or more values in (0, 1], got {list(thresholds)}")
+    for low, high in zip(thresholds, thresholds[1:]):
+        if threshold_key(low) == threshold_key(high):
+            raise ValueError(f"mu values {low!r} and {high!r} share the column {threshold_key(low)}")
+    return thresholds
+
+
+def percent_at_least(values: Sequence[float], mu: float) -> float:
+    """Percentage of ``values`` that reach ``mu`` (boundary counts); 0 when empty."""
+    return 100.0 * sum(1 for value in values if value >= mu) / len(values) if values else 0.0
+
+
+def judged_questions(run: Mapping[QuestionId, object], qrels: Mapping[QuestionId, object]) -> dict:
+    """The run's judged questions, in run order; each unjudged one is ignored with a warning."""
+    for qid in run:
+        if qid not in qrels:
+            warnings.warn(ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"), stacklevel=3)
+    return {qid: entry for qid, entry in run.items() if qid in qrels}
 
 
 def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
@@ -30,7 +71,7 @@ def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
 def extend_interval(interval: TimeInterval, lam: float) -> TimeInterval:
     """Widen an interval by lam seconds on each side, clamping the start at 0."""
     if lam < 0:
-        raise ValueError(f"extension must be >= 0, got {lam}")
+        raise ValueError(f"lambda must be >= 0, got {lam}")
     return TimeInterval(max(0.0, interval.start - lam), interval.end + lam)
 
 
@@ -96,7 +137,7 @@ def recall_at_n_iou(
     lam: float = 0.0,
 ) -> float:
     """Percentage of questions whose best top-n IoU reaches mu (boundary counts)."""
-    return evaluate_localization(run, qrels, IoUParams((n,), (mu,), lam)).table[n][f"IoU={mu:g}"]
+    return evaluate_localization(run, qrels, IoUParams((n,), (mu,), lam)).table[n][threshold_key(mu)]
 
 
 @dataclass(frozen=True)
@@ -108,14 +149,10 @@ class IoUParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be positive integers")
-        if not self.mu_values or any(not 0.0 < mu <= 1.0 for mu in self.mu_values):
-            raise ValueError("mu_values must lie in (0, 1]")
+        object.__setattr__(self, "n_values", normalise_depths(self.n_values, "n"))
+        object.__setattr__(self, "mu_values", normalise_thresholds(self.mu_values))
         if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"extension must be a finite number >= 0, got {self.lam}")
-        object.__setattr__(self, "n_values", tuple(sorted(self.n_values)))
-        object.__setattr__(self, "mu_values", tuple(sorted(self.mu_values)))
+            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam}")
 
 
 @dataclass
@@ -136,26 +173,21 @@ def evaluate_localization(
     """Build the full depth-by-threshold table for one localization run.
 
     Table cells are percentages: R@n IoU=mu columns and mIoU alike, matching
-    how localization results are conventionally tabulated.
+    how localization results are conventionally tabulated.  Run questions
+    absent from the judgments are ignored with a warning.
     """
+    run = judged_questions(run, qrels)
     question_ids = sorted(qrels)
-    max_n = max(params.n_values)
-
     per_question: dict[QuestionId, dict[int, float]] = {}
     for qid in question_ids:
-        prefix = _best_iou_prefix(list(run.get(qid, ()))[:max_n], qrels[qid], params.lam)
-        per_question[qid] = {
-            n: (prefix[min(n, len(prefix)) - 1] if prefix else 0.0) for n in params.n_values
-        }
+        prefix = _best_iou_prefix(list(run.get(qid, ()))[: params.n_values[-1]], qrels[qid], params.lam)
+        per_question[qid] = {n: (prefix[min(n, len(prefix)) - 1] if prefix else 0.0) for n in params.n_values}
 
     table: dict[int, dict[str, float]] = {}
     count = len(question_ids)
     for n in params.n_values:
         values = [per_question[qid][n] for qid in question_ids]
-        row = {}
-        for mu in params.mu_values:
-            hits = sum(1 for value in values if value >= mu)
-            row[f"IoU={mu:g}"] = 100.0 * hits / count if count else 0.0
+        row = {threshold_key(mu): percent_at_least(values, mu) for mu in params.mu_values}
         row["mIoU"] = 100.0 * plain_sum(values) / count if count else 0.0
         table[n] = row
     return LocalizationScore(params, count, per_question, table)

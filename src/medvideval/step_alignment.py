@@ -20,7 +20,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import ToolkitWarning, plain_sum
 from .io_formats import MetricReport, Step, StepSequence
-from .segment_metrics import DEFAULT_MU_VALUES, relaxed_iou, temporal_iou
+from .segment_metrics import (
+    DEFAULT_MU_VALUES,
+    normalise_thresholds,
+    percent_at_least,
+    relaxed_iou,
+    temporal_iou,
+    threshold_key,
+)
 from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l
 
 
@@ -36,14 +43,8 @@ class AlignmentParams:
     def __post_init__(self) -> None:
         named = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam}
         for name, value in named.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alignment weights must be >= 0")
-        if self.theta < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.theta}")
-        if self.lam < 0:
-            raise ValueError(f"extension must be >= 0, got {self.lam}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @dataclass
@@ -153,17 +154,11 @@ def step_segment_stats(
         matched = {g_idx: p_idx for p_idx, g_idx, _ in result.pairs}
         matched_pairs += len(matched)
         for g_idx, g_step in enumerate(gold_steps):
-            if g_idx in matched:
-                p_step = pred_steps[matched[g_idx]]
-                ious.append(relaxed_iou(p_step.interval, g_step.interval, lam))
-            else:
-                ious.append(0.0)
+            p_idx = matched.get(g_idx)
+            ious.append(0.0 if p_idx is None else relaxed_iou(pred_steps[p_idx].interval, g_step.interval, lam))
     total = len(ious)
     mean = plain_sum(ious) / total if total else 0.0
-    fraction_at = {
-        mu: (100.0 * sum(1 for value in ious if value >= mu) / total if total else 0.0)
-        for mu in mu_values
-    }
+    fraction_at = {mu: percent_at_least(ious, mu) for mu in normalise_thresholds(mu_values)}
     return SegmentIoUStats(mean, fraction_at, matched_pairs, total)
 
 
@@ -199,17 +194,13 @@ def evaluate_steps(
                 ToolkitWarning(f"predicted segment {segment_id!r} has no ground truth; ignoring it"),
                 stacklevel=2,
             )
-    per_segment: dict[str, AlignmentResult] = {}
-    alignments = []
-    tp = fp = fn = 0
-    for segment_id, pred, gold, result in _align_segments(pred_map, gold_map, params):
-        per_segment[segment_id] = result
-        alignments.append((pred, gold, result))
-        tp += result.tp
-        fp += result.fp
-        fn += result.fn
-    stats = step_segment_stats(alignments, params.lam, mu_values)
-    return StepScore(params, tuple(mu_values), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats, per_segment)
+    aligned = list(_align_segments(pred_map, gold_map, params))
+    per_segment = {segment_id: result for segment_id, _, _, result in aligned}
+    tp = sum(result.tp for result in per_segment.values())
+    fp = sum(result.fp for result in per_segment.values())
+    fn = sum(result.fn for result in per_segment.values())
+    stats = step_segment_stats([(pred, gold, result) for _, pred, gold, result in aligned], params.lam, mu_values)
+    return StepScore(params, tuple(stats.fraction_at), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats, per_segment)
 
 
 def steps_report(score: StepScore) -> MetricReport:
@@ -218,8 +209,7 @@ def steps_report(score: StepScore) -> MetricReport:
         "Recall": 100.0 * score.prf.recall,
         "F-score": 100.0 * score.prf.f,
     }
-    for mu in score.mu_values:
-        values[f"IoU={mu:g}"] = score.iou.fraction_at[mu]
+    values.update((threshold_key(mu), percent) for mu, percent in score.iou.fraction_at.items())
     values["mIoU"] = 100.0 * score.iou.mean_iou
     values["counts"] = {"tp": score.tp, "fp": score.fp, "fn": score.fn}
     return MetricReport(

@@ -344,3 +344,16 @@ def test_round_trip_search_is_identical(tmp_path, case, k, k1, b):
     loaded = load_index(tmp_path)
     assert loaded == index
     assert search(loaded, query, k, params) == search(index, query, k, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12).map(" ".join), min_size=1, max_size=8),
+    st.lists(st.sampled_from("abcdefgz"), min_size=1, max_size=6),
+)
+def test_bm25_score_matches_search_bit_for_bit(subtitles, query_terms):
+    index = build_index(docs(*subtitles))
+    params = Bm25Params(k1=1.2, b=0.75)
+    ranked = dict(search(index, " ".join(query_terms), len(subtitles), params))
+    for video in index.videos:
+        assert bm25_score(query_terms, video, index, params) == ranked.get(video, 0.0)

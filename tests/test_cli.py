@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medvideval.cli import main
 from medvideval.io_formats import parse_retrieval_run, read_report
@@ -530,3 +535,116 @@ def test_failed_out_write_keeps_the_previous_file(files, tmp_path, monkeypatch, 
     assert "no space left" in capsys.readouterr().err
     assert out_path.read_bytes() == b"previous report\n"
     assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
+
+
+def _organiser_report(command, *flags):
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore")
+        assert main([command, "--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS, *flags]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command, prefix", [("eval-localization", ""), ("eval-vcval", "localization/")])
+def test_repeated_depths_and_thresholds_are_reported_once(command, prefix):
+    repeated = _organiser_report(command, "--n", "1,1", "--mu", "0.5,0.5")
+    assert f"\n# {prefix}n = 1\n" in repeated
+    assert f"\n# {prefix}mu = 0.5\n" in repeated
+    assert repeated == _organiser_report(command, "--n", "1", "--mu", "0.5")
+
+
+@pytest.mark.parametrize("command", ["eval-localization", "eval-vcval", "eval-steps"])
+def test_thresholds_sharing_a_column_label_exit_2(command, capsys):
+    argv = {
+        "eval-localization": ["--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS],
+        "eval-vcval": ["--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS],
+        "eval-steps": STEPS_FILES,
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([command, *argv, "--mu", "0.3,0.30000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mu values 0.3 and 0.30000001 share the column IoU=0.3")
+
+
+def test_eval_steps_lists_thresholds_sorted(capsys):
+    reports = []
+    for mu in ("0.7,0.3", "0.3,0.7"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval-steps", *STEPS_FILES, "--mu", mu]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "# mu = 0.3, 0.7\n" in reports[0]
+    assert reports[0].index("IoU=0.3\t") < reports[0].index("IoU=0.7\t")
+
+
+@pytest.mark.parametrize(
+    "command, run", [("eval-retrieval", "retrieval.run"), ("eval-localization", "localization.jsonl"), ("eval-vcval", "localization.jsonl")]
+)
+def test_unjudged_run_question_warns_once(command, run, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # record every warn call, even repeats from one line
+        assert main([command, "--run", str(ORGANISER / run), *ORGANISER_QRELS]) == 0
+    messages = [str(w.message) for w in caught]
+    assert messages == ["run question 'qx' has no judgments; ignoring it"]
+
+
+# Every numeric scoring flag, the subcommands that take it, and values it must
+# reject: non-finite or outside the parameter's range.  Negative values are
+# passed as --flag=value so argparse does not read them as options.
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "+inf"])
+_NEGATIVE = st.floats(max_value=-math.ulp(0.0)).map(repr)
+_BAD_FLAG_VALUES = {
+    "k": st.integers(max_value=0).map(str) | _NON_FINITE | st.sampled_from(["1.5", "5,x"]),
+    "n": st.integers(max_value=0).map(str) | _NON_FINITE | st.sampled_from(["1.5", "1,x"]),
+    "mu": st.floats(max_value=0.0).map(repr) | st.floats(min_value=1.0, exclude_min=True).map(repr) | _NON_FINITE,
+    "lambda": _NEGATIVE | _NON_FINITE,
+    "theta": _NEGATIVE | _NON_FINITE,
+    "alpha": _NEGATIVE | _NON_FINITE,
+    "beta": _NEGATIVE | _NON_FINITE,
+    "k1": st.floats(max_value=0.0).map(repr) | st.floats(min_value=1e100, exclude_min=True).map(repr) | _NON_FINITE,
+    "b": _NEGATIVE | st.floats(min_value=1.0, exclude_min=True).map(repr) | _NON_FINITE,
+}
+_SCORING_FLAGS = {
+    "eval-retrieval": ["k"],
+    "eval-localization": ["n", "mu", "lambda"],
+    "eval-vcval": ["k", "n", "mu", "lambda"],
+    "eval-steps": ["theta", "alpha", "beta", "lambda", "mu"],
+    "eval-captions": ["theta", "alpha", "beta"],
+    "search": ["k", "k1", "b"],
+}
+
+
+@pytest.fixture(scope="module")
+def scoring_argv(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scoring")
+    for name, text in [("run.txt", RUN_TEXT), ("qrels.txt", QRELS_TEXT), ("answers.jsonl", ANSWERS_TEXT),
+                       ("loc.jsonl", LOC_RUN_TEXT), ("steps.jsonl", STEPS_TEXT)]:
+        (root / name).write_text(text, encoding="utf-8")
+    assert main(["index", SMOKE_CORPUS, "--out", str(root / "idx")]) == 0
+    qrels = ["--qrels", str(root / "qrels.txt"), str(root / "answers.jsonl")]
+    steps = ["--pred", str(root / "steps.jsonl"), "--gold", str(root / "steps.jsonl")]
+    return {
+        "eval-retrieval": ["--run", str(root / "run.txt"), *qrels],
+        "eval-localization": ["--run", str(root / "loc.jsonl"), *qrels],
+        "eval-vcval": ["--run", str(root / "loc.jsonl"), *qrels],
+        "eval-steps": steps,
+        "eval-captions": steps,
+        "search": [str(root / "idx"), SMOKE_QUERIES],
+    }
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _SCORING_FLAGS.items() for f in flags])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bad_numeric_flag_exits_2_naming_it(scoring_argv, command, flag, data):
+    value = data.draw(_BAD_FLAG_VALUES[flag], label="value")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *scoring_argv[command], f"--{flag}={value}"])
+    assert code == 2
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert f"argument --{flag}:" in message or message.startswith(f"error: {flag} "), message

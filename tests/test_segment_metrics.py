@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medvideval.core import RelevanceGrade, TimeInterval
+from medvideval.core import RelevanceGrade, TimeInterval, ToolkitWarning
 from medvideval.io_formats import JudgedVideo, LocalizationCandidate
 from medvideval.segment_metrics import (
     IoUParams,
     evaluate_localization,
     extend_interval,
+    judged_questions,
     localization_report,
     mean_iou,
+    normalise_depths,
+    normalise_thresholds,
+    percent_at_least,
     question_iou,
     recall_at_n_iou,
     relaxed_iou,
     temporal_iou,
+    threshold_key,
 )
 from oracles import grid_iou, grid_relaxed_iou, mean_iou_oracle, recall_at_n_iou_oracle
 
@@ -301,3 +306,60 @@ class TestEvaluateLocalization:
 def test_params_reject_non_finite_values(values):
     with pytest.raises(ValueError):
         IoUParams(**values)
+
+
+class TestScoringGrid:
+    def test_depths_sorted_and_deduplicated(self):
+        assert normalise_depths([10, 1, 5, 1, 10], "n") == (1, 5, 10)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [((), r"n must be .*, got \[\]"), ((3, 0), r"n must be .*, got \[0, 3\]"), ((1.5,), r"got \[1\.5\]")],
+    )
+    def test_bad_depths_name_the_parameter(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            normalise_depths(values, "n")
+
+    def test_thresholds_sorted_and_deduplicated(self):
+        assert normalise_thresholds([0.7, 0.3, 0.5, 0.3]) == (0.3, 0.5, 0.7)
+
+    @pytest.mark.parametrize("values", [(), (0.0,), (-0.5,), (1.5,), (math.nan,), (math.inf,), (0.5, 0.3, 0.30000001)])
+    def test_bad_thresholds_rejected(self, values):
+        with pytest.raises(ValueError, match="mu"):
+            normalise_thresholds(values)
+
+    @given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=6))
+    def test_thresholds_have_distinct_labels_or_raise(self, values):
+        try:
+            thresholds = normalise_thresholds(values)
+        except ValueError:
+            assert len({threshold_key(mu) for mu in values}) < len(set(values))
+        else:
+            assert list(thresholds) == sorted(set(values))
+            assert len({threshold_key(mu) for mu in thresholds}) == len(thresholds)
+
+    def test_threshold_key(self):
+        assert [threshold_key(mu) for mu in (0.3, 0.5, 1.0, 1)] == ["IoU=0.3", "IoU=0.5", "IoU=1", "IoU=1"]
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0)), st.floats(min_value=0.01, max_value=1.0))
+    def test_percent_at_least_counts_the_boundary(self, values, mu):
+        hits = sum(1 for value in values if value >= mu)
+        assert percent_at_least(values, mu) == (100.0 * hits / len(values) if values else 0.0)
+
+    def test_params_normalise_the_grid(self):
+        params = IoUParams((10, 1, 1), (0.5, 0.3, 0.5))
+        assert (params.n_values, params.mu_values) == ((1, 10), (0.3, 0.5))
+
+    def test_judged_questions_warn_once_per_unjudged_question(self):
+        with pytest.warns(ToolkitWarning) as caught:
+            judged = judged_questions({"Q2": "b", "QX": "x", "Q1": "a"}, {"Q1": [], "Q2": []})
+        assert judged == {"Q2": "b", "Q1": "a"}
+        assert [str(w.message) for w in caught] == ["run question 'QX' has no judgments; ignoring it"]
+
+
+def test_evaluate_localization_warns_on_unjudged_questions():
+    run = {"Q1": [candidate("Q1", "v1", 0, 10, 1)], "QX": [candidate("QX", "v1", 0, 10, 1)]}
+    qrels = {"Q1": [judged_video("Q1", "v1", 2, [(0, 10)])]}
+    with pytest.warns(ToolkitWarning, match="'QX' has no judgments"):
+        score = evaluate_localization(run, qrels, IoUParams((1,), (0.5,)))
+    assert score.question_count == 1 and score.table[1]["IoU=0.5"] == 100.0

@@ -256,3 +256,19 @@ class TestCaptions:
 def test_params_reject_non_finite_values(values):
     with pytest.raises(ValueError):
         AlignmentParams(**values)
+
+
+def test_thresholds_are_sorted_and_deduplicated():
+    s = sequence("seg", step("wrap the wrist", 0, 10))
+    stats = step_segment_stats([(s, s, align_steps(s, s))], lam=0.0, mu_values=(0.7, 0.3, 0.7))
+    assert list(stats.fraction_at) == [0.3, 0.7]
+    score = evaluate_steps({"seg": s}, {"seg": s}, mu_values=(0.7, 0.3, 0.7))
+    assert score.mu_values == (0.3, 0.7)
+    assert [key for key in steps_report(score).values if key.startswith("IoU=")] == ["IoU=0.3", "IoU=0.7"]
+
+
+@pytest.mark.parametrize("field", ["theta", "alpha", "beta", "lam"])
+def test_negative_alignment_parameter_is_named(field):
+    name = "lambda" if field == "lam" else field
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        AlignmentParams(**{field: -0.5})
