@@ -28,7 +28,9 @@ from .segment_metrics import (
     temporal_iou,
     threshold_key,
 )
-from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l
+from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l, rouge_l_tokens, tokenize
+
+BLEU_ORDERS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,19 @@ def _steps(sequence: StepSequence | Sequence) -> Sequence:
     return sequence.steps if isinstance(sequence, StepSequence) else sequence
 
 
+def _step_scorer(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams) -> Callable[[int, int], float]:
+    """Cell scorer over (pred index, gold index); each caption is tokenized once, for the scorer's lifetime."""
+    pred_tokens = [tokenize(step.caption) for step in pred_steps]
+    gold_tokens = [tokenize(step.caption) for step in gold_steps]
+    def score(p_idx: int, g_idx: int) -> float:
+        overlap = temporal_iou(pred_steps[p_idx].interval, gold_steps[g_idx].interval)
+        return params.alpha * overlap + params.beta * rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx]).f
+    return score
+
+
 def alignment_score(pred_step: Step, gt_step: Step, params: AlignmentParams = AlignmentParams()) -> float:
-    """alpha * interval IoU + beta * caption ROUGE-L F."""
-    overlap = temporal_iou(pred_step.interval, gt_step.interval)
-    rouge = rouge_l(CaptionPair(pred_step.caption, gt_step.caption)).f
-    return params.alpha * overlap + params.beta * rouge
+    """alpha * interval IoU + beta * caption ROUGE-L F of one step pair."""
+    return _step_scorer([pred_step], [gt_step], params)(0, 0)
 
 
 def align_steps(
@@ -84,21 +94,21 @@ def align_steps(
     ``score_fn`` overrides the caption/interval scoring, which keeps the
     algorithm testable against arbitrary score matrices.
     """
-    if score_fn is None:
-        score_fn = lambda p, g: alignment_score(p, g, params)
     pred_steps = _steps(pred)
     gold_steps = _steps(gold)
+    score = (_step_scorer(pred_steps, gold_steps, params) if score_fn is None
+             else lambda p_idx, g_idx: score_fn(pred_steps[p_idx], gold_steps[g_idx]))
     tp = 0
     fp = 0
     pairs: list[tuple[int, int, float]] = []
     scan_start = 0
-    for p_idx, p_step in enumerate(pred_steps):
+    for p_idx in range(len(pred_steps)):
         best_score = -1.0
         best_g = -1
         for g_idx in range(scan_start, len(gold_steps)):
-            score = score_fn(p_step, gold_steps[g_idx])
-            if score > best_score and score >= params.theta:
-                best_score = score
+            cell = score(p_idx, g_idx)
+            if cell > best_score and cell >= params.theta:
+                best_score = cell
                 best_g = g_idx
         if best_g != -1:
             tp += 1
@@ -118,12 +128,12 @@ def _align_segments(
     pred_map: Mapping[str, StepSequence],
     gold_map: Mapping[str, StepSequence],
     params: AlignmentParams,
-) -> Iterator[tuple[str, StepSequence, StepSequence, AlignmentResult]]:
+) -> Iterator[tuple[StepSequence, StepSequence, AlignmentResult]]:
     """Align every gold segment in id order; a missing prediction is empty."""
     for segment_id in sorted(gold_map):
         gold = gold_map[segment_id]
         pred = pred_map.get(segment_id, StepSequence(segment_id, []))
-        yield segment_id, pred, gold, align_steps(pred, gold, params)
+        yield pred, gold, align_steps(pred, gold, params)
 
 
 @dataclass
@@ -132,7 +142,6 @@ class SegmentIoUStats:
 
     mean_iou: float
     fraction_at: dict[float, float]  # threshold -> percentage of gt steps
-    matched_pairs: int
     gold_steps: int
 
 
@@ -147,19 +156,17 @@ def step_segment_stats(
     misses lower the mean instead of being ignored.
     """
     ious: list[float] = []
-    matched_pairs = 0
     for pred_seq, gold_seq, result in alignments:
         pred_steps = _steps(pred_seq)
         gold_steps = _steps(gold_seq)
         matched = {g_idx: p_idx for p_idx, g_idx, _ in result.pairs}
-        matched_pairs += len(matched)
         for g_idx, g_step in enumerate(gold_steps):
             p_idx = matched.get(g_idx)
             ious.append(0.0 if p_idx is None else relaxed_iou(pred_steps[p_idx].interval, g_step.interval, lam))
     total = len(ious)
     mean = plain_sum(ious) / total if total else 0.0
     fraction_at = {mu: percent_at_least(ious, mu) for mu in normalise_thresholds(mu_values)}
-    return SegmentIoUStats(mean, fraction_at, matched_pairs, total)
+    return SegmentIoUStats(mean, fraction_at, total)
 
 
 @dataclass
@@ -173,7 +180,6 @@ class StepScore:
     fn: int
     prf: PRF
     iou: SegmentIoUStats
-    per_segment: dict[str, AlignmentResult]
 
 
 def evaluate_steps(
@@ -195,12 +201,11 @@ def evaluate_steps(
                 stacklevel=2,
             )
     aligned = list(_align_segments(pred_map, gold_map, params))
-    per_segment = {segment_id: result for segment_id, _, _, result in aligned}
-    tp = sum(result.tp for result in per_segment.values())
-    fp = sum(result.fp for result in per_segment.values())
-    fn = sum(result.fn for result in per_segment.values())
-    stats = step_segment_stats([(pred, gold, result) for _, pred, gold, result in aligned], params.lam, mu_values)
-    return StepScore(params, tuple(stats.fraction_at), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats, per_segment)
+    tp = sum(result.tp for _, _, result in aligned)
+    fp = sum(result.fp for _, _, result in aligned)
+    fn = sum(result.fn for _, _, result in aligned)
+    stats = step_segment_stats(aligned, params.lam, mu_values)
+    return StepScore(params, tuple(stats.fraction_at), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats)
 
 
 def steps_report(score: StepScore) -> MetricReport:
@@ -237,7 +242,7 @@ def matched_caption_pairs(
     """Caption pairs for every greedy match, in segment then pair order."""
     return [
         CaptionPair(pred.steps[p_idx].caption, gold.steps[g_idx].caption)
-        for _, pred, gold, result in _align_segments(pred_map, gold_map, params)
+        for pred, gold, result in _align_segments(pred_map, gold_map, params)
         for p_idx, g_idx, _ in result.pairs
     ]
 
@@ -257,13 +262,12 @@ def evaluate_captions(
     pred_map: Mapping[str, StepSequence],
     gold_map: Mapping[str, StepSequence],
     params: AlignmentParams = AlignmentParams(),
-    bleu_orders: Sequence[int] = (2, 3),
 ) -> CaptionScore:
     """BLEU / METEOR / ROUGE-L over matched pairs at the alignment threshold."""
     pairs = matched_caption_pairs(pred_map, gold_map, params)
     if not pairs:
-        return CaptionScore(params, 0, {order: 0.0 for order in bleu_orders}, 0.0, 0.0)
-    bleu = {order: bleu_n(pairs, order) for order in bleu_orders}
+        return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
+    bleu = {order: bleu_n(pairs, order) for order in BLEU_ORDERS}
     meteor_mean = plain_sum(meteor(pair) for pair in pairs) / len(pairs)
     rouge_mean = plain_sum(rouge_l(pair).f for pair in pairs) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)

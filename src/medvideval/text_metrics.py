@@ -77,14 +77,14 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return previous[-1]
 
 
+def rouge_l_tokens(pred: Sequence[str], ref: Sequence[str]) -> PRF:
+    """LCS-based precision, recall, and F of two token lists (0 when either is empty)."""
+    return prf(lcs_length(pred, ref), len(pred), len(ref))
+
+
 def rouge_l(pair: CaptionPair) -> PRF:
-    """LCS-based precision, recall, and F over the shared tokenization."""
-    pred = tokenize(pair.predicted)
-    ref = tokenize(pair.reference)
-    if not pred or not ref:
-        return PRF(0.0, 0.0, 0.0)
-    lcs = lcs_length(pred, ref)
-    return prf(lcs, len(pred), len(ref))
+    """ROUGE-L over the shared tokenization of a caption pair."""
+    return rouge_l_tokens(tokenize(pair.predicted), tokenize(pair.reference))
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
@@ -95,8 +95,8 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
     """Corpus-level BLEU with uniform weights up to order ``n`` and no smoothing.
 
     Modified (clipped) k-gram precisions are pooled across all pairs; the
-    brevity penalty is exp(min(0, 1 - ref_len/pred_len)).  Any zero corpus
-    precision annihilates the geometric mean.
+    brevity penalty is exp(min(0, 1 - ref_len/pred_len)).  A corpus precision
+    of zero, or with no candidate k-grams, annihilates the geometric mean.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"BLEU order must be 1..4, got {n}")
@@ -116,8 +116,6 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
             ref_grams = _ngram_counts(ref, order)
             candidates[order - 1] += sum(pred_grams.values())
             matched[order - 1] += sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
-    if pred_len == 0:
-        return 0.0
     if any(c == 0 or m == 0 for m, c in zip(matched, candidates)):
         return 0.0
     log_precision = plain_sum(math.log(m / c) for m, c in zip(matched, candidates)) / n
@@ -184,8 +182,6 @@ def meteor(pair: CaptionPair) -> float:
     """
     pred = tokenize(pair.predicted)
     ref = tokenize(pair.reference)
-    if not pred or not ref:
-        return 0.0
     matches, chunks = _exact_alignment(pred, ref)
     if matches == 0:
         return 0.0

@@ -1,12 +1,15 @@
 import math
 import random
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medvideval import step_alignment, text_metrics
 from medvideval.core import TimeInterval, ToolkitWarning
-from medvideval.io_formats import Step, StepSequence
+from medvideval.io_formats import Step, StepSequence, parse_steps
 from medvideval.step_alignment import (
     AlignmentParams,
     align_steps,
@@ -19,6 +22,7 @@ from medvideval.step_alignment import (
     step_segment_stats,
     steps_report,
 )
+from medvideval.text_metrics import tokenize
 from oracles import align_oracle
 
 
@@ -272,3 +276,26 @@ def test_negative_alignment_parameter_is_named(field):
     name = "lambda" if field == "lam" else field
     with pytest.raises(ValueError, match=f"^{name} must be"):
         AlignmentParams(**{field: -0.5})
+
+
+STEP_FIXTURE = Path(__file__).resolve().parent / "data" / "steps"
+
+
+def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pred = parse_steps((STEP_FIXTURE / "pred.jsonl").read_text(encoding="utf-8"))
+        gold = parse_steps((STEP_FIXTURE / "gold.jsonl").read_text(encoding="utf-8"))
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(text_metrics, "tokenize", counting_tokenize)
+    monkeypatch.setattr(step_alignment, "tokenize", counting_tokenize, raising=False)
+    with pytest.warns(ToolkitWarning, match="'s6'"):
+        evaluate_steps(pred, gold)
+    # Prediction-only segment s6 is not aligned, so its caption is never scored.
+    aligned = [s.caption for segment_id in gold for seq in (pred.get(segment_id), gold[segment_id]) if seq for s in seq.steps]
+    assert sorted(tokenized) == sorted(aligned)

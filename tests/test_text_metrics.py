@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from medvideval.text_metrics import (
+    PRF,
     CaptionPair,
     bleu_n,
     lcs_length,
     meteor,
     rouge_l,
+    rouge_l_tokens,
     tokenize,
 )
 from oracles import bleu_oracle, lcs_oracle, meteor_oracle, rouge_l_oracle
@@ -179,3 +181,44 @@ def test_rouge_matches_oracle_on_random_pairs():
         produced = rouge_l(CaptionPair(" ".join(pred), " ".join(ref)))
         p, r, f = rouge_l_oracle(pred, ref)
         assert (produced.precision, produced.recall, produced.f) == pytest.approx((p, r, f), abs=1e-9)
+
+
+# Sides made of punctuation alone tokenize to an empty list.
+PUNCTUATION_ONLY = ["...", "!!", "(-)", "--- ; ---"]
+
+
+def random_side(rng, vocab):
+    """A token list and its caption text; about one side in four has no tokens."""
+    if rng.random() < 0.25:
+        return [], rng.choice(PUNCTUATION_ONLY)
+    tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+    return tokens, " ".join(tokens)
+
+
+def test_meteor_matches_oracle_with_punctuation_only_sides():
+    rng = random.Random(4243)
+    vocab = ["a", "b", "c", "d", "e", "f"]
+    for _ in range(300):
+        (pred, pred_text), (ref, ref_text) = random_side(rng, vocab), random_side(rng, vocab)
+        assert meteor(CaptionPair(pred_text, ref_text)) == pytest.approx(meteor_oracle(pred, ref), abs=1e-9)
+
+
+def test_bleu_matches_oracle_with_punctuation_only_sides():
+    rng = random.Random(78)
+    vocab = ["a", "b", "c", "d", "e"]
+    for _ in range(300):
+        sides = [(random_side(rng, vocab), random_side(rng, vocab)) for _ in range(rng.randint(1, 4))]
+        pairs = [CaptionPair(pred_text, ref_text) for (_, pred_text), (_, ref_text) in sides]
+        tokens = [(pred, ref) for (pred, _), (ref, _) in sides]
+        n = rng.randint(1, 4)
+        assert bleu_n(pairs, n) == pytest.approx(bleu_oracle(tokens, n), abs=1e-9)
+
+
+def test_bleu_of_predictions_without_tokens_is_zero():
+    assert bleu_n([CaptionPair("...", "tie the elbow"), CaptionPair("!!", "wrap it")], 1) == 0.0
+
+
+def test_rouge_l_is_a_view_of_the_token_core():
+    pair = CaptionPair("Tie the elbow.", "tie the elbow to the board")
+    assert rouge_l(pair) == rouge_l_tokens(tokenize(pair.predicted), tokenize(pair.reference))
+    assert rouge_l_tokens([], ["a"]) == rouge_l_tokens(["a"], []) == rouge_l_tokens([], []) == PRF(0.0, 0.0, 0.0)
