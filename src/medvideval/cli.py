@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from functools import partial
 from typing import Callable, Sequence
 
@@ -307,4 +308,6 @@ main = run_cli
 
 
 def entrypoint() -> None:
+    """Console-script and ``python -m`` entry point: print each warning as one ``warning: …`` line."""
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(run_cli())

@@ -104,10 +104,13 @@ def parse_timestamp(text: str) -> float:
     token = text.strip()
     m = _MMSS.fullmatch(token)
     if m:
-        minutes, seconds = int(m.group(1)), int(m.group(2))
+        seconds = int(m.group(2))
         if seconds >= 60:
             raise FormatError(f"seconds field must be 00-59 in timestamp {token!r}")
-        return float(60 * minutes + seconds)
+        try:
+            return float(60 * int(m.group(1)) + seconds)
+        except (ValueError, OverflowError):  # more minute digits than int() or a float can hold
+            raise FormatError(f"timestamp {token!r} is too large") from None
     if _PLAIN_SECONDS.fullmatch(token):
         return float(token)
     raise FormatError(f"malformed timestamp {token!r}; expected MM:SS or plain seconds")

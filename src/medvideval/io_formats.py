@@ -8,9 +8,13 @@ Two families of formats:
 * Record formats (localization runs, step files, answer-interval sidecars,
   subtitle corpora) are JSON Lines, one object per line.
 
+Parsers take the whole text as a ``str``.  Lines end only at a line feed, so
+characters such as U+2028, which JSON allows unescaped inside strings, stay
+within their line.
+
 Every parser either returns a value or raises :class:`FormatError` carrying
 the source name and line number; arbitrary input never crashes a parser.
-Parsers keep no shared state and may run concurrently on distinct streams.
+Parsers keep no shared state and may run concurrently on distinct inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .core import (
     FormatError,
@@ -125,30 +129,41 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _raw_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    for lineno, line in enumerate(lines, start=1):
-        yield lineno, line
+def _raw_lines(text: str) -> Iterator[tuple[int, str]]:
+    return enumerate(text.split("\n"), start=1)
 
 
-def _flat_rows(stream: Iterable[str] | str) -> Iterator[tuple[int, list[str]]]:
+def _flat_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (lineno, fields) for content lines, skipping blanks and comments."""
-    for lineno, line in _raw_lines(stream):
+    for lineno, line in _raw_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         yield lineno, stripped.split()
 
 
-def _jsonl_records(stream: Iterable[str] | str, source: str) -> Iterator[tuple[int, dict]]:
-    for lineno, line in _raw_lines(stream):
+def _json_value(text: str, what: str, source: str, line: int | None = None) -> Any:
+    """``json.loads(text)``, with every way it can fail as a FormatError naming ``source``.
+
+    A syntax error names its line; so does any error when ``line`` is given.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason, line = exc.msg, line or exc.lineno
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError:  # an integer literal longer than int() accepts
+        reason = "integer has too many digits"
+    raise FormatError(f"malformed {what}: {reason}", source=source, line=line)
+
+
+def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
+    for lineno, line in _raw_lines(text):
         stripped = line.strip()
         if not stripped:
             continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed JSON record: {exc.msg}", source=source, line=lineno) from exc
+        obj = _json_value(stripped, "JSON record", source, lineno)
         if not isinstance(obj, dict):
             raise FormatError("expected a JSON object", source=source, line=lineno)
         yield lineno, obj
@@ -181,13 +196,22 @@ def _str_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> str:
     return value.strip()
 
 
+def _as_float(value: int | float) -> float:
+    """``float(value)``, with an integer too large for a float as infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _number_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"record needs a number {key!r}", source=source, line=line)
-    if not math.isfinite(float(value)):
+    number = _as_float(value)
+    if not math.isfinite(number):
         raise FormatError(f"{key!r} must be finite", source=source, line=line)
-    return float(value)
+    return number
 
 
 def _timestamp_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> float:
@@ -200,7 +224,7 @@ def _timestamp_field(obj: Mapping[str, Any], key: str, source: str, line: int) -
             raise exc.positioned(source, line) from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"record needs a timestamp {key!r}", source=source, line=line)
-    seconds = float(value)
+    seconds = _as_float(value)
     if not math.isfinite(seconds) or seconds < 0:
         raise FormatError(f"{key!r} must be a non-negative finite number of seconds", source=source, line=line)
     return seconds
@@ -234,9 +258,7 @@ def _timestamp_json(seconds: float) -> str | float:
 # ---------------------------------------------------------------------------
 
 
-def parse_retrieval_run(
-    stream: Iterable[str] | str, source: str = "<run>"
-) -> dict[QuestionId, list[RetrievalRunEntry]]:
+def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, list[RetrievalRunEntry]]:
     """Parse a six-column run file: ``qid Q0 video rank score tag``.
 
     Entries are grouped per question and sorted by descending score with the
@@ -246,7 +268,7 @@ def parse_retrieval_run(
     by_question: dict[QuestionId, list[RetrievalRunEntry]] = {}
     seen_videos: set[tuple[str, str]] = set()
     seen_ranks: set[tuple[str, int]] = set()
-    for lineno, fields in _flat_rows(stream):
+    for lineno, fields in _flat_rows(text):
         if len(fields) != 6:
             raise FormatError(
                 f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
@@ -287,8 +309,8 @@ def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -
 
 
 def parse_qrels(
-    grades: Iterable[str] | str,
-    answers: Iterable[str] | str | None = None,
+    grades: str,
+    answers: str | None = None,
     *,
     grades_source: str = "<qrels>",
     answers_source: str = "<answers>",
@@ -374,9 +396,7 @@ def write_qrels(qrels: Mapping[QuestionId, Sequence[JudgedVideo]]) -> tuple[str,
 # ---------------------------------------------------------------------------
 
 
-def parse_localization_run(
-    stream: Iterable[str] | str, source: str = "<localization-run>"
-) -> dict[QuestionId, list[LocalizationCandidate]]:
+def parse_localization_run(text: str, source: str = "<localization-run>") -> dict[QuestionId, list[LocalizationCandidate]]:
     """Parse JSONL records ``{question, video, start, end, score[, rank]}``.
 
     Ranks must be supplied on all records of a question or on none; when
@@ -384,7 +404,7 @@ def parse_localization_run(
     sorted by descending score with rank as tiebreak.
     """
     staged: dict[QuestionId, list[tuple[int, VideoId, TimeInterval, float, int | None]]] = {}
-    for lineno, obj in _jsonl_records(stream, source):
+    for lineno, obj in _jsonl_records(text, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
         start = _timestamp_field(obj, "start", source, lineno)
@@ -445,7 +465,7 @@ def write_localization_run(run: Mapping[QuestionId, Sequence[LocalizationCandida
 # ---------------------------------------------------------------------------
 
 
-def parse_steps(stream: Iterable[str] | str, source: str = "<steps>") -> dict[str, StepSequence]:
+def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
     """Parse JSONL records ``{segment, steps: [{caption, start, end}, ...]}``.
 
     Steps are normalized to start-time order (source order breaks ties).
@@ -453,7 +473,7 @@ def parse_steps(stream: Iterable[str] | str, source: str = "<steps>") -> dict[st
     with a StepLintWarning.
     """
     sequences: dict[str, StepSequence] = {}
-    for lineno, obj in _jsonl_records(stream, source):
+    for lineno, obj in _jsonl_records(text, source):
         segment_id = _str_field(obj, "segment", source, lineno)
         if segment_id in sequences:
             raise FormatError(f"duplicate segment {segment_id!r}", source=source, line=lineno)
@@ -516,11 +536,11 @@ def write_steps(sequences: Mapping[str, StepSequence]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_corpus(stream: Iterable[str] | str, source: str = "<corpus>") -> list[CorpusDocument]:
+def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusDocument]:
     """Parse JSONL records ``{video, title?, subtitle?}`` with unique, whitespace-free video ids."""
     documents: list[CorpusDocument] = []
     seen: set[str] = set()
-    for lineno, obj in _jsonl_records(stream, source):
+    for lineno, obj in _jsonl_records(text, source):
         video = _str_field(obj, "video", source, lineno)
         if _TOKEN.fullmatch(video) is None:
             raise FormatError(f"video id must not contain whitespace, got {video!r}", source=source, line=lineno)
@@ -548,9 +568,9 @@ def write_corpus(documents: Sequence[CorpusDocument]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_queries(stream: Iterable[str] | str, source: str = "<queries>") -> dict[QuestionId, str]:
+def parse_queries(text: str, source: str = "<queries>") -> dict[QuestionId, str]:
     queries: dict[QuestionId, str] = {}
-    for lineno, fields in _flat_rows(stream):
+    for lineno, fields in _flat_rows(text):
         if len(fields) < 2:
             raise FormatError("expected a question id followed by query text", source=source, line=lineno)
         qid, text = fields[0], " ".join(fields[1:])
@@ -615,13 +635,9 @@ def write_report(report: MetricReport, fmt: str = TABULAR) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_report(stream: Iterable[str] | str, source: str = "<report>") -> MetricReport:
+def read_report(text: str, source: str = "<report>") -> MetricReport:
     """Parse a structured-mode report back into a MetricReport."""
-    text = stream if isinstance(stream, str) else "".join(stream)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed report JSON: {exc.msg}", source=source, line=exc.lineno) from exc
+    payload = _json_value(text, "report JSON", source)
     if not isinstance(payload, dict) or not isinstance(payload.get("report"), str):
         raise FormatError("report must be an object with a 'report' name", source=source, line=1)
     params = payload.get("params", {})
@@ -632,9 +648,9 @@ def read_report(stream: Iterable[str] | str, source: str = "<report>") -> Metric
 
 
 def read_text(path: str) -> str:
-    """Read a UTF-8 input file, converting OS and decoding problems to FormatError."""
+    """Read a UTF-8 input file without its byte-order mark, converting OS and decoding problems to FormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"not valid UTF-8: {exc.reason}", source=path) from exc

@@ -648,3 +648,90 @@ def test_bad_numeric_flag_exits_2_naming_it(scoring_argv, command, flag, data):
     assert out.getvalue() == ""
     message = err.getvalue()
     assert f"argument --{flag}:" in message or message.startswith(f"error: {flag} "), message
+
+
+def _organiser_line_replaced(tmp_path, name, lineno, old, new):
+    """A copy of an organiser fixture file with one edit on one (1-based) line."""
+    lines = (ORGANISER / name).read_text(encoding="utf-8").split("\n")
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new) if old else new
+    target = tmp_path / name
+    target.write_text("\n".join(lines), encoding="utf-8")
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"start": "01:35"', '"start": 1' + "0" * 400, "'start' must be a non-negative finite number"),
+        ('"score": 0.9,', '"score": 1' + "0" * 400 + ",", "'score' must be finite"),
+        ("", "[" * 3000, "malformed JSON record: nested too deeply"),
+        ('"start": "01:35"', '"start": "1' + "0" * 400 + ':00"', "is too large"),
+    ],
+    ids=["huge-start", "huge-score", "deep-nesting", "huge-minutes"],
+)
+def test_huge_numbers_and_deep_nesting_exit_2_naming_the_line(tmp_path, capsys, old, new, message):
+    run = _organiser_line_replaced(tmp_path, "localization.jsonl", 2, old, new)
+    assert main(["eval-localization", "--run", run, *ORGANISER_QRELS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run}:2: ") and message in err, err
+
+
+def test_caption_with_a_raw_line_separator_is_one_line(tmp_path, capsys):
+    text = (STEPS / "pred.jsonl").read_text(encoding="utf-8").replace("Put on gloves", "Put on\u2028gloves")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["eval-steps", "--pred", str(pred), "--gold", str(STEPS / "gold.jsonl")]) == 0
+    assert capsys.readouterr().out == (STEPS / "expected" / "steps.tsv").read_text(encoding="utf-8")
+
+
+def test_byte_order_mark_is_not_data(tmp_path, capsys):
+    # Without its comment header the run's first line is data, so a BOM would
+    # otherwise become part of question id q1.
+    body = (ORGANISER / "retrieval.run").read_text(encoding="utf-8").split("\n", 1)[1]
+    reports = []
+    for name, prefix in [("plain.run", ""), ("bom.run", "\ufeff")]:
+        (tmp_path / name).write_text(prefix + body, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval-retrieval", "--run", str(tmp_path / name), *ORGANISER_QRELS]) == 0
+        reports.append((capsys.readouterr().out, [str(w.message) for w in caught]))
+    assert reports[0] == reports[1]
+    assert reports[1][1] == ["run question 'qx' has no judgments; ignoring it"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        *[
+            ([command, "--run", f"tests/data/organiser/{run}", "--qrels", "tests/data/organiser/qrels.txt",
+              "tests/data/organiser/answers.jsonl"], ["warning: run question 'qx' has no judgments; ignoring it"])
+            for command, run in [("eval-retrieval", "retrieval.run"), ("eval-localization", "localization.jsonl"),
+                                 ("eval-vcval", "localization.jsonl")]
+        ],
+        (["pool", "--run", "tests/data/organiser/retrieval.run"], []),
+        (
+            ["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "tests/data/steps/gold.jsonl"],
+            [
+                "warning: tests/data/steps/pred.jsonl:4: caption of segment 's5' has 12 words (guideline is <= 7)",
+                "warning: predicted segment 's6' has no ground truth; ignoring it",
+            ],
+        ),
+        (
+            ["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "tests/data/steps/gold.jsonl"],
+            ["warning: tests/data/steps/pred.jsonl:4: caption of segment 's5' has 12 words (guideline is <= 7)"],
+        ),
+    ],
+)
+def test_entry_point_prints_one_line_per_warning(argv, expected):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == expected

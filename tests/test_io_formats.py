@@ -527,3 +527,49 @@ def test_write_that_raises_leaves_target_and_no_temporary(tmp_path):
         write_atomically(target, b"partial", "not bytes")
     assert target.read_bytes() == b"old"
     assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestLinesAndHostileValues:
+    def test_lines_end_at_line_feed_only(self):
+        # U+0085, U+2028 and form feed end a line for str.splitlines() but not here.
+        steps = parse_steps('{"segment": "s", "steps": [{"caption": "a\x85b\u2028c", "start": 0, "end": 1}]}\n')
+        assert steps["s"].steps[0].caption == "a\x85b\u2028c"
+        with pytest.raises(FormatError, match=r"^<run>:2: rank must be an integer"):
+            parse_retrieval_run("q1 Q0 v1 1 2.0 t\x0c\u2028\nq1 Q0 v2 x 1.0 t\n")
+
+    def test_carriage_returns_are_stripped_with_the_line(self):
+        assert parse_queries("q1 first query\r\nq2 second\r\n") == {"q1": "first query", "q2": "second"}
+
+    @pytest.mark.parametrize("key", ["start", "end", "score"])
+    def test_integer_too_large_for_a_float_is_a_format_error(self, key):
+        record = {"question": "q", "video": "v", "start": 1, "end": 2, "score": 0.5}
+        text = json.dumps(record).replace(f'"{key}": {record[key]}', f'"{key}": 1{"0" * 400}')
+        with pytest.raises(FormatError, match=rf"^<localization-run>:1: '{key}' must be"):
+            parse_localization_run(text)
+
+    def test_integer_past_the_digit_limit_is_a_format_error(self):
+        text = '{"question": "q", "video": "v", "start": 1, "end": 2, "score": ' + "9" * 5000 + "}"
+        with pytest.raises(FormatError, match=r"^<localization-run>:1: "):
+            parse_localization_run(text)
+
+    def test_huge_minute_field_is_a_format_error(self):
+        with pytest.raises(FormatError, match=r"^<steps>:1: timestamp .* is too large"):
+            parse_steps('{"segment": "s", "steps": [{"caption": "a", "start": "1' + "0" * 400 + ':00", "end": 1}]}')
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(FormatError, match=r"^<corpus>:2: malformed JSON record: nested too deeply"):
+            parse_corpus('{"video": "v"}\n' + "[" * 3000 + "\n")
+        with pytest.raises(FormatError, match=r"^r\.json: malformed report JSON: nested too deeply"):
+            read_report("[" * 3000, source="r.json")
+
+    def test_report_syntax_error_names_its_line(self):
+        with pytest.raises(FormatError, match=r"^r\.json:2: malformed report JSON"):
+            read_report('{"report": "x",\n oops}', source="r.json")
+
+
+def test_read_text_drops_a_leading_byte_order_mark(tmp_path):
+    from medvideval.io_formats import read_text
+
+    path = tmp_path / "run.txt"
+    path.write_bytes(b"\xef\xbb\xbfq1 Q0 v1 1 2.0 t\n\xef\xbb\xbf\n")
+    assert read_text(str(path)) == "q1 Q0 v1 1 2.0 t\n\ufeff\n"

@@ -297,5 +297,12 @@ def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):
     with pytest.warns(ToolkitWarning, match="'s6'"):
         evaluate_steps(pred, gold)
     # Prediction-only segment s6 is not aligned, so its caption is never scored.
-    aligned = [s.caption for segment_id in gold for seq in (pred.get(segment_id), gold[segment_id]) if seq for s in seq.steps]
-    assert sorted(tokenized) == sorted(aligned)
+    aligned = [gold[segment_id] for segment_id in gold] + [pred[segment_id] for segment_id in gold if segment_id in pred]
+    assert sorted(tokenized) == sorted(step.caption for seq in aligned for step in seq.steps)
+
+
+def test_caption_without_tokens_scores_only_its_overlap():
+    # A blank caption (possible only for library-built steps) is scored like a
+    # punctuation-only one: ROUGE-L 0, so the score is alpha times the IoU.
+    gold = step("wrap the wrist", 0, 10)
+    assert alignment_score(step("", 0, 5), gold) == alignment_score(step("...", 0, 5), gold) == 0.25
