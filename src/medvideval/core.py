@@ -67,11 +67,13 @@ class RelevanceGrade(IntEnum):
         return self >= RelevanceGrade.POSSIBLY_RELEVANT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """A [start, end] span in seconds, the atom of all temporal scoring.
 
-    Zero-length intervals (start == end) are legal degenerate inputs.
+    Zero-length intervals (start == end) are legal degenerate inputs.  The
+    constructor converts both bounds to float and raises ValueError unless
+    ``0 <= start <= end`` with both finite.
     """
 
     start: float
@@ -88,6 +90,14 @@ class TimeInterval:
             raise ValueError(f"interval end {end} precedes start {start}")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
+
+    @classmethod
+    def _unchecked(cls, start: float, end: float) -> "TimeInterval":
+        """An interval from float bounds the caller has already checked as above."""
+        interval = object.__new__(cls)
+        object.__setattr__(interval, "start", start)
+        object.__setattr__(interval, "end", end)
+        return interval
 
     @property
     def length(self) -> float:

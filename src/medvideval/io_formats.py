@@ -24,9 +24,10 @@ import math
 import os
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     FormatError,
@@ -47,6 +48,8 @@ _STRUCTURED_NAMES = {"structured", "json"}
 
 STEP_CAPTION_WORD_LIMIT = 7
 
+_GRADES = tuple(RelevanceGrade)  # indexed by grade value
+
 
 class StepLintWarning(ToolkitWarning):
     """A step caption violates an annotation guideline but is still usable."""
@@ -57,8 +60,7 @@ class StepLintWarning(ToolkitWarning):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RetrievalRunEntry:
+class RetrievalRunEntry(NamedTuple):
     """One ranked video for one question in a retrieval run."""
 
     question: QuestionId
@@ -78,8 +80,7 @@ class JudgedVideo:
     answers: list[TimeInterval] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class LocalizationCandidate:
+class LocalizationCandidate(NamedTuple):
     """One ranked (video, interval, score) answer candidate for a question."""
 
     question: QuestionId
@@ -158,22 +159,44 @@ def _json_value(text: str, what: str, source: str, line: int | None = None) -> A
     raise FormatError(f"malformed {what}: {reason}", source=source, line=line)
 
 
+# json.loads minus its BOM and whitespace handling, which a stripped line does
+# not need.  Like json's default decoder it keeps no state between calls.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_record(line: str, source: str, lineno: int) -> dict:
+    """The JSON object that makes up all of ``line``, a stripped non-empty line."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end == len(line) and type(obj) is dict:
+        return obj
+    obj = _json_value(line, "JSON record", source, lineno)
+    if type(obj) is not dict:
+        raise FormatError("expected a JSON object", source=source, line=lineno)
+    return obj
+
+
 def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
     for lineno, line in _raw_lines(text):
         stripped = line.strip()
-        if not stripped:
-            continue
-        obj = _json_value(stripped, "JSON record", source, lineno)
-        if not isinstance(obj, dict):
-            raise FormatError("expected a JSON object", source=source, line=lineno)
-        yield lineno, obj
+        if stripped:
+            yield lineno, _json_record(stripped, source, lineno)
+
+
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*\Z")  # the literals int() accepts, digit limit aside
 
 
 def _parse_int(token: str, what: str, source: str, line: int, *, minimum: int = 1) -> int:
     try:
         value = int(token)
     except ValueError:
-        raise FormatError(f"{what} must be an integer, got {token!r}", source=source, line=line) from None
+        if _INTEGER.match(token):  # past the interpreter's digit limit: too long to echo
+            reason = f"{what} has too many digits ({len(token):,} characters)"
+        else:
+            reason = f"{what} must be an integer, got {token!r}"
+        raise FormatError(reason, source=source, line=line) from None
     if value < minimum:
         raise FormatError(f"{what} must be >= {minimum}, got {value}", source=source, line=line)
     return value
@@ -231,6 +254,14 @@ def _timestamp_field(obj: Mapping[str, Any], key: str, source: str, line: int) -
 
 
 def _interval(start: float, end: float, source: str, line: int) -> TimeInterval:
+    """The interval between two ``_timestamp_field`` values.
+
+    Those are never negative or NaN but may be infinite, so one comparison
+    checks the bounds; only a fault goes through the validating constructor,
+    which names it.
+    """
+    if start <= end < math.inf:
+        return TimeInterval._unchecked(start, end)
     try:
         return TimeInterval(start, end)
     except ValueError as exc:
@@ -263,31 +294,64 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
 
     Entries are grouped per question and sorted by descending score with the
     stated rank as tiebreak.  Duplicate (question, video) pairs and duplicate
-    ranks within a question are rejected.
+    ranks within a question are rejected.  Of several faults, the first in
+    file order is reported.
     """
-    by_question: dict[QuestionId, list[RetrievalRunEntry]] = {}
-    seen_videos: set[tuple[str, str]] = set()
-    seen_ranks: set[tuple[str, int]] = set()
-    for lineno, fields in _flat_rows(text):
-        if len(fields) != 6:
-            raise FormatError(
-                f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
-                source=source,
-                line=lineno,
-            )
-        qid, _, video, rank_token, score_token, tag = fields
-        rank = _parse_int(rank_token, "rank", source, lineno)
-        score = _parse_score(score_token, source, lineno)
-        if (qid, video) in seen_videos:
-            raise FormatError(f"duplicate video {video!r} for question {qid!r}", source=source, line=lineno)
-        if (qid, rank) in seen_ranks:
-            raise FormatError(f"duplicate rank {rank} for question {qid!r}", source=source, line=lineno)
-        seen_videos.add((qid, video))
-        seen_ranks.add((qid, rank))
-        by_question.setdefault(qid, []).append(RetrievalRunEntry(qid, video, rank, score, tag))
-    for entries in by_question.values():
-        entries.sort(key=lambda e: (-e.score, e.rank))
-    return by_question
+    staged: defaultdict[QuestionId, list[tuple[float, int, VideoId, str, int]]] = defaultdict(list)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            if len(fields) != 6:
+                raise FormatError(
+                    f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
+                    source=source,
+                    line=lineno,
+                )
+            qid, _, video, rank_token, score_token, tag = fields
+            rank = _parse_int(rank_token, "rank", source, lineno)
+            score = _parse_score(score_token, source, lineno)
+        except FormatError as exc:
+            raise _first_duplicate(staged, source) or exc from None
+        staged[qid].append((-score, rank, video, tag, lineno))
+
+    run: dict[QuestionId, list[RetrievalRunEntry]] = {}
+    for qid, rows in staged.items():
+        if len({row[2] for row in rows}) < len(rows) or len({row[1] for row in rows}) < len(rows):
+            raise _first_duplicate(staged, source)
+        rows.sort()  # ranks are distinct, so (-score, rank) decides
+        # tuple.__new__ builds the record without the argument handling of its constructor.
+        run[qid] = [
+            tuple.__new__(RetrievalRunEntry, (qid, video, rank, -negated, tag))
+            for negated, rank, video, tag, _ in rows
+        ]
+    return run
+
+
+def _first_duplicate(staged: Mapping[QuestionId, list[tuple]], source: str) -> FormatError | None:
+    """The error for the first staged run line that repeats a video or a rank of its question.
+
+    Only questions without a duplicate have been sorted, so the rows of any
+    other question are still in file order.
+    """
+    first: FormatError | None = None
+    for qid, rows in staged.items():
+        videos: set[VideoId] = set()
+        ranks: set[int] = set()
+        for _, rank, video, _, lineno in rows:
+            if video in videos:
+                reason = f"duplicate video {video!r} for question {qid!r}"
+            elif rank in ranks:
+                reason = f"duplicate rank {rank} for question {qid!r}"
+            else:
+                videos.add(video)
+                ranks.add(rank)
+                continue
+            if first is None or lineno < first.line:
+                first = FormatError(reason, source=source, line=lineno)
+            break
+    return first
 
 
 def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -> str:
@@ -321,8 +385,11 @@ def parse_qrels(
     Intervals may only attach to positively graded videos, and every interval
     must reference a (question, video) pair present in the grade file.
     """
-    judged: dict[QuestionId, dict[VideoId, JudgedVideo]] = {}
-    for lineno, fields in _flat_rows(grades):
+    judged: defaultdict[QuestionId, dict[VideoId, JudgedVideo]] = defaultdict(dict)
+    for lineno, line in enumerate(grades.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
         if len(fields) != 4:
             raise FormatError(
                 f"expected 4 fields (qid iter video grade), got {len(fields)}",
@@ -330,17 +397,13 @@ def parse_qrels(
                 line=lineno,
             )
         qid, _, video, grade_token = fields
-        grade_value = _parse_int(grade_token, "grade", grades_source, lineno, minimum=0)
-        try:
-            grade = RelevanceGrade(grade_value)
-        except ValueError:
-            raise FormatError(
-                f"grade must be 0, 1, or 2, got {grade_token!r}", source=grades_source, line=lineno
-            ) from None
-        per_question = judged.setdefault(qid, {})
+        grade = _parse_int(grade_token, "grade", grades_source, lineno, minimum=0)
+        if grade >= len(_GRADES):
+            raise FormatError(f"grade must be 0, 1, or 2, got {grade_token!r}", source=grades_source, line=lineno)
+        per_question = judged[qid]
         if video in per_question:
             raise FormatError(f"duplicate judgment for video {video!r}", source=grades_source, line=lineno)
-        per_question[video] = JudgedVideo(qid, video, grade)
+        per_question[video] = JudgedVideo(qid, video, _GRADES[grade])
 
     if answers is not None:
         for lineno, obj in _jsonl_records(answers, answers_source):
@@ -403,42 +466,39 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     absent they are assigned from descending score.  Candidates come back
     sorted by descending score with rank as tiebreak.
     """
-    staged: dict[QuestionId, list[tuple[int, VideoId, TimeInterval, float, int | None]]] = {}
-    for lineno, obj in _jsonl_records(text, source):
+    staged: defaultdict[QuestionId, list[tuple[float, int | None, int, VideoId, TimeInterval]]] = defaultdict(list)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = _json_record(line, source, lineno)
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
         start = _timestamp_field(obj, "start", source, lineno)
         end = _timestamp_field(obj, "end", source, lineno)
         interval = _interval(start, end, source, lineno)
         score = _number_field(obj, "score", source, lineno)
-        rank: int | None = None
+        rank = None
         if "rank" in obj:
-            raw = obj["rank"]
-            if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-                raise FormatError(f"rank must be a positive integer, got {raw!r}", source=source, line=lineno)
-            rank = raw
-        staged.setdefault(qid, []).append((lineno, video, interval, score, rank))
+            rank = obj["rank"]
+            if type(rank) is not int or rank < 1:
+                raise FormatError(f"rank must be a positive integer, got {rank!r}", source=source, line=lineno)
+        staged[qid].append((-score, rank, lineno, video, interval))
 
-    result: dict[QuestionId, list[LocalizationCandidate]] = {}
+    run: dict[QuestionId, list[LocalizationCandidate]] = {}
     for qid, rows in staged.items():
-        ranks = {row[4] for row in rows}
-        if None in ranks:
-            if len(ranks) > 1:
-                raise FormatError(
-                    f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][0]
-                )
-            rows.sort(key=lambda row: -row[3])  # stable, so file order breaks score ties
-            candidates = [
-                LocalizationCandidate(qid, video, interval, score, rank)
-                for rank, (_, video, interval, score, _) in enumerate(rows, start=1)
-            ]
-        else:
-            if len(ranks) != len(rows):
-                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][0])
-            candidates = [LocalizationCandidate(qid, *row[1:]) for row in rows]
-            candidates.sort(key=lambda c: (-c.score, c.rank))
-        result[qid] = candidates
-    return result
+        ranks = {row[1] for row in rows}
+        if None in ranks and len(ranks) > 1:
+            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][2])
+        if len(ranks) < len(rows) and None not in ranks:
+            raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][2])
+        # Ranks are distinct or all None, so (-score, rank) or (-score, line) decides.
+        rows.sort()
+        run[qid] = [
+            tuple.__new__(LocalizationCandidate, (qid, video, interval, -negated, rank or position))
+            for position, (negated, rank, _, video, interval) in enumerate(rows, start=1)
+        ]
+    return run
 
 
 def write_localization_run(run: Mapping[QuestionId, Sequence[LocalizationCandidate]]) -> str:
@@ -648,10 +708,14 @@ def read_report(text: str, source: str = "<report>") -> MetricReport:
 
 
 def read_text(path: str) -> str:
-    """Read a UTF-8 input file without its byte-order mark, converting OS and decoding problems to FormatError."""
+    """Read a UTF-8 input file, converting OS and decoding problems to FormatError.
+
+    A byte-order mark is dropped at the start of the file and at the start of
+    every line, where concatenating files leaves one.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            return handle.read().replace("\n\ufeff", "\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not valid UTF-8: {exc.reason}", source=path) from exc
     except OSError as exc:

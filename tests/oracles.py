@@ -2,7 +2,9 @@
 
 Nothing here imports the production metric code; every function is a naive
 restatement of a definition so the test suite can check the optimized paths
-against it.
+against it.  The reference parsers at the end are the exception: they are the
+line-by-line run parsers that the single-pass ones replaced, and they share
+the per-field checks of ``medvideval.io_formats``.
 """
 
 from __future__ import annotations
@@ -276,3 +278,100 @@ def bm25_rank_oracle(
         scored.append((video, score))
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
     return [(video, score) for video, score in ranked if score > 0.0][:k]
+
+
+# --- run parsers ----------------------------------------------------------------
+# Line by line, one record and every duplicate check per line.  The package is
+# imported inside each parser, so that this module loads without it on the path.
+
+
+def _reference_lines(text: str):
+    return enumerate(text.split("\n"), start=1)
+
+
+def reference_parse_retrieval_run(text: str, source: str = "<run>"):
+    from medvideval.core import FormatError
+    from medvideval.io_formats import RetrievalRunEntry, _parse_int, _parse_score
+
+    by_question: dict = {}
+    seen_videos: set = set()
+    seen_ranks: set = set()
+    for lineno, line in _reference_lines(text):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if len(fields) != 6:
+            raise FormatError(
+                f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}", source=source, line=lineno
+            )
+        qid, _, video, rank_token, score_token, tag = fields
+        rank = _parse_int(rank_token, "rank", source, lineno)
+        score = _parse_score(score_token, source, lineno)
+        if (qid, video) in seen_videos:
+            raise FormatError(f"duplicate video {video!r} for question {qid!r}", source=source, line=lineno)
+        if (qid, rank) in seen_ranks:
+            raise FormatError(f"duplicate rank {rank} for question {qid!r}", source=source, line=lineno)
+        seen_videos.add((qid, video))
+        seen_ranks.add((qid, rank))
+        by_question.setdefault(qid, []).append(RetrievalRunEntry(qid, video, rank, score, tag))
+    for entries in by_question.values():
+        entries.sort(key=lambda e: (-e.score, e.rank))
+    return by_question
+
+
+def reference_parse_localization_run(text: str, source: str = "<localization-run>"):
+    from medvideval.core import FormatError, TimeInterval
+    from medvideval.io_formats import (
+        LocalizationCandidate,
+        _json_value,
+        _number_field,
+        _str_field,
+        _timestamp_field,
+    )
+
+    staged: dict = {}
+    for lineno, line in _reference_lines(text):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        obj = _json_value(stripped, "JSON record", source, lineno)
+        if not isinstance(obj, dict):
+            raise FormatError("expected a JSON object", source=source, line=lineno)
+        qid = _str_field(obj, "question", source, lineno)
+        video = _str_field(obj, "video", source, lineno)
+        start = _timestamp_field(obj, "start", source, lineno)
+        end = _timestamp_field(obj, "end", source, lineno)
+        try:
+            interval = TimeInterval(start, end)
+        except ValueError as exc:
+            raise FormatError(str(exc), source=source, line=lineno) from None
+        score = _number_field(obj, "score", source, lineno)
+        rank = None
+        if "rank" in obj:
+            raw = obj["rank"]
+            if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+                raise FormatError(f"rank must be a positive integer, got {raw!r}", source=source, line=lineno)
+            rank = raw
+        staged.setdefault(qid, []).append((lineno, video, interval, score, rank))
+
+    result: dict = {}
+    for qid, rows in staged.items():
+        ranks = {row[4] for row in rows}
+        if None in ranks:
+            if len(ranks) > 1:
+                raise FormatError(
+                    f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][0]
+                )
+            rows.sort(key=lambda row: -row[3])  # stable, so file order breaks score ties
+            candidates = [
+                LocalizationCandidate(qid, video, interval, score, rank)
+                for rank, (_, video, interval, score, _) in enumerate(rows, start=1)
+            ]
+        else:
+            if len(ranks) != len(rows):
+                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][0])
+            candidates = [LocalizationCandidate(qid, *row[1:]) for row in rows]
+            candidates.sort(key=lambda c: (-c.score, c.rank))
+        result[qid] = candidates
+    return result

@@ -702,6 +702,30 @@ def test_byte_order_mark_is_not_data(tmp_path, capsys):
     assert reports[1][1] == ["run question 'qx' has no judgments; ignoring it"]
 
 
+def test_byte_order_mark_at_a_line_start_is_not_data(tmp_path, capsys):
+    # ``cat a.run b.run`` of BOM-prefixed files leaves a BOM before a line mid-file.
+    run = _organiser_line_replaced(tmp_path, "retrieval.run", 4, "q1 ", "\ufeffq1 ")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval-retrieval", "--run", run, *ORGANISER_QRELS]) == 0
+    assert capsys.readouterr().out == (ORGANISER / "expected" / "retrieval.tsv").read_text(encoding="utf-8")
+    assert [str(w.message) for w in caught] == ["run question 'qx' has no judgments; ignoring it"]
+
+
+@pytest.mark.parametrize(
+    "name, lineno, old, what",
+    [("retrieval.run", 3, " 2 13.5 ", "rank"), ("qrels.txt", 3, " 2", "grade")],
+)
+def test_integer_past_the_digit_limit_names_the_field_briefly(tmp_path, capsys, name, lineno, old, what):
+    path = _organiser_line_replaced(tmp_path, name, lineno, old, old.replace("2", "9" * 5000, 1))
+    run = path if name == "retrieval.run" else str(ORGANISER / "retrieval.run")
+    qrels = path if name == "qrels.txt" else str(ORGANISER / "qrels.txt")
+    assert main(["eval-retrieval", "--run", run, "--qrels", qrels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{lineno}: {what} has too many digits"), err[:200]
+    assert len(err) < 200
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 

@@ -508,6 +508,37 @@ def test_parsers_never_crash(parser, text):
 
 
 # ---------------------------------------------------------------------------
+# record types
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (parse_retrieval_run("q1 Q0 v1 1 2.0 t")["q1"][0], ("question", "video", "rank", "score", "tag")),
+        (parse_localization_run(_loc_record())["Q1"][0], ("question", "video", "interval", "score", "rank")),
+    ],
+    ids=["RetrievalRunEntry", "LocalizationCandidate"],
+)
+def test_run_records_are_immutable_named_tuples(record, names):
+    assert type(record)._fields == names
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    twin = type(record)(*record)
+    assert hash(twin) == hash(record) and {record: 1}[twin] == 1
+    assert record == tuple(record)  # a NamedTuple equals the plain tuple of its fields
+
+
+def test_time_interval_is_immutable_and_hashable():
+    interval = parse_localization_run(_loc_record())["Q1"][0].interval
+    for name in ("start", "end"):
+        with pytest.raises(AttributeError):
+            setattr(interval, name, 5.0)
+    assert interval == TimeInterval(150, 190) and hash(interval) == hash(TimeInterval(150, 190))
+
+
+# ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
 
@@ -547,6 +578,12 @@ class TestLinesAndHostileValues:
         with pytest.raises(FormatError, match=rf"^<localization-run>:1: '{key}' must be"):
             parse_localization_run(text)
 
+    @pytest.mark.parametrize("key", ["start", "end"])
+    def test_timestamp_too_long_for_a_float_is_a_format_error(self, key):
+        # A plain-seconds string of 400 digits reads as an infinite number of seconds.
+        with pytest.raises(FormatError, match=r"^<localization-run>:1: interval bounds must be finite"):
+            parse_localization_run(_loc_record(**{key: "9" * 400}))
+
     def test_integer_past_the_digit_limit_is_a_format_error(self):
         text = '{"question": "q", "video": "v", "start": 1, "end": 2, "score": ' + "9" * 5000 + "}"
         with pytest.raises(FormatError, match=r"^<localization-run>:1: "):
@@ -572,4 +609,4 @@ def test_read_text_drops_a_leading_byte_order_mark(tmp_path):
 
     path = tmp_path / "run.txt"
     path.write_bytes(b"\xef\xbb\xbfq1 Q0 v1 1 2.0 t\n\xef\xbb\xbf\n")
-    assert read_text(str(path)) == "q1 Q0 v1 1 2.0 t\n\ufeff\n"
+    assert read_text(str(path)) == "q1 Q0 v1 1 2.0 t\n\n"

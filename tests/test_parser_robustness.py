@@ -2,23 +2,27 @@
 
 Each test takes one golden input file, damages one of its lines (or its bytes)
 with the inputs that have crashed parsers before, and runs the subcommand that
-reads it.  Exit 2 must name the damaged file.
+reads it.  Exit 2 must name the damaged file.  The run parsers must also
+return what the line-by-line reference parsers of ``oracles`` return, or
+raise the same error, on the damaged files with more faults added.
 """
 
 import contextlib
 import io
+import json
 import re
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medvideval.cli import main
 from medvideval.core import FormatError
-from medvideval.io_formats import read_report
+from medvideval.io_formats import parse_localization_run, parse_retrieval_run, read_report
+from oracles import reference_parse_localization_run, reference_parse_retrieval_run
 
 TESTS = Path(__file__).resolve().parent
 ORGANISER = TESTS / "data" / "organiser"
@@ -151,3 +155,81 @@ def test_report_reader(data):
         read_report(text, source="vcval.json")
     except FormatError as exc:
         assert str(exc).startswith("vcval.json"), exc
+
+
+# --- single-pass run parsers against the line-by-line reference parsers --------
+
+HOSTILE_TOKENS = ["x", "0", "-1", "01", "+2", "1_0", "1.5", "-0.0", "nan", "inf", "1e400", "9" * 5000, "#", "\u0663"]
+HOSTILE_VALUES = [None, True, "", " ", "x", 0, -1, 2.5, 10**400, "9" * 400, "01:75", "1:00", " 00:10 ", "7", [1], {}]
+LINE_SUFFIXES = ["}", "]", ",", " 1", "x", " #"]
+FAULTS = ["field"] * 3 + ["copy line", "swap lines", "suffix"]
+
+
+@st.composite
+def faulted(draw, golden: Path, flat: bool) -> str:
+    """The golden file, half the time through ``mutated`` and decoded as
+    ``read_text`` does, then up to three faults: in single fields (hostile
+    values, values copied from another line such as duplicate videos and
+    ranks or moved questions, dropped fields), or in whole lines (copied,
+    swapped, or with trailing data)."""
+    text = golden.read_text(encoding="utf-8")
+    if draw(st.booleans()):
+        text = draw(mutated(golden)).decode("utf-8-sig", errors="replace").replace("\n\ufeff", "\n")
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        index, other = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "copy line":
+            lines[index] = lines[other]
+        elif fault == "swap lines":
+            lines[index], lines[other] = lines[other], lines[index]
+        elif fault == "suffix":
+            lines[index] += draw(st.sampled_from(LINE_SUFFIXES))
+        elif flat:
+            fields, donor = lines[index].split(), lines[other].split()
+            if not fields:
+                continue
+            at = draw(st.integers(0, len(fields) - 1))
+            choice = draw(st.sampled_from(["hostile", "copy", "drop"]))
+            if choice == "drop":
+                del fields[at]
+            elif choice == "copy" and at < len(donor):
+                fields[at] = donor[at]
+            else:
+                fields[at] = draw(st.sampled_from(HOSTILE_TOKENS))
+            lines[index] = " ".join(fields)
+        else:
+            try:
+                record, donor = json.loads(lines[index]), json.loads(lines[other])
+            except (ValueError, RecursionError):
+                continue
+            if not isinstance(record, dict) or not isinstance(donor, dict):
+                continue
+            key = draw(st.sampled_from(["question", "video", "start", "end", "score", "rank"]))
+            choice = draw(st.sampled_from(["hostile", "copy", "drop"]))
+            if choice == "drop" or (choice == "copy" and key not in donor):
+                record.pop(key, None)
+            else:
+                record[key] = donor[key] if choice == "copy" else draw(st.sampled_from(HOSTILE_VALUES))
+            lines[index] = json.dumps(record)
+    return "\n".join(lines)
+
+
+def outcome(parse, text: str):
+    """The parsed run with its question order, or the message of the FormatError."""
+    try:
+        return list(parse(text, source="run").items())
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(text=faulted(ORGANISER / "retrieval.run", flat=True))
+def test_retrieval_run_parser_matches_the_reference(text):
+    assert outcome(parse_retrieval_run, text) == outcome(reference_parse_retrieval_run, text)
+
+
+@settings(max_examples=400)
+@given(text=faulted(ORGANISER / "localization.jsonl", flat=False))
+def test_localization_run_parser_matches_the_reference(text):
+    assert outcome(parse_localization_run, text) == outcome(reference_parse_localization_run, text)
