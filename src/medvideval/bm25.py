@@ -204,12 +204,11 @@ def run_from_searches(
     queries: Mapping[str, str],
     k: int,
     params: Bm25Params = Bm25Params(),
-    tag: str = BASELINE_TAG,
 ) -> dict[str, list[RetrievalRunEntry]]:
-    """Scoreable run entries for a batch of queries, tagged for evaluation."""
+    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``."""
     return {
         qid: [
-            RetrievalRunEntry(qid, video, rank, score, tag)
+            RetrievalRunEntry(qid, video, rank, score, BASELINE_TAG)
             for rank, (video, score) in enumerate(search(index, text, k, params), start=1)
         ]
         for qid, text in queries.items()

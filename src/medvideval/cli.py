@@ -304,9 +304,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-main = run_cli
-
-
 def entrypoint() -> None:
     """Console-script and ``python -m`` entry point: print each warning as one ``warning: …`` line."""
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"

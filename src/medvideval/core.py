@@ -21,6 +21,11 @@ VideoId = str
 _MMSS = re.compile(r"(\d+):(\d{2})\Z")
 _PLAIN_SECONDS = re.compile(r"\d+(?:\.\d+)?\Z")
 
+# The largest timestamp and the largest interval extension (lambda) accepted,
+# in seconds.  An extended interval is then at most 2e100 seconds long, so the
+# union of two of them is finite and IoU cannot overflow to 0.
+MAX_SECONDS = 1e100
+
 
 class ToolkitWarning(UserWarning):
     """Base class for non-fatal diagnostics emitted while parsing or scoring."""
@@ -104,26 +109,37 @@ class TimeInterval:
         return self.end - self.start
 
 
+def quote_token(token: str) -> str:
+    """``repr(token)`` for an error message, cut to its first 40 characters plus its length when longer."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token):,} characters)"
+
+
 def parse_timestamp(text: str) -> float:
     """Total seconds from an ``MM:SS`` token or a plain decimal-seconds token.
 
     The minute field may have any number of digits; the second field is
-    exactly two digits in 00-59.  Raises FormatError naming the offending
-    token otherwise.
+    exactly two digits in 00-59; the total is at most MAX_SECONDS.  Raises
+    FormatError naming the offending token otherwise.
     """
     token = text.strip()
     m = _MMSS.fullmatch(token)
     if m:
         seconds = int(m.group(2))
         if seconds >= 60:
-            raise FormatError(f"seconds field must be 00-59 in timestamp {token!r}")
+            raise FormatError(f"seconds field must be 00-59 in timestamp {quote_token(token)}")
         try:
-            return float(60 * int(m.group(1)) + seconds)
+            value = float(60 * int(m.group(1)) + seconds)
         except (ValueError, OverflowError):  # more minute digits than int() or a float can hold
-            raise FormatError(f"timestamp {token!r} is too large") from None
-    if _PLAIN_SECONDS.fullmatch(token):
-        return float(token)
-    raise FormatError(f"malformed timestamp {token!r}; expected MM:SS or plain seconds")
+            value = math.inf
+    elif _PLAIN_SECONDS.fullmatch(token):
+        value = float(token)
+    else:
+        raise FormatError(f"malformed timestamp {quote_token(token)}; expected MM:SS or plain seconds")
+    if value > MAX_SECONDS:
+        raise FormatError(f"timestamp {quote_token(token)} is too large, over {MAX_SECONDS:g} seconds")
+    return value
 
 
 def format_timestamp(seconds: float) -> str:

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
+    MAX_SECONDS,
     FormatError,
     QuestionId,
     RelevanceGrade,
@@ -39,12 +40,8 @@ from .core import (
     format_timestamp,
     parse_timestamp,
     plain_number as _plain_number,
+    quote_token,
 )
-
-TABULAR = "tabular"
-STRUCTURED = "structured"
-_TABULAR_NAMES = {"tabular", "tsv"}
-_STRUCTURED_NAMES = {"structured", "json"}
 
 STEP_CAPTION_WORD_LIMIT = 7
 
@@ -130,19 +127,6 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _raw_lines(text: str) -> Iterator[tuple[int, str]]:
-    return enumerate(text.split("\n"), start=1)
-
-
-def _flat_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (lineno, fields) for content lines, skipping blanks and comments."""
-    for lineno, line in _raw_lines(text):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
-
-
 def _json_value(text: str, what: str, source: str, line: int | None = None) -> Any:
     """``json.loads(text)``, with every way it can fail as a FormatError naming ``source``.
 
@@ -179,7 +163,7 @@ def _json_record(line: str, source: str, lineno: int) -> dict:
 
 
 def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
-    for lineno, line in _raw_lines(text):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped:
             yield lineno, _json_record(stripped, source, lineno)
@@ -195,10 +179,10 @@ def _parse_int(token: str, what: str, source: str, line: int, *, minimum: int = 
         if _INTEGER.match(token):  # past the interpreter's digit limit: too long to echo
             reason = f"{what} has too many digits ({len(token):,} characters)"
         else:
-            reason = f"{what} must be an integer, got {token!r}"
+            reason = f"{what} must be an integer, got {quote_token(token)}"
         raise FormatError(reason, source=source, line=line) from None
     if value < minimum:
-        raise FormatError(f"{what} must be >= {minimum}, got {value}", source=source, line=line)
+        raise FormatError(f"{what} must be >= {minimum}, got {quote_token(token)}", source=source, line=line)
     return value
 
 
@@ -206,9 +190,9 @@ def _parse_score(token: str, source: str, line: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise FormatError(f"score must be a number, got {token!r}", source=source, line=line) from None
+        raise FormatError(f"score must be a number, got {quote_token(token)}", source=source, line=line) from None
     if not math.isfinite(value):
-        raise FormatError(f"score must be finite, got {token!r}", source=source, line=line)
+        raise FormatError(f"score must be finite, got {quote_token(token)}", source=source, line=line)
     return value
 
 
@@ -238,34 +222,27 @@ def _number_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> f
 
 
 def _timestamp_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> float:
-    """A timestamp value: either an MM:SS / decimal string or a JSON number."""
+    """A timestamp in [0, MAX_SECONDS]: either an MM:SS / decimal string or a JSON number."""
     value = obj.get(key)
     if isinstance(value, str):
         try:
             return parse_timestamp(value)
         except FormatError as exc:
-            raise exc.positioned(source, line) from None
+            raise FormatError(f"{exc.reason} (field {key!r})", source=source, line=line) from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"record needs a timestamp {key!r}", source=source, line=line)
     seconds = _as_float(value)
-    if not math.isfinite(seconds) or seconds < 0:
-        raise FormatError(f"{key!r} must be a non-negative finite number of seconds", source=source, line=line)
+    if not 0.0 <= seconds <= MAX_SECONDS:  # NaN fails too
+        reason = f"{key!r} must be a non-negative finite number of seconds, at most {MAX_SECONDS:g}"
+        raise FormatError(reason, source=source, line=line)
     return seconds
 
 
 def _interval(start: float, end: float, source: str, line: int) -> TimeInterval:
-    """The interval between two ``_timestamp_field`` values.
-
-    Those are never negative or NaN but may be infinite, so one comparison
-    checks the bounds; only a fault goes through the validating constructor,
-    which names it.
-    """
-    if start <= end < math.inf:
-        return TimeInterval._unchecked(start, end)
-    try:
-        return TimeInterval(start, end)
-    except ValueError as exc:
-        raise FormatError(str(exc), source=source, line=line) from None
+    """The interval between two ``_timestamp_field`` values, which are already in range."""
+    if end < start:
+        raise FormatError(f"interval end {end} precedes start {start}", source=source, line=line)
+    return TimeInterval._unchecked(start, end)
 
 
 _TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace for str patterns
@@ -399,7 +376,7 @@ def parse_qrels(
         qid, _, video, grade_token = fields
         grade = _parse_int(grade_token, "grade", grades_source, lineno, minimum=0)
         if grade >= len(_GRADES):
-            raise FormatError(f"grade must be 0, 1, or 2, got {grade_token!r}", source=grades_source, line=lineno)
+            raise FormatError(f"grade must be 0, 1, or 2, got {quote_token(grade_token)}", source=grades_source, line=lineno)
         per_question = judged[qid]
         if video in per_question:
             raise FormatError(f"duplicate judgment for video {video!r}", source=grades_source, line=lineno)
@@ -630,13 +607,16 @@ def write_corpus(documents: Sequence[CorpusDocument]) -> str:
 
 def parse_queries(text: str, source: str = "<queries>") -> dict[QuestionId, str]:
     queries: dict[QuestionId, str] = {}
-    for lineno, fields in _flat_rows(text):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
         if len(fields) < 2:
             raise FormatError("expected a question id followed by query text", source=source, line=lineno)
-        qid, text = fields[0], " ".join(fields[1:])
+        qid, query = fields[0], " ".join(fields[1:])
         if qid in queries:
             raise FormatError(f"duplicate question id {qid!r}", source=source, line=lineno)
-        queries[qid] = text
+        queries[qid] = query
     return queries
 
 
@@ -670,20 +650,19 @@ def _render_param(value: Any) -> str:
     return str(value)
 
 
-def write_report(report: MetricReport, fmt: str = TABULAR) -> str:
-    """Serialize a report; ``tabular``/``tsv`` or ``structured``/``json``.
+def write_report(report: MetricReport, fmt: str = "tsv") -> str:
+    """Serialize a report as ``tsv`` or ``structured``.
 
-    Tabular output renders values with four decimal places and embeds the
+    TSV output renders values with four decimal places and embeds the
     parameterization as comment lines; structured output is lossless JSON.
     Key order follows report construction order, so identical inputs yield
     byte-identical output.
     """
     _validate_values(report.values)
-    name = fmt.lower()
-    if name in _STRUCTURED_NAMES:
+    if fmt == "structured":
         payload = {"report": report.name, "params": report.params, "values": report.values}
         return json.dumps(payload, indent=2) + "\n"
-    if name not in _TABULAR_NAMES:
+    if fmt != "tsv":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"# report: {report.name}"]
     lines.extend(f"# {where} = {_render_param(value)}" for where, value in _flatten(report.params))

@@ -11,12 +11,11 @@ localization depths n) and IoU thresholds mu, each sorted and deduplicated.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum, union_length
+from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum, union_length
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -60,6 +59,12 @@ def judged_questions(run: Mapping[QuestionId, object], qrels: Mapping[QuestionId
     return {qid: entry for qid, entry in run.items() if qid in qrels}
 
 
+def check_lambda(lam: float) -> None:
+    """Raise ValueError naming lambda unless ``lam`` is an IoU extension in [0, MAX_SECONDS] seconds."""
+    if not 0.0 <= lam <= MAX_SECONDS:  # NaN fails too
+        raise ValueError(f"lambda must be a finite number in [0, {MAX_SECONDS:g}], got {lam}")
+
+
 def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
     """Intersection over union of two intervals; 0 when both are zero-length."""
     union = union_length(pred, gt)
@@ -70,8 +75,7 @@ def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
 
 def extend_interval(interval: TimeInterval, lam: float) -> TimeInterval:
     """Widen an interval by lam seconds on each side, clamping the start at 0."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    check_lambda(lam)
     return TimeInterval(max(0.0, interval.start - lam), interval.end + lam)
 
 
@@ -151,8 +155,7 @@ class IoUParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_values", normalise_depths(self.n_values, "n"))
         object.__setattr__(self, "mu_values", normalise_thresholds(self.mu_values))
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam}")
+        check_lambda(self.lam)
 
 
 @dataclass

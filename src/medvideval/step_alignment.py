@@ -22,6 +22,7 @@ from .core import ToolkitWarning, plain_sum
 from .io_formats import MetricReport, Step, StepSequence
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
+    check_lambda,
     normalise_thresholds,
     percent_at_least,
     relaxed_iou,
@@ -43,10 +44,11 @@ class AlignmentParams:
     lam: float = 3.0
 
     def __post_init__(self) -> None:
-        named = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam}
+        named = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta}
         for name, value in named.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        check_lambda(self.lam)
 
 
 @dataclass
@@ -142,7 +144,6 @@ class SegmentIoUStats:
 
     mean_iou: float
     fraction_at: dict[float, float]  # threshold -> percentage of gt steps
-    gold_steps: int
 
 
 def step_segment_stats(
@@ -166,7 +167,7 @@ def step_segment_stats(
     total = len(ious)
     mean = plain_sum(ious) / total if total else 0.0
     fraction_at = {mu: percent_at_least(ious, mu) for mu in normalise_thresholds(mu_values)}
-    return SegmentIoUStats(mean, fraction_at, total)
+    return SegmentIoUStats(mean, fraction_at)
 
 
 @dataclass
@@ -273,17 +274,12 @@ def evaluate_captions(
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)
 
 
-def captions_report(score: CaptionScore, external: Mapping[str, float] | None = None) -> MetricReport:
-    """Caption-similarity report; ``external`` passes through independently
-    computed scores (for metrics this toolkit does not implement)."""
+def captions_report(score: CaptionScore) -> MetricReport:
     values: dict[str, object] = {}
     for order in sorted(score.bleu):
         values[f"BLEU-{order}"] = 100.0 * score.bleu[order]
     values["METEOR"] = 100.0 * score.meteor
     values["ROUGE-L"] = 100.0 * score.rouge_l
-    if external:
-        for key in sorted(external):
-            values[key] = float(external[key])
     values["matched_pairs"] = score.pair_count
     return MetricReport(
         name="captions",

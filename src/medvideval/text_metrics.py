@@ -63,8 +63,6 @@ def tokenize(text: str) -> list[str]:
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence (two-row dynamic program)."""
-    if not a or not b:
-        return 0
     previous = [0] * (len(b) + 1)
     for token_a in a:
         current = [0]

@@ -15,7 +15,7 @@ import oracles
 
 SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
 SMOKE_QUERIES = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "queries.txt")
-from medvideval.cli import main
+from medvideval.cli import run_cli as main
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval
 from medvideval.io_formats import (
     JudgedVideo,

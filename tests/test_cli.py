@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medvideval.cli import main
+from medvideval.cli import run_cli as main
 from medvideval.io_formats import parse_retrieval_run, read_report
 
 SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
@@ -600,7 +600,7 @@ _BAD_FLAG_VALUES = {
     "k": st.integers(max_value=0).map(str) | _NON_FINITE | st.sampled_from(["1.5", "5,x"]),
     "n": st.integers(max_value=0).map(str) | _NON_FINITE | st.sampled_from(["1.5", "1,x"]),
     "mu": st.floats(max_value=0.0).map(repr) | st.floats(min_value=1.0, exclude_min=True).map(repr) | _NON_FINITE,
-    "lambda": _NEGATIVE | _NON_FINITE,
+    "lambda": _NEGATIVE | st.floats(min_value=1e100, exclude_min=True).map(repr) | _NON_FINITE,
     "theta": _NEGATIVE | _NON_FINITE,
     "alpha": _NEGATIVE | _NON_FINITE,
     "beta": _NEGATIVE | _NON_FINITE,
@@ -714,16 +714,49 @@ def test_byte_order_mark_at_a_line_start_is_not_data(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, lineno, old, what",
-    [("retrieval.run", 3, " 2 13.5 ", "rank"), ("qrels.txt", 3, " 2", "grade")],
+    [
+        ("retrieval.run", 3, " 2 13.5 ", "rank"),
+        ("qrels.txt", 3, " 2", "grade"),
+        ("retrieval.run", 3, " 13.5 ", "score must be finite"),
+        ("retrieval.run", 3, " 2 ", "rank must be an integer"),
+    ],
 )
 def test_integer_past_the_digit_limit_names_the_field_briefly(tmp_path, capsys, name, lineno, old, what):
-    path = _organiser_line_replaced(tmp_path, name, lineno, old, old.replace("2", "9" * 5000, 1))
+    # A rank or grade of 5,000 digits, a score of 5,000 digits (infinite as a
+    # float) and a rank of 5,000 letters: each message quotes 40 characters.
+    if what == "score must be finite":
+        new, message = " " + "9" * 5000 + " ", f"{what}, got '{'9' * 40}'... (5,000 characters)"
+    elif what == "rank must be an integer":
+        new, message = " " + "x" * 5000 + " ", f"{what}, got '{'x' * 40}'... (5,000 characters)"
+    else:
+        new, message = old.replace("2", "9" * 5000, 1), f"{what} has too many digits"
+    path = _organiser_line_replaced(tmp_path, name, lineno, old, new)
     run = path if name == "retrieval.run" else str(ORGANISER / "retrieval.run")
     qrels = path if name == "qrels.txt" else str(ORGANISER / "qrels.txt")
     assert main(["eval-retrieval", "--run", run, "--qrels", qrels]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:{lineno}: {what} has too many digits"), err[:200]
+    assert err.startswith(f"error: {path}:{lineno}: {message}"), err[:200]
     assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "name, old, new, flags, field",
+    [
+        # Widening [0, 1e300] by the largest float overflowed to an internal error.
+        ("localization.jsonl", '"end": "02:05"', '"end": 1e300', ["--lambda", "1.7976931348623157e308"], "'end' must be"),
+        # The union of two [0, 1e308] intervals overflowed, so an exact match scored IoU 0.
+        ("answers.jsonl", '"start": "01:30", "end": "02:00"', '"start": 0, "end": 1e308', [], "'end' must be"),
+        ("localization.jsonl", '"end": "02:05"', '"end": "' + "9" * 400 + '"', [], "(field 'end')"),
+    ],
+    ids=["lambda-overflow", "union-overflow", "400-digit-end"],
+)
+def test_seconds_past_the_bound_exit_2_naming_the_field(tmp_path, capsys, name, old, new, flags, field):
+    path = _organiser_line_replaced(tmp_path, name, 2, old, new)
+    run = path if name == "localization.jsonl" else str(ORGANISER / "localization.jsonl")
+    answers = path if name == "answers.jsonl" else str(ORGANISER / "answers.jsonl")
+    assert main(["eval-localization", "--run", run, "--qrels", str(ORGANISER / "qrels.txt"), answers, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and field in err, err
 
 
 REPO = Path(__file__).resolve().parents[1]

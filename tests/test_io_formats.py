@@ -296,7 +296,7 @@ class TestQueryParsing:
 class TestReports:
     def test_tabular_four_decimals(self):
         report = MetricReport("demo", {"theta": 0.4}, {"mIoU": 0.5})
-        text = write_report(report, "tabular")
+        text = write_report(report, "tsv")
         assert "mIoU\t0.5000" in text
         assert "# theta = 0.4" in text
 
@@ -316,8 +316,9 @@ class TestReports:
             write_report(MetricReport("demo", {}, {"x": float("nan")}))
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            write_report(MetricReport("demo", {}, {}), "xml")
+        for fmt in ["xml", "tabular", "json", "TSV"]:
+            with pytest.raises(ValueError):
+                write_report(MetricReport("demo", {}, {}), fmt)
 
     def test_read_report_rejects_garbage(self):
         with pytest.raises(FormatError):
@@ -581,7 +582,7 @@ class TestLinesAndHostileValues:
     @pytest.mark.parametrize("key", ["start", "end"])
     def test_timestamp_too_long_for_a_float_is_a_format_error(self, key):
         # A plain-seconds string of 400 digits reads as an infinite number of seconds.
-        with pytest.raises(FormatError, match=r"^<localization-run>:1: interval bounds must be finite"):
+        with pytest.raises(FormatError, match=rf"^<localization-run>:1: timestamp .* is too large.*\(field '{key}'\)$"):
             parse_localization_run(_loc_record(**{key: "9" * 400}))
 
     def test_integer_past_the_digit_limit_is_a_format_error(self):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medvideval.cli import main
+from medvideval.cli import run_cli as main
 from medvideval.core import FormatError
 from medvideval.io_formats import parse_localization_run, parse_retrieval_run, read_report
 from oracles import reference_parse_localization_run, reference_parse_retrieval_run
