@@ -11,7 +11,6 @@ from .core import (
     RelevanceGrade,
     TimeInterval,
     ToolkitWarning,
-    format_timestamp,
     intersection_length,
     parse_timestamp,
     union_length,

@@ -1,7 +1,7 @@
 """Shared temporal types, identifiers, and interval arithmetic.
 
 Timestamps are stored as real-valued seconds throughout the toolkit; the
-``MM:SS`` notation is accepted on input and emitted for whole-second values.
+``MM:SS`` notation is accepted on input.
 Everything here is an immutable value with pure operations, safe to share
 across threads.
 """
@@ -51,14 +51,6 @@ class FormatError(ValueError):
             return f"{self.source}: {self.reason}"
         return self.reason
 
-    def positioned(self, source: str | None, line: int | None) -> "FormatError":
-        """Copy of this error pinned to a file position (existing position wins)."""
-        return FormatError(
-            self.reason,
-            source=self.source if self.source is not None else source,
-            line=self.line if self.line is not None else line,
-        )
-
 
 class RelevanceGrade(IntEnum):
     """Three-level graded relevance; larger is more relevant."""
@@ -78,7 +70,7 @@ class TimeInterval:
 
     Zero-length intervals (start == end) are legal degenerate inputs.  The
     constructor converts both bounds to float and raises ValueError unless
-    ``0 <= start <= end`` with both finite.
+    ``0 <= start <= end <= MAX_SECONDS``.
     """
 
     start: float
@@ -87,8 +79,8 @@ class TimeInterval:
     def __post_init__(self) -> None:
         start = float(self.start)
         end = float(self.end)
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ValueError(f"interval bounds must be finite, got [{self.start}, {self.end}]")
+        if not (math.isfinite(start) and end <= MAX_SECONDS):  # NaN and inf fail too
+            raise ValueError(f"interval bounds must be finite and at most {MAX_SECONDS:g}, got [{self.start}, {self.end}]")
         if start < 0:
             raise ValueError(f"interval start must be >= 0, got {start}")
         if end < start:
@@ -98,7 +90,7 @@ class TimeInterval:
 
     @classmethod
     def _unchecked(cls, start: float, end: float) -> "TimeInterval":
-        """An interval from float bounds the caller has already checked as above."""
+        """An interval from float bounds ``0 <= start <= end`` the caller has already checked."""
         interval = object.__new__(cls)
         object.__setattr__(interval, "start", start)
         object.__setattr__(interval, "end", end)
@@ -140,20 +132,6 @@ def parse_timestamp(text: str) -> float:
     if value > MAX_SECONDS:
         raise FormatError(f"timestamp {quote_token(token)} is too large, over {MAX_SECONDS:g} seconds")
     return value
-
-
-def format_timestamp(seconds: float) -> str:
-    """``MM:SS`` for whole-second values, plain decimal seconds otherwise.
-
-    Inverse of parse_timestamp for every non-negative finite value.
-    """
-    value = float(seconds)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"cannot format timestamp {seconds!r}")
-    if value.is_integer():
-        total = int(value)
-        return f"{total // 60:02d}:{total % 60:02d}"
-    return plain_number(value)
 
 
 def plain_number(value: float) -> str:

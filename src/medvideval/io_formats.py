@@ -1,4 +1,4 @@
-"""Parsers and serializers for every on-disk artifact.
+"""Parsers for every on-disk input, and serializers for what the CLI writes.
 
 Two families of formats:
 
@@ -15,6 +15,9 @@ within their line.
 Every parser either returns a value or raises :class:`FormatError` carrying
 the source name and line number; arbitrary input never crashes a parser.
 Parsers keep no shared state and may run concurrently on distinct inputs.
+
+Retrieval runs and metric reports are serialized here; pool files and the
+BM25 index by :mod:`.pooling` and :mod:`.bm25`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .core import (
     TimeInterval,
     ToolkitWarning,
     VideoId,
-    format_timestamp,
     parse_timestamp,
     plain_number as _plain_number,
     quote_token,
@@ -254,13 +256,6 @@ def _check_token(value: str, what: str) -> str:
     return value
 
 
-def _timestamp_json(seconds: float) -> str | float:
-    """Whole seconds serialize as MM:SS strings, fractional values as numbers."""
-    if float(seconds).is_integer():
-        return format_timestamp(seconds)
-    return float(seconds)
-
-
 # ---------------------------------------------------------------------------
 # Retrieval runs (flat six-column format)
 # ---------------------------------------------------------------------------
@@ -406,31 +401,6 @@ def parse_qrels(
     return {qid: list(videos.values()) for qid, videos in judged.items()}
 
 
-def write_qrels(qrels: Mapping[QuestionId, Sequence[JudgedVideo]]) -> tuple[str, str]:
-    """Serialize judgments back to (grade file text, answer sidecar text)."""
-    grade_lines = []
-    answer_lines = []
-    for qid in sorted(qrels):
-        for jv in qrels[qid]:
-            _check_token(jv.question, "question id")
-            _check_token(jv.video, "video id")
-            grade_lines.append(f"{jv.question} 0 {jv.video} {int(jv.grade)}")
-            for interval in jv.answers:
-                answer_lines.append(
-                    json.dumps(
-                        {
-                            "question": jv.question,
-                            "video": jv.video,
-                            "start": _timestamp_json(interval.start),
-                            "end": _timestamp_json(interval.end),
-                        }
-                    )
-                )
-    grades = "\n".join(grade_lines) + ("\n" if grade_lines else "")
-    answers = "\n".join(answer_lines) + ("\n" if answer_lines else "")
-    return grades, answers
-
-
 # ---------------------------------------------------------------------------
 # Localization runs (JSONL)
 # ---------------------------------------------------------------------------
@@ -478,25 +448,6 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     return run
 
 
-def write_localization_run(run: Mapping[QuestionId, Sequence[LocalizationCandidate]]) -> str:
-    lines = []
-    for qid in sorted(run):
-        for cand in run[qid]:
-            lines.append(
-                json.dumps(
-                    {
-                        "question": cand.question,
-                        "video": cand.video,
-                        "start": _timestamp_json(cand.interval.start),
-                        "end": _timestamp_json(cand.interval.end),
-                        "score": cand.score,
-                        "rank": cand.rank,
-                    }
-                )
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # Step files (JSONL)
 # ---------------------------------------------------------------------------
@@ -517,14 +468,14 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
         raw_steps = obj.get("steps", [])
         if not isinstance(raw_steps, list):
             raise FormatError("'steps' must be a list", source=source, line=lineno)
-        steps: list[Step] = []
-        for order, raw in enumerate(raw_steps):
+        staged: list[tuple[str, TimeInterval]] = []
+        for number, raw in enumerate(raw_steps, start=1):
             if not isinstance(raw, dict):
                 raise FormatError("each step must be a JSON object", source=source, line=lineno)
             caption = raw.get("caption")
             if not isinstance(caption, str) or not caption.strip():
                 raise FormatError(
-                    f"step {order + 1} of segment {segment_id!r} has an empty caption",
+                    f"step {number} of segment {segment_id!r} has an empty caption",
                     source=source,
                     line=lineno,
                 )
@@ -539,33 +490,11 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
                 )
             start = _timestamp_field(raw, "start", source, lineno)
             end = _timestamp_field(raw, "end", source, lineno)
-            steps.append(Step(caption, _interval(start, end, source, lineno), order))
-        steps.sort(key=lambda s: (s.interval.start, s.order))
-        steps = [Step(s.caption, s.interval, order) for order, s in enumerate(steps)]
+            staged.append((caption, _interval(start, end, source, lineno)))
+        staged.sort(key=lambda pair: pair[1].start)  # stable: source order breaks ties
+        steps = [Step(caption, interval, order) for order, (caption, interval) in enumerate(staged)]
         sequences[segment_id] = StepSequence(segment_id, steps)
     return sequences
-
-
-def write_steps(sequences: Mapping[str, StepSequence]) -> str:
-    lines = []
-    for segment_id in sorted(sequences):
-        seq = sequences[segment_id]
-        lines.append(
-            json.dumps(
-                {
-                    "segment": seq.segment_id,
-                    "steps": [
-                        {
-                            "caption": step.caption,
-                            "start": _timestamp_json(step.interval.start),
-                            "end": _timestamp_json(step.interval.end),
-                        }
-                        for step in seq.steps
-                    ],
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +519,6 @@ def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusDocument]:
             raise FormatError("'title' and 'subtitle' must be strings", source=source, line=lineno)
         documents.append(CorpusDocument(video, title, subtitle))
     return documents
-
-
-def write_corpus(documents: Sequence[CorpusDocument]) -> str:
-    lines = [
-        json.dumps({"video": doc.video, "title": doc.title, "subtitle": doc.subtitle})
-        for doc in documents
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

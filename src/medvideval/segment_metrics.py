@@ -74,9 +74,9 @@ def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
 
 
 def extend_interval(interval: TimeInterval, lam: float) -> TimeInterval:
-    """Widen an interval by lam seconds on each side, clamping the start at 0."""
+    """Widen an interval by lam seconds on each side, clamping the start at 0; the end may pass MAX_SECONDS."""
     check_lambda(lam)
-    return TimeInterval(max(0.0, interval.start - lam), interval.end + lam)
+    return TimeInterval._unchecked(max(0.0, interval.start - lam), interval.end + lam)
 
 
 def relaxed_iou(pred: TimeInterval, gt: TimeInterval, lam: float) -> float:

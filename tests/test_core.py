@@ -6,7 +6,6 @@ from medvideval.core import (
     FormatError,
     RelevanceGrade,
     TimeInterval,
-    format_timestamp,
     intersection_length,
     parse_timestamp,
     plain_sum,
@@ -44,11 +43,6 @@ class TestParseTimestamp:
     def test_mmss_round_trip(self, seconds):
         rendered = f"{seconds // 60:02d}:{seconds % 60:02d}"
         assert parse_timestamp(rendered) == seconds
-        assert format_timestamp(float(seconds)) == rendered
-
-    @given(st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False))
-    def test_format_parse_round_trip(self, seconds):
-        assert parse_timestamp(format_timestamp(seconds)) == seconds
 
 
 class TestTimeInterval:
@@ -65,8 +59,9 @@ class TestTimeInterval:
             TimeInterval(7, 3)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TimeInterval(0, float("inf"))
+        for end in (float("inf"), 1e308, 1.1e100):
+            with pytest.raises(ValueError, match="at most 1e\\+100"):
+                TimeInterval(0, end)
 
     def test_coerces_to_float(self):
         interval = TimeInterval(1, 2)

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval
 from medvideval.io_formats import (
     CorpusDocument,
-    JudgedVideo,
     LocalizationCandidate,
     MetricReport,
     RetrievalRunEntry,
     Step,
     StepLintWarning,
-    StepSequence,
     _check_token,
     _plain_number,
     parse_corpus,
@@ -25,13 +23,9 @@ from medvideval.io_formats import (
     parse_retrieval_run,
     parse_steps,
     read_report,
-    write_corpus,
-    write_localization_run,
-    write_qrels,
     write_report,
     write_atomically,
     write_retrieval_run,
-    write_steps,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,7 @@ class TestStepParsing:
             ]
         )
         parsed = parse_steps(record)
-        assert [s.caption for s in parsed["seg1"].steps] == ["first", "second"]
+        assert [(s.caption, s.order) for s in parsed["seg1"].steps] == [("first", 0), ("second", 1)]
 
     def test_tied_starts_keep_source_order(self):
         record = _steps_record(
@@ -260,6 +254,7 @@ class TestCorpusParsing:
     def test_fields(self):
         docs = parse_corpus(json.dumps({"video": "v1", "title": "t", "subtitle": "s"}))
         assert docs == [CorpusDocument("v1", "t", "s")]
+        assert parse_corpus(json.dumps({"video": "v1", "title": "", "subtitle": "s"})) == [CorpusDocument("v1", "", "s")]
 
     def test_subtitle_may_be_missing(self):
         docs = parse_corpus(json.dumps({"video": "v1"}))
@@ -330,10 +325,6 @@ class TestReports:
 # ---------------------------------------------------------------------------
 
 token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=8)
-seconds = st.one_of(
-    st.integers(min_value=0, max_value=6000).map(float),
-    st.floats(min_value=0, max_value=6000, allow_nan=False),
-)
 score = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
 
@@ -355,86 +346,6 @@ def retrieval_runs(draw):
 def test_retrieval_run_round_trip(run):
     normalized = parse_retrieval_run(write_retrieval_run(run))
     assert parse_retrieval_run(write_retrieval_run(normalized)) == normalized
-
-
-@st.composite
-def qrels_maps(draw):
-    qrels = {}
-    for qid in draw(st.sets(token, min_size=1, max_size=3)):
-        rows = []
-        for video in sorted(draw(st.sets(token, min_size=1, max_size=4))):
-            grade = RelevanceGrade(draw(st.integers(min_value=0, max_value=2)))
-            answers = []
-            if grade.is_positive:
-                for _ in range(draw(st.integers(min_value=0, max_value=2))):
-                    start = draw(seconds)
-                    answers.append(TimeInterval(start, start + draw(seconds)))
-            rows.append(JudgedVideo(qid, video, grade, answers))
-        qrels[qid] = rows
-    return qrels
-
-
-@given(qrels_maps())
-def test_qrels_round_trip(qrels):
-    grades, answers = write_qrels(qrels)
-    normalized = parse_qrels(grades, answers)
-    assert parse_qrels(*write_qrels(normalized)) == normalized
-
-
-@st.composite
-def localization_runs(draw):
-    run = {}
-    for qid in draw(st.sets(token, min_size=1, max_size=3)):
-        candidates = []
-        for rank, video in enumerate(sorted(draw(st.sets(token, min_size=1, max_size=4))), start=1):
-            start = draw(seconds)
-            interval = TimeInterval(start, start + draw(seconds))
-            candidates.append(LocalizationCandidate(qid, video, interval, draw(score), rank))
-        candidates.sort(key=lambda c: (-c.score, c.rank))
-        run[qid] = candidates
-    return run
-
-
-@given(localization_runs())
-def test_localization_run_round_trip(run):
-    normalized = parse_localization_run(write_localization_run(run))
-    assert parse_localization_run(write_localization_run(normalized)) == normalized
-
-
-caption = st.text(alphabet="abcdefghij ", min_size=1, max_size=30).filter(lambda s: s.strip())
-
-
-@st.composite
-def step_maps(draw):
-    sequences = {}
-    for segment_id in draw(st.sets(token, min_size=1, max_size=3)):
-        steps = []
-        for order in range(draw(st.integers(min_value=0, max_value=4))):
-            start = draw(seconds)
-            steps.append(Step(draw(caption).strip(), TimeInterval(start, start + draw(seconds)), order))
-        steps.sort(key=lambda s: (s.interval.start, s.order))
-        steps = [Step(s.caption, s.interval, order) for order, s in enumerate(steps)]
-        sequences[segment_id] = StepSequence(segment_id, steps)
-    return sequences
-
-
-@given(step_maps())
-def test_steps_round_trip(sequences):
-    normalized = parse_steps(write_steps(sequences))
-    assert parse_steps(write_steps(normalized)) == normalized
-
-
-@st.composite
-def corpora(draw):
-    videos = sorted(draw(st.sets(token, min_size=1, max_size=5)))
-    body = st.text(alphabet="abcdefg h", max_size=20)
-    return [CorpusDocument(video, draw(body), draw(body)) for video in videos]
-
-
-@given(corpora())
-def test_corpus_round_trip(documents):
-    normalized = parse_corpus(write_corpus(documents))
-    assert parse_corpus(write_corpus(normalized)) == normalized
 
 
 # ---------------------------------------------------------------------------
