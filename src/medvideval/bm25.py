@@ -78,20 +78,6 @@ class InvertedIndex:
     def doc_count(self) -> int:
         return len(self.videos)
 
-    @property
-    def doc_lengths(self) -> dict[VideoId, int]:
-        """Token count per video (a view built on access)."""
-        return dict(zip(self.videos, self.lengths))
-
-    @property
-    def postings(self) -> dict[str, list[tuple[VideoId, int]]]:
-        """term -> [(video, tf)] sorted by video (a view built on access)."""
-        videos = self.videos
-        return {
-            term: [(videos[doc], tf) for doc, tf in zip(self.doc_ids[start:end], self.tfs[start:end])]
-            for term, start, end in zip(self.terms, self.offsets, self.offsets[1:])
-        }
-
     def span(self, term: str) -> tuple[int, int]:
         """Positions of ``term``'s postings in ``doc_ids``/``tfs``; empty when unindexed."""
         t = self._term_ids.get(term)

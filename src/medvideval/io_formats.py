@@ -95,7 +95,6 @@ class Step:
 
     caption: str
     interval: TimeInterval
-    order: int = 0  # position in the source file, tiebreak for equal starts
 
 
 @dataclass
@@ -158,10 +157,8 @@ def _json_record(line: str, source: str, lineno: int) -> dict:
         end = -1
     if end == len(line) and type(obj) is dict:
         return obj
-    obj = _json_value(line, "JSON record", source, lineno)
-    if type(obj) is not dict:
-        raise FormatError("expected a JSON object", source=source, line=lineno)
-    return obj
+    _json_value(line, "JSON record", source, lineno)  # raises unless the line is valid JSON
+    raise FormatError("expected a JSON object", source=source, line=lineno)
 
 
 def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
@@ -468,7 +465,7 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
         raw_steps = obj.get("steps", [])
         if not isinstance(raw_steps, list):
             raise FormatError("'steps' must be a list", source=source, line=lineno)
-        staged: list[tuple[str, TimeInterval]] = []
+        steps: list[Step] = []
         for number, raw in enumerate(raw_steps, start=1):
             if not isinstance(raw, dict):
                 raise FormatError("each step must be a JSON object", source=source, line=lineno)
@@ -490,9 +487,8 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
                 )
             start = _timestamp_field(raw, "start", source, lineno)
             end = _timestamp_field(raw, "end", source, lineno)
-            staged.append((caption, _interval(start, end, source, lineno)))
-        staged.sort(key=lambda pair: pair[1].start)  # stable: source order breaks ties
-        steps = [Step(caption, interval, order) for order, (caption, interval) in enumerate(staged)]
+            steps.append(Step(caption, _interval(start, end, source, lineno)))
+        steps.sort(key=lambda step: step.interval.start)  # stable: source order breaks ties
         sequences[segment_id] = StepSequence(segment_id, steps)
     return sequences
 

@@ -51,16 +51,6 @@ class PoolSpec:
         """Inclusion probability of each 1-based rank in the schedule, in order."""
         return tuple(band.probability for band in self.bands for _ in range(band.depth))
 
-    @property
-    def max_depth(self) -> int:
-        return len(self.rank_probabilities)
-
-    def probability_for_rank(self, rank: int) -> float | None:
-        """Inclusion probability of a 1-based rank; None beyond the schedule."""
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        return self.rank_probabilities[rank - 1] if rank <= self.max_depth else None
-
     def expected_inclusions(self) -> float:
         """Expected pool contributions of one full-depth run for one question."""
         return sum(band.depth * band.probability for band in self.bands)

@@ -23,23 +23,22 @@ def _question_row(
 ) -> dict[str, float]:
     """MAP, R@k and P@k for each cutoff, and nDCG, from one pass over the ranking."""
     grades = {jv.video: int(jv.grade) for jv in judged}
-    relevant = {jv.video for jv in judged if jv.grade.is_positive}
+    relevant = sum(1 for gain in grades.values() if gain)  # videos graded positive
     hit_positions: list[int] = []
     dcg = 0.0
     for position, video in enumerate(ranking, start=1):
-        if video in relevant:
-            hit_positions.append(position)
         gain = grades.get(video, 0)
         if gain:
+            hit_positions.append(position)
             dcg += gain / math.log2(position + 1)
     ideal = sorted(grades.values(), reverse=True)
     idcg = plain_sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1) if g > 0)
     hits_within = [bisect_right(hit_positions, k) for k in cutoffs]
 
     precision_sum = plain_sum(hits / position for hits, position in enumerate(hit_positions, start=1))
-    row = {"MAP": precision_sum / len(relevant) if relevant else 0.0}
+    row = {"MAP": precision_sum / relevant if relevant else 0.0}
     for k, hits in zip(cutoffs, hits_within):
-        row[f"R@{k}"] = hits / len(relevant) if relevant else 0.0
+        row[f"R@{k}"] = hits / relevant if relevant else 0.0
     for k, hits in zip(cutoffs, hits_within):
         row[f"P@{k}"] = hits / k
     row["nDCG"] = dcg / idcg if idcg else 0.0

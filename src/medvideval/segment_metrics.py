@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum, union_length
+from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -67,10 +67,11 @@ def check_lambda(lam: float) -> None:
 
 def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
     """Intersection over union of two intervals; 0 when both are zero-length."""
-    union = union_length(pred, gt)
+    overlap = intersection_length(pred, gt)
+    union = pred.length + gt.length - overlap
     if union == 0.0:
         return 0.0
-    return intersection_length(pred, gt) / union
+    return overlap / union
 
 
 def extend_interval(interval: TimeInterval, lam: float) -> TimeInterval:
@@ -127,10 +128,10 @@ def mean_iou(
     The divisor is the number of judged questions, so unanswered questions
     drag the mean down rather than disappearing.
     """
-    score = evaluate_localization(run, qrels, IoUParams((n,), lam=lam))
-    if not score.question_count:
+    per_question = evaluate_localization(run, qrels, IoUParams((n,), lam=lam)).per_question
+    if not per_question:
         return 0.0
-    return plain_sum(score.per_question[qid][n] for qid in sorted(qrels)) / score.question_count
+    return plain_sum(row[n] for row in per_question.values()) / len(per_question)
 
 
 def recall_at_n_iou(
@@ -163,7 +164,6 @@ class LocalizationScore:
     """Per-question best IoU at each depth plus the rendered percentage table."""
 
     params: IoUParams
-    question_count: int
     per_question: dict[QuestionId, dict[int, float]]
     table: dict[int, dict[str, float]]
 
@@ -193,7 +193,7 @@ def evaluate_localization(
         row = {threshold_key(mu): percent_at_least(values, mu) for mu in params.mu_values}
         row["mIoU"] = 100.0 * plain_sum(values) / count if count else 0.0
         table[n] = row
-    return LocalizationScore(params, count, per_question, table)
+    return LocalizationScore(params, per_question, table)
 
 
 def localization_report(score: LocalizationScore) -> MetricReport:
@@ -207,7 +207,7 @@ def localization_report(score: LocalizationScore) -> MetricReport:
             "multi_answer_reduction": "max",
             "video_gate_min_grade": 1,
             "units": "percent",
-            "num_questions": score.question_count,
+            "num_questions": len(score.per_question),
         },
         values=values,
     )

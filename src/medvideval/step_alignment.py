@@ -175,7 +175,6 @@ class StepScore:
     """Pooled alignment accounting and IoU statistics for a whole run."""
 
     params: AlignmentParams
-    mu_values: tuple[float, ...]
     tp: int
     fp: int
     fn: int
@@ -206,7 +205,7 @@ def evaluate_steps(
     fp = sum(result.fp for _, _, result in aligned)
     fn = sum(result.fn for _, _, result in aligned)
     stats = step_segment_stats(aligned, params.lam, mu_values)
-    return StepScore(params, tuple(stats.fraction_at), tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats)
+    return StepScore(params, tp, fp, fn, step_prf(AlignmentResult(tp, fp, fn)), stats)
 
 
 def steps_report(score: StepScore) -> MetricReport:
@@ -225,7 +224,7 @@ def steps_report(score: StepScore) -> MetricReport:
             "alpha": score.params.alpha,
             "beta": score.params.beta,
             "lambda": score.params.lam,
-            "mu": list(score.mu_values),
+            "mu": list(score.iou.fraction_at),
             "overlap_measure": "interval-iou",
             "prf_aggregation": "pooled-counts",
             "iou_normalization": "ground-truth-steps",

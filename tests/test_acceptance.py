@@ -242,8 +242,8 @@ def test_criterion_2_worked_examples():
     expect("temporal IoU", temporal_iou(TimeInterval(10, 20), TimeInterval(15, 25)), 0.3333)
     expect("relaxed IoU", relaxed_iou(TimeInterval(10, 11), TimeInterval(12, 13), 3), 0.5556)
     expect("ROUGE-L F", rouge_l(CaptionPair("tie the elbow", "tie the elbow to the board")).f, 0.6667)
-    pred_step = Step("tie the elbow", TimeInterval(0, 5), 0)
-    gold_step = Step("tie the elbow to the board", TimeInterval(0, 10), 0)
+    pred_step = Step("tie the elbow", TimeInterval(0, 5))
+    gold_step = Step("tie the elbow to the board", TimeInterval(0, 10))
     expect("alignment score", alignment_score(pred_step, gold_step), 0.5833)
     expect(
         "BLEU-2",
@@ -332,16 +332,16 @@ def test_criterion_5_threshold_annihilation():
     pred = StepSequence(
         "seg",
         [
-            Step("wrap the wrist with a bandage", TimeInterval(0, 10), 0),
-            Step("tie the elbow to the board", TimeInterval(10, 20), 1),
+            Step("wrap the wrist with a bandage", TimeInterval(0, 10)),
+            Step("tie the elbow to the board", TimeInterval(10, 20)),
         ],
     )
     gold = StepSequence(
         "seg",
         [
-            Step("wrap the wrist with a bandage", TimeInterval(0, 10), 0),
-            Step("tie the elbow to the board", TimeInterval(10, 20), 1),
-            Step("call for medical help", TimeInterval(20, 30), 2),
+            Step("wrap the wrist with a bandage", TimeInterval(0, 10)),
+            Step("tie the elbow to the board", TimeInterval(10, 20)),
+            Step("call for medical help", TimeInterval(20, 30)),
         ],
     )
     result = align_steps(pred, gold, AlignmentParams(theta=1.01))

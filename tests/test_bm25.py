@@ -42,7 +42,9 @@ class TestBuildIndex:
 
     def test_shared_term_posting_sorted(self):
         index = build_index(docs("alpha beta", "alpha gamma"))
-        assert index.postings["alpha"] == [("v1", 1), ("v2", 1)]
+        start, end = index.span("alpha")
+        assert [index.videos[doc] for doc in index.doc_ids[start:end]] == ["v1", "v2"]
+        assert index.tfs[start:end].tolist() == [1, 1]
 
     def test_duplicate_video_rejected(self):
         with pytest.raises(ValueError, match="dup"):
@@ -52,15 +54,14 @@ class TestBuildIndex:
         corpus = [CorpusDocument("v1", "nebulizer guide", "attach the mouthpiece")]
         with_title = build_index(corpus)
         without = build_index(corpus, include_title=False)
-        assert "nebulizer" in with_title.postings
-        assert "nebulizer" not in without.postings
+        assert "nebulizer" in with_title.terms
+        assert "nebulizer" not in without.terms
 
     def test_insertion_order_invariant(self):
         corpus = docs("alpha beta gamma", "beta beta delta", "gamma alpha alpha")
         forward = build_index(corpus)
         backward = build_index(list(reversed(corpus)))
-        assert forward.postings == backward.postings
-        assert forward.avg_doc_length == backward.avg_doc_length
+        assert forward == backward
         assert search(forward, "alpha beta", 3) == search(backward, "alpha beta", 3)
 
 
@@ -167,10 +168,7 @@ class TestPersistence:
         index = build_index(docs("attach the mouthpiece", "rinse the ear canal", ""))
         save_index(index, tmp_path)
         loaded = load_index(tmp_path)
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.avg_doc_length == index.avg_doc_length
-        assert loaded.doc_count == index.doc_count
+        assert loaded == index
 
     def test_search_identical_after_reload(self, tmp_path):
         index = build_index(docs("attach the mouthpiece", "rinse the ear canal"))
@@ -209,7 +207,7 @@ def _v2_file(videos, lengths, terms, offsets, doc_ids, tfs, *, average=None, ver
     """Encode an index file from its parts, independently of save_index."""
 
     def blob(strings):
-        raw = "\n".join(strings).encode("utf-8")
+        raw = "\n".join(strings).encode("utf-8", "surrogateescape")  # "\udcff" encodes the invalid byte 0xff
         return struct.pack("<Q", len(raw)) + raw
 
     def le(typecode, values):
@@ -252,8 +250,8 @@ class TestFormatV2:
 
     def test_hand_built_file_loads(self, tmp_path):
         index = load_index(self.write(tmp_path, _v2_file(**VALID_PARTS)))
-        assert index.postings == {"alpha": [("v1", 1), ("v2", 1)], "beta": [("v1", 1)]}
-        assert index.doc_lengths == {"v1": 2, "v2": 1}
+        assert (index.videos, index.lengths.tolist(), index.terms) == (["v1", "v2"], [2, 1], ["alpha", "beta"])
+        assert (index.offsets.tolist(), index.doc_ids.tolist(), index.tfs.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 1])
         assert index.avg_doc_length == 1.5
 
     def test_save_index_writes_the_documented_layout(self, tmp_path):
@@ -302,6 +300,9 @@ class TestFormatV2:
             ({"tfs": [1, 0, 1]}, "zero term frequency"),
             ({"average": 2.0}, "inconsistent"),
             ({"average": math.nan}, "inconsistent"),
+            ({"videos": ["v1\nv3", "v2"]}, "document table holds 3 entries, header says 2"),
+            ({"terms": ["alpha\ngamma", "beta"]}, "term table holds 3"),
+            ({"videos": ["v\udcff", "v2"]}, "corrupt document table"),
         ],
     )
     def test_inconsistent_structure_rejected(self, tmp_path, change, message):

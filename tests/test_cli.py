@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medvideval.bm25 import build_index, save_index
 from medvideval.cli import run_cli as main
 from medvideval.io_formats import parse_retrieval_run, read_report
 
@@ -757,6 +758,30 @@ def test_seconds_past_the_bound_exit_2_naming_the_field(tmp_path, capsys, name, 
     assert main(["eval-localization", "--run", run, "--qrels", str(ORGANISER / "qrels.txt"), answers, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: ") and field in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["eval-retrieval", "--run", str(ORGANISER / "retrieval.run"), "--qrels"], "q1 0 v1 1\nq1 0 v1 2\n",
+         "2: duplicate judgment for video 'v1'"),
+        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"], '{"segment": "s1", "steps": {}}',
+         "1: 'steps' must be a list"),
+        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"], '{"segment": "s1", "steps": ["wrap"]}',
+         "1: each step must be a JSON object"),
+        (["index", "--out", "{dir}"], '{"video": "v1", "title": 1}', "1: 'title' and 'subtitle' must be strings"),
+        (["search", "{dir}"], "q1 wrap the wrist\nq1 tie the elbow\n", "2: duplicate question id 'q1'"),
+    ],
+    ids=["qrels-duplicate-video", "steps-not-a-list", "step-not-an-object", "corpus-non-string-title",
+         "queries-duplicate-id"],
+)
+def test_malformed_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, text, message):
+    save_index(build_index([]), tmp_path)  # search loads an index before it reads the queries
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(tmp_path) if arg == "{dir}" else arg for arg in argv]
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
 
 REPO = Path(__file__).resolve().parents[1]

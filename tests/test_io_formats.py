@@ -201,7 +201,7 @@ class TestStepParsing:
     def test_single_step_sequence(self):
         parsed = parse_steps(_steps_record())
         seq = parsed["seg1"]
-        assert seq.steps == [Step("Stabilize the arm with the board", TimeInterval(5, 12), 0)]
+        assert seq.steps == [Step("Stabilize the arm with the board", TimeInterval(5, 12))]
 
     def test_unordered_steps_sorted_by_start(self):
         record = _steps_record(
@@ -211,7 +211,7 @@ class TestStepParsing:
             ]
         )
         parsed = parse_steps(record)
-        assert [(s.caption, s.order) for s in parsed["seg1"].steps] == [("first", 0), ("second", 1)]
+        assert [s.caption for s in parsed["seg1"].steps] == ["first", "second"]
 
     def test_tied_starts_keep_source_order(self):
         record = _steps_record(
@@ -318,6 +318,8 @@ class TestReports:
     def test_read_report_rejects_garbage(self):
         with pytest.raises(FormatError):
             read_report("{not json")
+        with pytest.raises(FormatError, match="^<report>:1: 'params' and 'values' must be objects$"):
+            read_report('{"report": "demo", "params": [], "values": {}}')
 
 
 # ---------------------------------------------------------------------------

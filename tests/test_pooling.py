@@ -18,13 +18,7 @@ def make_run(qid="Q1", tag="sysA", depth=25):
 class TestPoolSpec:
     def test_track_schedule_probabilities(self):
         spec = PoolSpec()
-        assert spec.max_depth == 25
-        assert spec.probability_for_rank(1) == 1.0
-        assert spec.probability_for_rank(10) == 1.0
-        assert spec.probability_for_rank(11) == 0.3
-        assert spec.probability_for_rank(16) == 0.2
-        assert spec.probability_for_rank(21) == 0.1
-        assert spec.probability_for_rank(26) is None
+        assert spec.rank_probabilities == (1.0,) * 10 + (0.3,) * 5 + (0.2,) * 5 + (0.1,) * 5
 
     def test_expected_inclusions_is_thirteen(self):
         assert PoolSpec().expected_inclusions() == pytest.approx(13.0)
@@ -141,5 +135,3 @@ def test_write_pool_lists_every_contribution_sorted():
 def test_rank_probabilities_follow_the_bands():
     spec = PoolSpec((PoolBand(2, 1.0), PoolBand(3, 0.25)))
     assert spec.rank_probabilities == (1.0, 1.0, 0.25, 0.25, 0.25)
-    assert spec.max_depth == 5
-    assert [spec.probability_for_rank(rank) for rank in range(1, 7)] == [1.0, 1.0, 0.25, 0.25, 0.25, None]

@@ -122,6 +122,7 @@ class TestMeanIoU:
             "Q3": [judged_video("Q3", "v3", 2, [(0, 10)])],
         }
         assert mean_iou(run, qrels, 1) == pytest.approx(1 / 3)
+        assert mean_iou({}, {}, 1) == 0.0  # no judged question: nothing to divide by
 
 
 class TestRecallAtNIoU:
@@ -362,4 +363,4 @@ def test_evaluate_localization_warns_on_unjudged_questions():
     qrels = {"Q1": [judged_video("Q1", "v1", 2, [(0, 10)])]}
     with pytest.warns(ToolkitWarning, match="'QX' has no judgments"):
         score = evaluate_localization(run, qrels, IoUParams((1,), (0.5,)))
-    assert score.question_count == 1 and score.table[1]["IoU=0.5"] == 100.0
+    assert len(score.per_question) == 1 and score.table[1]["IoU=0.5"] == 100.0

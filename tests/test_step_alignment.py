@@ -25,12 +25,12 @@ from medvideval.text_metrics import tokenize
 from oracles import align_oracle
 
 
-def step(caption, start, end, order=0):
-    return Step(caption, TimeInterval(start, end), order)
+def step(caption, start, end):
+    return Step(caption, TimeInterval(start, end))
 
 
 def sequence(segment_id, *steps_):
-    return StepSequence(segment_id, [Step(s.caption, s.interval, i) for i, s in enumerate(steps_)])
+    return StepSequence(segment_id, list(steps_))
 
 
 class TestScoring:
@@ -260,7 +260,7 @@ def test_thresholds_are_sorted_and_deduplicated():
     stats = step_segment_stats([(s, s, align_steps(s, s))], lam=0.0, mu_values=(0.7, 0.3, 0.7))
     assert list(stats.fraction_at) == [0.3, 0.7]
     score = evaluate_steps({"seg": s}, {"seg": s}, mu_values=(0.7, 0.3, 0.7))
-    assert score.mu_values == (0.3, 0.7)
+    assert steps_report(score).params["mu"] == [0.3, 0.7]
     assert [key for key in steps_report(score).values if key.startswith("IoU=")] == ["IoU=0.3", "IoU=0.7"]
 
 
