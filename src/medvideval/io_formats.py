@@ -432,10 +432,14 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     run: dict[QuestionId, list[LocalizationCandidate]] = {}
     for qid, rows in staged.items():
         ranks = {row[1] for row in rows}
+        # Rows are still in file order, so a fault names the first line that breaks the rule.
         if None in ranks and len(ranks) > 1:
-            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][2])
+            line = next(row[2] for row in rows if (row[1] is None) != (rows[0][1] is None))
+            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=line)
         if len(ranks) < len(rows) and None not in ranks:
-            raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][2])
+            seen: set[int] = set()
+            line = next(row[2] for row in rows if row[1] in seen or seen.add(row[1]))
+            raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=line)
         # Ranks are distinct or all None, so (-score, rank) or (-score, line) decides.
         rows.sort()
         run[qid] = [

@@ -126,49 +126,46 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
 
     Maximizes the number of matched tokens, then minimizes the number of
     chunks (maximal runs that are contiguous in both sides).  Exhaustive
-    search with feasibility and branch-and-bound pruning; caption-sized
-    inputs resolve immediately because chunk continuation is tried first.
+    depth-first search with branch-and-bound pruning; caption-sized inputs
+    resolve immediately because chunk continuation is tried first.
     """
-    max_matches = sum((Counter(pred) & Counter(ref)).values())
+    # Every maximum alignment matches token t exactly quota[t] times.
+    quota = Counter(pred) & Counter(ref)
+    max_matches = sum(quota.values())
     if max_matches == 0:
         return 0, 0
-    positions: dict[str, list[int]] = {}
+    mask: dict[str, int] = {}
     for j, token in enumerate(ref):
-        positions.setdefault(token, []).append(j)
-    suffix_counts: list[Counter] = [Counter()] * (len(pred) + 1)
-    running: Counter = Counter()
-    suffix_counts[len(pred)] = Counter(running)
+        mask[token] = mask.get(token, 0) | 1 << j
+    later = [0] * len(pred)  # occurrences of pred[i] after position i
+    seen: Counter = Counter()
     for i in range(len(pred) - 1, -1, -1):
-        running[pred[i]] += 1
-        suffix_counts[i] = Counter(running)
-    remaining = Counter(ref)
+        later[i] = seen[pred[i]]
+        seen[pred[i]] += 1
     best = max_matches + 1  # any alignment has at most one chunk per match
-
-    def dfs(i: int, used: int, prev_j: int, matched: int, chunks: int) -> None:
-        nonlocal best
+    # Node: (pred position, bitmask of used ref positions, ref position that
+    # would continue the current chunk, chunks so far).  len(ref) is never free.
+    stack = [(0, 0, len(ref), 0)]
+    while stack:
+        i, used, cont, chunks = stack.pop()
         if chunks >= best:
-            return
-        potential = sum(min(count, remaining[token]) for token, count in suffix_counts[i].items())
-        if matched + potential < max_matches:
-            return
+            continue
         if i == len(pred):
             best = chunks
-            return
+            continue
         token = pred[i]
-        cont = prev_j + 1 if prev_j >= 0 else -1
-        order = []
-        if 0 <= cont < len(ref) and ref[cont] == token and not used & (1 << cont):
-            order.append(cont)
-        for j in positions.get(token, ()):
-            if j != cont and not used & (1 << j):
-                order.append(j)
-        for j in order:
-            remaining[token] -= 1
-            dfs(i + 1, used | (1 << j), j, matched + 1, chunks + (0 if j == cont else 1))
-            remaining[token] += 1
-        dfs(i + 1, used, -1, matched, chunks)
-
-    dfs(0, 0, -1, 0, 0)
+        need = quota[token] - (used & mask.get(token, 0)).bit_count()
+        if need <= later[i]:  # the quota can still be met after skipping
+            stack.append((i + 1, used, len(ref), chunks))
+        if need > 0:
+            free = mask[token] & ~used
+            others = free & ~(1 << cont)
+            while others:  # highest first, so the lowest position pops first
+                j = others.bit_length() - 1
+                others ^= 1 << j
+                stack.append((i + 1, used | 1 << j, j + 1, chunks + 1))
+            if free >> cont & 1:
+                stack.append((i + 1, used | 1 << cont, cont + 1, chunks))
     return max_matches, best
 
 

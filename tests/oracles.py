@@ -360,8 +360,9 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
         ranks = {row[4] for row in rows}
         if None in ranks:
             if len(ranks) > 1:
+                first_break = next(row[0] for row in rows if (row[4] is None) != (rows[0][4] is None))
                 raise FormatError(
-                    f"question {qid!r} mixes records with and without ranks", source=source, line=rows[0][0]
+                    f"question {qid!r} mixes records with and without ranks", source=source, line=first_break
                 )
             rows.sort(key=lambda row: -row[3])  # stable, so file order breaks score ties
             candidates = [
@@ -370,7 +371,8 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
             ]
         else:
             if len(ranks) != len(rows):
-                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=rows[0][0])
+                first_repeat = next(row[0] for k, row in enumerate(rows) if row[4] in {r[4] for r in rows[:k]})
+                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=first_repeat)
             candidates = [LocalizationCandidate(qid, *row[1:]) for row in rows]
             candidates.sort(key=lambda c: (-c.score, c.rank))
         result[qid] = candidates

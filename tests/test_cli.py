@@ -817,3 +817,14 @@ def test_entry_point_prints_one_line_per_warning(argv, expected):
     )
     assert result.returncode == 0
     assert result.stderr.splitlines() == expected
+
+
+def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):
+    caption = " ".join(f"word{i}" for i in range(1200))
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps({"segment": "s1", "steps": [{"caption": caption, "start": 0, "end": 10}]}) + "\n")
+    out_path = tmp_path / "captions.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a caption past seven words warns by design
+        assert main(["eval-captions", "--pred", str(steps), "--gold", str(steps), "--out", str(out_path)]) == 0
+    assert "\nMETEOR\t100.0000\n" in out_path.read_text()

@@ -154,7 +154,7 @@ class TestLocalizationRunParsing:
 
     def test_mixed_rank_presence_rejected(self):
         text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b")])
-        with pytest.raises(FormatError, match="mixes"):
+        with pytest.raises(FormatError, match=":2: .*mixes"):
             parse_localization_run(text)
 
     def test_score_ties_ranked_in_file_order(self):
@@ -178,7 +178,7 @@ class TestLocalizationRunParsing:
 
     def test_duplicate_explicit_rank_rejected(self):
         text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b", rank=1)])
-        with pytest.raises(FormatError, match="duplicate rank"):
+        with pytest.raises(FormatError, match=":2: duplicate rank"):
             parse_localization_run(text)
 
     def test_malformed_json_positioned(self):

@@ -14,7 +14,7 @@ from medvideval.text_metrics import (
     rouge_l_tokens,
     tokenize,
 )
-from oracles import bleu_oracle, lcs_oracle, meteor_oracle, rouge_l_oracle
+from oracles import bleu_oracle, lcs_oracle, meteor_alignment_oracle, meteor_oracle, rouge_l_oracle
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=8)
 
@@ -147,13 +147,17 @@ class TestMeteor:
         assert meteor(CaptionPair("b a", "a b")) == pytest.approx(0.5)
 
     def test_matches_exhaustive_oracle(self):
+        from medvideval.text_metrics import _exact_alignment
+
         rng = random.Random(4242)
-        vocab = ["a", "b", "c", "d", "e", "f"]
-        for _ in range(300):
-            pred = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-            ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-            produced = meteor(CaptionPair(" ".join(pred), " ".join(ref)))
-            assert produced == pytest.approx(meteor_oracle(pred, ref), abs=1e-9)
+        # Six letters, then two: repeated tokens exercise the quota and skip rules.
+        for vocab in (["a", "b", "c", "d", "e", "f"], ["a", "b"]):
+            for _ in range(300):
+                pred = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+                ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+                assert _exact_alignment(pred, ref) == meteor_alignment_oracle(pred, ref)
+                produced = meteor(CaptionPair(" ".join(pred), " ".join(ref)))
+                assert produced == pytest.approx(meteor_oracle(pred, ref), abs=1e-9)
 
     @given(words.filter(bool), words.filter(bool))
     def test_bounded_and_formula_consistent(self, pred, ref):
