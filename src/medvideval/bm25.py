@@ -225,9 +225,13 @@ def save_index(index: InvertedIndex, directory: str | Path) -> Path:
     """Write the index under ``directory`` and return the file path.
 
     The file is written atomically, so the index is never seen half-written.
+    An OS failure is a FormatError naming ``directory``.
     """
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FormatError(str(exc.strerror or exc), source=str(directory)) from exc
     payload = b"".join(
         (
             _COUNTS.pack(index.doc_count, len(index.terms), len(index.doc_ids), index.avg_doc_length),

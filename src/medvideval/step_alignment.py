@@ -29,7 +29,7 @@ from .segment_metrics import (
     temporal_iou,
     threshold_key,
 )
-from .text_metrics import PRF, CaptionPair, bleu_n, meteor, prf, rouge_l, rouge_l_tokens, tokenize
+from .text_metrics import PRF, CaptionPair, bleu_scores, meteor, prf, rouge_l, rouge_l_tokens, token_masks, tokenize
 
 BLEU_ORDERS = (2, 3)
 
@@ -70,12 +70,18 @@ def _steps(sequence: StepSequence | Sequence) -> Sequence:
 
 
 def _step_scorer(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams) -> Callable[[int, int], float]:
-    """Cell scorer over (pred index, gold index); each caption is tokenized once, for the scorer's lifetime."""
+    """Cell scorer over (pred index, gold index).
+
+    Each caption is tokenized once, and each gold caption's LCS masks are
+    built once, for the scorer's lifetime.
+    """
     pred_tokens = [tokenize(step.caption) for step in pred_steps]
     gold_tokens = [tokenize(step.caption) for step in gold_steps]
+    gold_masks = [token_masks(tokens) for tokens in gold_tokens]
     def score(p_idx: int, g_idx: int) -> float:
         overlap = temporal_iou(pred_steps[p_idx].interval, gold_steps[g_idx].interval)
-        return params.alpha * overlap + params.beta * rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx]).f
+        caption = rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], gold_masks[g_idx])
+        return params.alpha * overlap + params.beta * caption.f
     return score
 
 
@@ -273,7 +279,7 @@ def evaluate_captions(
     pairs = matched_caption_pairs(pred_map, gold_map, params)
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
-    bleu = {order: bleu_n(pairs, order) for order in BLEU_ORDERS}
+    bleu = bleu_scores(pairs, BLEU_ORDERS)
     meteor_mean = plain_sum(meteor(pair) for pair in pairs) / len(pairs)
     rouge_mean = plain_sum(rouge_l(pair).f for pair in pairs) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)

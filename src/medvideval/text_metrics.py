@@ -61,23 +61,40 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence (two-row dynamic program)."""
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+def token_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Bitmask of the positions of each token: bit j is set when ``tokens[j]`` is that token."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | 1 << j
+    return masks
 
 
-def rouge_l_tokens(pred: Sequence[str], ref: Sequence[str]) -> PRF:
-    """LCS-based precision, recall, and F of two token lists (0 when either is empty)."""
-    return prf(lcs_length(pred, ref), len(pred), len(ref))
+def lcs_length(a: Sequence[str], b: Sequence[str], b_masks: dict[str, int] | None = None) -> int:
+    """Length of the longest common subsequence, bit-parallel over ``b``.
+
+    Hyyrö's (2004) form of the bit-vector LCS of Allison & Dix (1986): one
+    and/add/or/subtract per token of ``a`` on a ``len(b)``-bit int, whose
+    zero bits count the LCS.  ``b_masks`` is ``token_masks(b)``, passed by
+    callers that score one ``b`` against many ``a``.
+    """
+    if b_masks is None:
+        b_masks = token_masks(b)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        mask = b_masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def rouge_l_tokens(pred: Sequence[str], ref: Sequence[str], ref_masks: dict[str, int] | None = None) -> PRF:
+    """LCS-based precision, recall, and F of two token lists (0 when either is empty).
+
+    ``ref_masks`` is ``token_masks(ref)``, for callers that score one reference many times.
+    """
+    return prf(lcs_length(pred, ref, ref_masks), len(pred), len(ref))
 
 
 def rouge_l(pair: CaptionPair) -> PRF:
@@ -85,23 +102,28 @@ def rouge_l(pair: CaptionPair) -> PRF:
     return rouge_l_tokens(tokenize(pair.predicted), tokenize(pair.reference))
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+def _ngram_counts(tokens: Sequence[str], top: int) -> Counter:
+    """Count of every k-gram of ``tokens`` for k = 1..top; a k-gram's order is its length."""
+    return Counter(tuple(tokens[i : i + k]) for k in range(1, top + 1) for i in range(len(tokens) - k + 1))
 
 
-def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
-    """Corpus-level BLEU with uniform weights up to order ``n`` and no smoothing.
+def bleu_scores(pairs: Sequence[CaptionPair], orders: Sequence[int]) -> dict[int, float]:
+    """Corpus-level BLEU for each order in ``orders``, from one counting pass.
 
-    Modified (clipped) k-gram precisions are pooled across all pairs; the
-    brevity penalty is exp(min(0, 1 - ref_len/pred_len)).  A corpus precision
-    of zero, or with no candidate k-grams, annihilates the geometric mean.
+    Uniform weights up to each order and no smoothing.  Modified (clipped)
+    k-gram precisions are pooled across all pairs, counted once up to the
+    largest order; the brevity penalty is exp(min(0, 1 - ref_len/pred_len)).
+    A corpus precision of zero, or with no candidate k-grams, annihilates
+    the geometric mean.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"BLEU order must be 1..4, got {n}")
+    for n in orders:
+        if not 1 <= n <= 4:
+            raise ValueError(f"BLEU order must be 1..4, got {n}")
     if not pairs:
         raise ValueError("at least one caption pair is required")
-    matched = [0] * n
-    candidates = [0] * n
+    top = max(orders)
+    matched = [0] * top
+    candidates = [0] * top
     pred_len = 0
     ref_len = 0
     for pair in pairs:
@@ -109,16 +131,24 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
         ref = tokenize(pair.reference)
         pred_len += len(pred)
         ref_len += len(ref)
-        for order in range(1, n + 1):
-            pred_grams = _ngram_counts(pred, order)
-            ref_grams = _ngram_counts(ref, order)
-            candidates[order - 1] += sum(pred_grams.values())
-            matched[order - 1] += sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
-    if any(c == 0 or m == 0 for m, c in zip(matched, candidates)):
-        return 0.0
-    log_precision = plain_sum(math.log(m / c) for m, c in zip(matched, candidates)) / n
-    brevity = math.exp(min(0.0, 1.0 - ref_len / pred_len))
-    return brevity * math.exp(log_precision)
+        for order in range(1, min(top, len(pred)) + 1):
+            candidates[order - 1] += len(pred) - order + 1
+        for gram, count in (_ngram_counts(pred, top) & _ngram_counts(ref, top)).items():
+            matched[len(gram) - 1] += count
+    scores = {}
+    for n in orders:
+        pooled = list(zip(matched[:n], candidates[:n]))
+        if any(c == 0 or m == 0 for m, c in pooled):
+            scores[n] = 0.0
+        else:
+            log_precision = plain_sum(math.log(m / c) for m, c in pooled) / n
+            scores[n] = math.exp(min(0.0, 1.0 - ref_len / pred_len)) * math.exp(log_precision)
+    return scores
+
+
+def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
+    """Corpus-level BLEU with uniform weights up to order ``n``; see ``bleu_scores``."""
+    return bleu_scores(pairs, (n,))[n]
 
 
 def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
@@ -134,9 +164,7 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
     max_matches = sum(quota.values())
     if max_matches == 0:
         return 0, 0
-    mask: dict[str, int] = {}
-    for j, token in enumerate(ref):
-        mask[token] = mask.get(token, 0) | 1 << j
+    mask = token_masks(ref)
     later = [0] * len(pred)  # occurrences of pred[i] after position i
     seen: Counter = Counter()
     for i in range(len(pred) - 1, -1, -1):

@@ -2,9 +2,11 @@
 
 Nothing here imports the production metric code; every function is a naive
 restatement of a definition so the test suite can check the optimized paths
-against it.  The reference parsers at the end are the exception: they are the
-line-by-line run parsers that the single-pass ones replaced, and they share
-the per-field checks of ``medvideval.io_formats``.
+against it.  Two kinds of reference are the exception.  ``reference_lcs_length``
+is the two-row dynamic program that the bit-parallel LCS replaced.  The
+reference parsers at the end are the line-by-line run parsers that the
+single-pass ones replaced, and they share the per-field checks of
+``medvideval.io_formats``.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ def lcs_oracle(a: list[str], b: list[str]) -> int:
         if best:
             break
     return best
+
+
+def reference_lcs_length(a: list[str], b: list[str]) -> int:
+    """LCS length by the two-row dynamic program, O(|a|·|b|) cell updates."""
+    previous = [0] * (len(b) + 1)
+    for token_a in a:
+        current = [0]
+        for j, token_b in enumerate(b, start=1):
+            if token_a == token_b:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
 
 
 def rouge_l_oracle(pred: list[str], ref: list[str]) -> tuple[float, float, float]:

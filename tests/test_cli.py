@@ -501,6 +501,7 @@ def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
 
 STEPS = Path(__file__).resolve().parent / "data" / "steps"
 STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
+ROUGE_ONLY = ["--alpha", "0", "--beta", "1", "--theta", "0.3"]  # caption ROUGE-L alone decides the matches
 
 
 @pytest.mark.parametrize(
@@ -511,6 +512,8 @@ STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.
             ("steps", "eval-steps", []),
             ("steps_lambda0_mu0.5", "eval-steps", ["--lambda", "0", "--mu", "0.5"]),
             ("captions", "eval-captions", []),
+            ("steps_alpha0_beta1_theta0.3", "eval-steps", ROUGE_ONLY),
+            ("captions_alpha0_beta1_theta0.3", "eval-captions", ROUGE_ONLY),
         ]
         for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
     ],
@@ -551,6 +554,19 @@ def test_failed_out_write_names_the_out_path(files, tmp_path, capsys, target, re
     assert code == 2
     assert capsys.readouterr().err == f"error: {out_path}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("blocker", "File exists"), ("blocker/sub", "Not a directory")],
+    ids=["file-at-target", "file-as-parent"],
+)
+def test_failed_index_directory_names_the_out_path(tmp_path, capsys, target, reason):
+    (tmp_path / "blocker").write_bytes(b"not a directory\n")
+    out_dir = tmp_path / target
+    assert main(["index", SMOKE_CORPUS, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {out_dir}: {reason}\n"
+    assert (tmp_path / "blocker").read_bytes() == b"not a directory\n"
 
 
 def test_unexpected_exception_exits_1_with_one_line(files, monkeypatch, capsys):
@@ -855,3 +871,22 @@ def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):
         warnings.simplefilter("ignore")  # a caption past seven words warns by design
         assert main(["eval-captions", "--pred", str(steps), "--gold", str(steps), "--out", str(out_path)]) == 0
     assert "\nMETEOR\t100.0000\n" in out_path.read_text()
+
+
+def test_long_caption_pair_rouge_l_is_exact(tmp_path):
+    reference = [f"word{i}" for i in range(3000)]
+    predicted = [f"other{i}" if i % 3 == 2 else word for i, word in enumerate(reference)]
+    lcs = 2000  # every third word is replaced by one the reference lacks
+    precision = lcs / len(predicted)
+    recall = lcs / len(reference)
+    rouge = 2 * precision * recall / (precision + recall)
+    paths = {}
+    for name, words in [("pred", predicted), ("gold", reference)]:
+        step = {"caption": " ".join(words), "start": 0, "end": 10}
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(json.dumps({"segment": "s1", "steps": [step]}) + "\n")
+    out_path = tmp_path / "captions.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a caption past seven words warns by design
+        assert main(["eval-captions", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]), "--out", str(out_path)]) == 0
+    assert f"\nROUGE-L\t{100.0 * rouge:.4f}\n" in out_path.read_text()

@@ -11,6 +11,7 @@ from medvideval import step_alignment, text_metrics
 from medvideval.core import TimeInterval, ToolkitWarning
 from medvideval.io_formats import Step, StepSequence, parse_steps
 from medvideval.step_alignment import (
+    BLEU_ORDERS,
     AlignmentParams,
     align_steps,
     alignment_score,
@@ -21,7 +22,7 @@ from medvideval.step_alignment import (
     step_segment_stats,
     steps_report,
 )
-from medvideval.text_metrics import tokenize
+from medvideval.text_metrics import bleu_n, tokenize
 from oracles import align_oracle
 
 
@@ -249,6 +250,27 @@ class TestCaptions:
         assert score.bleu[2] == 0.0
 
 
+# Punctuation alone (no tokens), or one to five tokens: often shorter than a BLEU order.
+short_captions = st.sampled_from(["...", "!!", "(-)"]) | st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(" ".join)
+
+
+@given(st.lists(st.lists(st.tuples(short_captions, short_captions), min_size=1, max_size=4), min_size=1, max_size=3))
+def test_caption_bleu_equals_bleu_n_of_the_matched_pairs(segments):
+    # IoU alone at theta 1 matches the i-th predicted step to the i-th gold step.
+    params = AlignmentParams(theta=1.0, alpha=1.0, beta=0.0)
+    pred = {}
+    gold = {}
+    for s_idx, captions in enumerate(segments):
+        segment_id = f"s{s_idx}"
+        pred[segment_id] = sequence(segment_id, *(step(p, 10 * i, 10 * i + 5) for i, (p, _) in enumerate(captions)))
+        gold[segment_id] = sequence(segment_id, *(step(g, 10 * i, 10 * i + 5) for i, (_, g) in enumerate(captions)))
+    pairs = matched_caption_pairs(pred, gold, params)
+    assert len(pairs) == sum(len(captions) for captions in segments)
+    score = evaluate_captions(pred, gold, params)
+    for order in BLEU_ORDERS:
+        assert score.bleu[order] == bleu_n(pairs, order)
+
+
 @pytest.mark.parametrize("values", [{"theta": math.nan}, {"alpha": math.inf}, {"beta": -math.inf}, {"lam": math.nan}])
 def test_params_reject_non_finite_values(values):
     with pytest.raises(ValueError):
@@ -272,6 +294,19 @@ def test_negative_alignment_parameter_is_named(field):
 
 
 STEP_FIXTURE = Path(__file__).resolve().parent / "data" / "steps"
+
+
+@pytest.mark.parametrize("params", [AlignmentParams(), AlignmentParams(theta=0.3, alpha=0.0, beta=1.0)])
+def test_fixture_caption_bleu_equals_bleu_n_of_the_matched_pairs(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a long caption and a prediction-only segment warn by design
+        pred = parse_steps((STEP_FIXTURE / "pred.jsonl").read_text(encoding="utf-8"))
+        gold = parse_steps((STEP_FIXTURE / "gold.jsonl").read_text(encoding="utf-8"))
+        pairs = matched_caption_pairs(pred, gold, params)
+        score = evaluate_captions(pred, gold, params)
+    assert pairs
+    for order in BLEU_ORDERS:
+        assert score.bleu[order] == bleu_n(pairs, order)
 
 
 def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):

@@ -8,15 +8,33 @@ from medvideval.text_metrics import (
     PRF,
     CaptionPair,
     bleu_n,
+    bleu_scores,
     lcs_length,
     meteor,
     rouge_l,
     rouge_l_tokens,
+    token_masks,
     tokenize,
 )
-from oracles import bleu_oracle, lcs_oracle, meteor_alignment_oracle, meteor_oracle, rouge_l_oracle
+from oracles import (
+    bleu_oracle,
+    lcs_oracle,
+    meteor_alignment_oracle,
+    meteor_oracle,
+    reference_lcs_length,
+    rouge_l_oracle,
+)
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=8)
+
+
+@st.composite
+def long_token_lists(draw):
+    """Two lists of 0-200 tokens over one alphabet of 1-5 letters, so masks cross 64 and 128 bits."""
+    letters = st.sampled_from("abcde"[: draw(st.integers(1, 5))])
+    a_size = draw(st.integers(0, 200))
+    b_size = draw(st.integers(0, 200))
+    return draw(st.lists(letters, min_size=a_size, max_size=a_size)), draw(st.lists(letters, min_size=b_size, max_size=b_size))
 
 
 class TestTokenize:
@@ -49,6 +67,31 @@ class TestLcs:
     @given(words, words)
     def test_matches_exhaustive_oracle(self, a, b):
         assert lcs_length(a, b) == lcs_oracle(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([], ["a", "b"], 0),
+            (["a", "b"], [], 0),
+            ([], [], 0),
+            (["a"] * 70, ["a"] * 130, 70),
+            (["b", "d"], ["a", "b", "c", "d", "e"], 2),
+            (["a", "b", "c", "d", "e"], ["e", "b", "d"], 2),
+        ],
+        ids=["empty-a", "empty-b", "both-empty", "all-equal", "b-longer", "a-longer"],
+    )
+    def test_hand_cases(self, a, b, expected):
+        assert lcs_length(a, b) == reference_lcs_length(a, b) == expected
+
+    @given(long_token_lists())
+    def test_matches_two_row_reference(self, sides):
+        a, b = sides
+        assert lcs_length(a, b) == reference_lcs_length(a, b)
+
+    @given(long_token_lists())
+    def test_precomputed_masks_give_the_same_rouge(self, sides):
+        pred, ref = sides
+        assert rouge_l_tokens(pred, ref, token_masks(ref)) == rouge_l_tokens(pred, ref)
 
 
 class TestRougeL:
@@ -216,6 +259,19 @@ def test_bleu_matches_oracle_with_punctuation_only_sides():
         tokens = [(pred, ref) for (pred, _), (ref, _) in sides]
         n = rng.randint(1, 4)
         assert bleu_n(pairs, n) == pytest.approx(bleu_oracle(tokens, n), abs=1e-9)
+
+
+# Punctuation alone (no tokens), or one to five tokens: often shorter than the BLEU order.
+short_captions = st.sampled_from(PUNCTUATION_ONLY) | st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(" ".join)
+
+
+@given(st.lists(st.tuples(short_captions, short_captions), min_size=1, max_size=5))
+def test_every_bleu_order_from_one_pass_equals_bleu_n(sides):
+    pairs = [CaptionPair(pred, ref) for pred, ref in sides]
+    scores = bleu_scores(pairs, (1, 2, 3, 4))
+    assert list(scores) == [1, 2, 3, 4]
+    for n in (1, 2, 3, 4):
+        assert scores[n] == bleu_n(pairs, n)
 
 
 def test_bleu_of_predictions_without_tokens_is_zero():
