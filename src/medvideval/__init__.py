@@ -11,9 +11,7 @@ from .core import (
     RelevanceGrade,
     TimeInterval,
     ToolkitWarning,
-    intersection_length,
     parse_timestamp,
-    union_length,
 )
 from .io_formats import (
     CorpusDocument,

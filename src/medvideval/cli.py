@@ -260,7 +260,10 @@ def _cmd_eval_captions(args: argparse.Namespace) -> int:
 
 def _cmd_pool(args: argparse.Namespace) -> int:
     runs = [parse_retrieval_run(read_text(path), source=path) for path in args.run]
-    pool = build_pool(runs, PoolSpec(seed=args.seed))
+    try:
+        pool = build_pool(runs, PoolSpec(seed=args.seed), sources=args.run)
+    except ValueError as exc:  # two runs share a tag on one question
+        raise FormatError(str(exc)) from None
     _emit(write_pool(pool), args.out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Shared temporal types, identifiers, and interval arithmetic.
+"""Shared temporal types, identifiers, timestamp parsing, and number formatting.
 
 Timestamps are stored as real-valued seconds throughout the toolkit; the
 ``MM:SS`` notation is accepted on input.
@@ -155,12 +155,3 @@ def plain_sum(values: Iterable[float]) -> float:
         total += value
     return total
 
-
-def intersection_length(a: TimeInterval, b: TimeInterval) -> float:
-    """Length of the overlap of two intervals; 0 for disjoint pairs."""
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
-
-
-def union_length(a: TimeInterval, b: TimeInterval) -> float:
-    """Length of the union of two intervals (inclusion-exclusion)."""
-    return a.length + b.length - intersection_length(a, b)

@@ -77,15 +77,31 @@ class Pool:
 def build_pool(
     runs: Sequence[Mapping[QuestionId, Sequence[RetrievalRunEntry]]],
     spec: PoolSpec = PoolSpec(),
+    sources: Sequence[str] | None = None,
 ) -> Pool:
     """Union the sampled rank prefixes of every run, deduplicated per question.
 
     Band membership is decided by 1-based position in each run's ranked list.
+    Two runs that use one tag for one question within the schedule's depth
+    would get identical draws and pool every contribution twice, so that
+    raises ValueError naming the tag, the question and both runs (by
+    ``sources``, one name per run, when given).
     """
     members: dict[QuestionId, dict[VideoId, list[tuple[str, int]]]] = {}
-    for run in runs:
+    owners: dict[tuple[str, QuestionId], int] = {}
+    for index, run in enumerate(runs):
         for qid, entries in run.items():
+            tag = None
             for position, (entry, probability) in enumerate(zip(entries, spec.rank_probabilities), start=1):
+                if entry.tag != tag:  # a run's question rarely changes tag, so look up only on a change
+                    tag = entry.tag
+                    owner = owners.setdefault((tag, qid), index)
+                    if owner != index:
+                        names = sources or [f"run {number}" for number in range(1, len(runs) + 1)]
+                        raise ValueError(
+                            f"run tag {tag!r} is used for question {qid!r} by both {names[owner]} and "
+                            f"{names[index]}; pooled runs need distinct tags on a question they share"
+                        )
                 if probability >= 1.0 or inclusion_draw(spec.seed, entry.tag, qid, position) < probability:
                     members.setdefault(qid, {}).setdefault(entry.video, []).append((entry.tag, position))
     ordered = {

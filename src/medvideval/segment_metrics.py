@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, intersection_length, plain_sum
+from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, plain_sum
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -65,24 +65,24 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be a finite number in [0, {MAX_SECONDS:g}], got {lam}")
 
 
-def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
-    """Intersection over union of two intervals; 0 when both are zero-length."""
-    overlap = intersection_length(pred, gt)
-    union = pred.length + gt.length - overlap
+def _iou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
+    """Intersection over union of [a_start, a_end] and [b_start, b_end]; 0 when the union is empty."""
+    overlap = max(0.0, min(a_end, b_end) - max(a_start, b_start))
+    union = (a_end - a_start) + (b_end - b_start) - overlap
     if union == 0.0:
         return 0.0
     return overlap / union
 
 
-def extend_interval(interval: TimeInterval, lam: float) -> TimeInterval:
-    """Widen an interval by lam seconds on each side, clamping the start at 0; the end may pass MAX_SECONDS."""
-    check_lambda(lam)
-    return TimeInterval._unchecked(max(0.0, interval.start - lam), interval.end + lam)
+def temporal_iou(pred: TimeInterval, gt: TimeInterval) -> float:
+    """Intersection over union of two intervals; 0 when both are zero-length."""
+    return _iou(pred.start, pred.end, gt.start, gt.end)
 
 
 def relaxed_iou(pred: TimeInterval, gt: TimeInterval, lam: float) -> float:
-    """IoU after extending both intervals by lam; lam = 0 is plain IoU."""
-    return temporal_iou(extend_interval(pred, lam), extend_interval(gt, lam))
+    """IoU after widening both intervals by lam seconds on each side, each start clamped at 0; lam = 0 is plain IoU."""
+    check_lambda(lam)
+    return _iou(max(0.0, pred.start - lam), pred.end + lam, max(0.0, gt.start - lam), gt.end + lam)
 
 
 def _best_iou_prefix(

@@ -2,8 +2,10 @@
 
 Nothing here imports the production metric code; every function is a naive
 restatement of a definition so the test suite can check the optimized paths
-against it.  Two kinds of reference are the exception.  ``reference_lcs_length``
-is the two-row dynamic program that the bit-parallel LCS replaced.  The
+against it.  Three kinds of reference are the exception.
+``reference_relaxed_iou`` is the interval-by-interval IoU arithmetic that the
+one float core of ``segment_metrics`` replaced.  ``reference_lcs_length`` is
+the two-row dynamic program that the bit-parallel LCS replaced.  The
 reference parsers at the end are the line-by-line run parsers that the
 single-pass ones replaced, and they share the per-field checks of
 ``medvideval.io_formats``.
@@ -35,6 +37,29 @@ def grid_relaxed_iou(a: tuple[int, int], b: tuple[int, int], lam: int) -> float:
     extended_a = (max(0, a[0] - lam), a[1] + lam)
     extended_b = (max(0, b[0] - lam), b[1] + lam)
     return grid_iou(extended_a, extended_b)
+
+
+def reference_relaxed_iou(a, b, lam: float) -> float:
+    """Relaxed IoU of two ``TimeInterval``s by the former steps: widen each
+    interval, then intersect, then take the union by inclusion-exclusion."""
+
+    def extend(interval):
+        return max(0.0, interval.start - lam), interval.end + lam
+
+    def length(interval):
+        return interval[1] - interval[0]
+
+    def intersection_length(x, y):
+        return max(0.0, min(x[1], y[1]) - max(x[0], y[0]))
+
+    def union_length(x, y):
+        return length(x) + length(y) - intersection_length(x, y)
+
+    a, b = extend(a), extend(b)
+    union = union_length(a, b)
+    if union == 0.0:
+        return 0.0
+    return intersection_length(a, b) / union
 
 
 # --- retrieval metrics -------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Every package name the traced benchmark replay reaches still exists.
+
+``perfbench/replay.py`` wraps and probes the package by name, so deleting or
+renaming a function it names breaks the replay only when a full trace runs.
+These tests read the replay's source with ``ast`` (without importing or
+running it) and check each name it reads on a ``medvideval`` module, and each
+keyword it passes to one, against the package as it is.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+
+
+def _replay_tree() -> ast.Module:
+    return ast.parse(REPLAY.read_text(encoding="utf-8"), filename=str(REPLAY))
+
+
+def _package_modules(tree: ast.Module) -> dict:
+    """Local name -> module, for every ``medvideval`` module the replay imports."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("medvideval.") and alias.asname:
+                    modules[alias.asname] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "medvideval":
+            package = importlib.import_module(node.module)
+            for alias in node.names:
+                modules[alias.asname or alias.name] = getattr(package, alias.name)
+    return modules
+
+
+def _module_reads(tree: ast.Module, modules: dict) -> list[ast.Attribute]:
+    """Every ``module.attr`` load in the replay whose ``module`` is a package module."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+
+
+def test_every_module_attribute_the_replay_reads_resolves():
+    tree = _replay_tree()
+    modules = _package_modules(tree)
+    assert modules, "the replay imports no medvideval module"
+    reads = _module_reads(tree, modules)
+    assert reads
+    missing = [
+        f"{node.value.id}.{node.attr} (line {node.lineno})"
+        for node in reads
+        if not hasattr(modules[node.value.id], node.attr)
+    ]
+    assert not missing, f"perfbench/replay.py reads names the package no longer has: {missing}"
+
+
+def _package_calls(tree: ast.Module, modules: dict) -> list[tuple[ast.Call, object]]:
+    """Every call of ``module.attr(...)`` in the replay, with the callable it reaches."""
+    reads = {id(node) for node in _module_reads(tree, modules)}
+    return [
+        (node, getattr(modules[node.func.value.id], node.func.attr))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node.func) in reads
+        and hasattr(modules[node.func.value.id], node.func.attr)
+    ]
+
+
+def test_every_call_the_replay_makes_binds_to_its_signature():
+    tree = _replay_tree()
+    calls = _package_calls(tree, _package_modules(tree))
+    assert any(call.keywords for call, _ in calls)
+    for call, target in calls:
+        name = f"{call.func.value.id}.{call.func.attr} (perfbench/replay.py line {call.lineno})"
+        signature = inspect.signature(target)
+        keywords = [keyword.arg for keyword in call.keywords if keyword.arg is not None]
+        for keyword in keywords:
+            assert keyword in signature.parameters, f"{name} passes {keyword}=, which it does not take"
+        # With no *args or **kwargs the argument count is known too.
+        if not any(isinstance(arg, ast.Starred) for arg in call.args) and len(keywords) == len(call.keywords):
+            try:
+                signature.bind(*call.args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                pytest.fail(f"{name} no longer accepts its arguments: {exc}")

@@ -269,6 +269,27 @@ class TestPoolCommand:
         assert first.read_bytes() == second.read_bytes()
         assert "Q1 v1 sysA 1" in first.read_text(encoding="utf-8")
 
+    def test_runs_sharing_a_tag_on_a_question_exit_2(self, files, tmp_path, capsys):
+        copy = tmp_path / "copy.run"
+        copy.write_text(RUN_TEXT, encoding="utf-8")
+        out = tmp_path / "pool.txt"
+        assert main(["pool", "--run", files["run.txt"], str(copy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run tag 'sysA' is used for question 'Q1' by both {files['run.txt']} and {copy}; "
+            "pooled runs need distinct tags on a question they share\n"
+        )
+        assert not out.exists()
+
+    def test_one_submission_split_over_files_pools_like_one_file(self, files, tmp_path, capsys):
+        halves = [tmp_path / "q1.run", tmp_path / "q2.run"]
+        lines = RUN_TEXT.splitlines(keepends=True)
+        halves[0].write_text("".join(lines[:2]), encoding="utf-8")
+        halves[1].write_text(lines[2], encoding="utf-8")
+        assert main(["pool", "--run", files["run.txt"], "--seed", "7"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["pool", "--run", *map(str, halves), "--seed", "7"]) == 0
+        assert capsys.readouterr().out == whole
+
 
 class TestIndexAndSearch:
     def test_smoke_corpus_round_trip(self, tmp_path, capsys):

@@ -6,10 +6,8 @@ from medvideval.core import (
     FormatError,
     RelevanceGrade,
     TimeInterval,
-    intersection_length,
     parse_timestamp,
     plain_sum,
-    union_length,
 )
 
 
@@ -66,37 +64,6 @@ class TestTimeInterval:
     def test_coerces_to_float(self):
         interval = TimeInterval(1, 2)
         assert isinstance(interval.start, float) and isinstance(interval.end, float)
-
-
-intervals = st.builds(
-    lambda start, length: TimeInterval(start, start + length),
-    st.floats(min_value=0, max_value=1e4, allow_nan=False),
-    st.floats(min_value=0, max_value=1e4, allow_nan=False),
-)
-
-
-class TestIntervalArithmetic:
-    def test_worked_examples(self):
-        assert intersection_length(TimeInterval(10, 20), TimeInterval(15, 25)) == 5
-        assert intersection_length(TimeInterval(0, 5), TimeInterval(5, 9)) == 0
-        assert intersection_length(TimeInterval(3, 7), TimeInterval(3, 7)) == 4
-        assert union_length(TimeInterval(10, 20), TimeInterval(15, 25)) == 15
-        assert union_length(TimeInterval(3, 7), TimeInterval(3, 7)) == 4
-        assert union_length(TimeInterval(0, 1), TimeInterval(5, 6)) == 2
-
-    @given(intervals, intervals)
-    def test_intersection_bounds(self, a, b):
-        inter = intersection_length(a, b)
-        assert 0 <= inter <= min(a.length, b.length) + 1e-9
-
-    @given(intervals, intervals)
-    def test_union_dominates_both(self, a, b):
-        assert union_length(a, b) >= max(a.length, b.length) - 1e-9
-
-    @given(intervals, intervals)
-    def test_symmetry(self, a, b):
-        assert intersection_length(a, b) == intersection_length(b, a)
-        assert union_length(a, b) == union_length(b, a)
 
 
 def test_relevance_grades_are_ordered():

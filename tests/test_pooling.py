@@ -93,6 +93,28 @@ class TestBuildPool:
         }
         assert from_a == alone.videos("Q1")
 
+    def test_two_runs_sharing_a_tag_on_a_question_are_rejected(self):
+        run = make_run(tag="sysA")
+        message = r"run tag 'sysA' is used for question 'Q1' by both run 1 and run 3"
+        with pytest.raises(ValueError, match=message):
+            build_pool([run, make_run(tag="sysB"), run], PoolSpec(seed=0))
+        with pytest.raises(ValueError, match="by both a.run and b.run;"):
+            build_pool([run, run], PoolSpec(seed=0), sources=["a.run", "b.run"])
+        # The shared tag need not be the question's first one in either run.
+        mixed = {"Q1": [RetrievalRunEntry("Q1", "x", 1, 2.0, "sysB"), RetrievalRunEntry("Q1", "y", 2, 1.0, "sysA")]}
+        with pytest.raises(ValueError, match="run tag 'sysA' is used for question 'Q1' by both run 1 and run 2"):
+            build_pool([make_run(tag="sysA"), mixed], PoolSpec(seed=0))
+
+    def test_a_tag_shared_only_beyond_the_schedule_depth_pools(self):
+        deep = {"Q1": make_run(tag="sysB")["Q1"] + [RetrievalRunEntry("Q1", "late", 26, 0.0, "sysA")]}
+        pool = build_pool([make_run(tag="sysA"), deep], PoolSpec(seed=0))
+        assert "late" not in pool.videos("Q1")
+
+    def test_one_submission_split_over_questions_pools_like_one_run(self):
+        first, second = make_run("Q1"), make_run("Q2")
+        split = build_pool([first, second], PoolSpec(seed=3))
+        assert split == build_pool([{**first, **second}], PoolSpec(seed=3))
+
 
 class TestInclusionDraw:
     def test_uniform_range(self):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from medvideval.core import RelevanceGrade, TimeInterval, ToolkitWarning
@@ -10,7 +10,6 @@ from medvideval.io_formats import JudgedVideo, LocalizationCandidate
 from medvideval.segment_metrics import (
     IoUParams,
     evaluate_localization,
-    extend_interval,
     judged_questions,
     localization_report,
     mean_iou,
@@ -23,7 +22,7 @@ from medvideval.segment_metrics import (
     temporal_iou,
     threshold_key,
 )
-from oracles import grid_iou, grid_relaxed_iou, mean_iou_oracle, recall_at_n_iou_oracle
+from oracles import grid_iou, grid_relaxed_iou, mean_iou_oracle, recall_at_n_iou_oracle, reference_relaxed_iou
 
 
 class TestTemporalIoU:
@@ -56,7 +55,7 @@ class TestRelaxedIoU:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            extend_interval(TimeInterval(0, 1), -1)
+            relaxed_iou(TimeInterval(0, 1), TimeInterval(0, 1), -1)
 
 
 def candidate(qid, video, start, end, rank):
@@ -271,6 +270,58 @@ def test_iou_is_one_only_for_equal_positive_intervals(a0, a1, b0, b1):
     assert temporal_iou(second, first) == value
     if value == 1.0:
         assert first == second and first.length > 0
+
+
+# Bounds from 0 to MAX_SECONDS; the sampled values make zero-length intervals,
+# shared endpoints and starts below lambda (so the clamp at 0 applies) common.
+iou_bounds = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0, 2.0, 3.0, 7.5, 1e100]),
+    st.floats(min_value=0, max_value=10),
+    st.floats(min_value=0, max_value=1e100),
+)
+iou_intervals = st.one_of(
+    st.tuples(iou_bounds, iou_bounds).map(lambda bounds: TimeInterval(*sorted(bounds))),
+    iou_bounds.map(lambda bound: TimeInterval(bound, bound)),
+)
+iou_lambdas = st.one_of(st.sampled_from([0.0, 5e-324, 3.0, 1e100]), st.floats(min_value=0, max_value=10))
+
+
+def sharing_an_endpoint(a):
+    """Intervals that start or end where ``a`` starts or ends."""
+    return st.tuples(st.sampled_from([a.start, a.end]), iou_bounds).map(lambda bounds: TimeInterval(*sorted(bounds)))
+
+
+iou_pairs = st.one_of(
+    st.tuples(iou_intervals, iou_intervals),
+    iou_intervals.flatmap(lambda a: st.tuples(st.just(a), sharing_an_endpoint(a))),
+)
+
+
+@given(iou_pairs, iou_lambdas)
+def test_relaxed_iou_is_bit_identical_to_the_interval_reference(pair, lam):
+    a, b = pair
+    assert relaxed_iou(a, b, lam) == reference_relaxed_iou(a, b, lam)
+
+
+@given(iou_pairs)
+def test_temporal_iou_is_relaxed_iou_at_lambda_zero(pair):
+    a, b = pair
+    assert temporal_iou(a, b) == relaxed_iou(a, b, 0.0)
+
+
+@given(iou_pairs, iou_lambdas)
+def test_iou_is_symmetric_and_in_unit_range(pair, lam):
+    a, b = pair
+    for value, swapped in ((temporal_iou(a, b), temporal_iou(b, a)), (relaxed_iou(a, b, lam), relaxed_iou(b, a, lam))):
+        assert value == swapped
+        assert 0.0 <= value <= 1.0
+
+
+@given(iou_intervals, iou_lambdas)
+def test_identical_positive_intervals_score_one(a, lam):
+    assume(a.length > 0)
+    assert temporal_iou(a, a) == 1.0
+    assert relaxed_iou(a, a, lam) == 1.0
 
 
 class TestEvaluateLocalization:
