@@ -55,7 +55,19 @@ from .step_alignment import (
     step_prf,
     step_segment_stats,
 )
-from .text_metrics import CaptionPair, bleu_n, bleu_scores, lcs_length, meteor, rouge_l, rouge_l_tokens, token_masks, tokenize
+from .text_metrics import (
+    CaptionPair,
+    bleu_n,
+    bleu_scores,
+    bleu_scores_tokens,
+    lcs_length,
+    meteor,
+    meteor_tokens,
+    rouge_l,
+    rouge_l_tokens,
+    token_masks,
+    tokenize,
+)
 from .pooling import Pool, PoolBand, PoolSpec, build_pool
 from .bm25 import Bm25Params, InvertedIndex, bm25_score, build_index, load_index, save_index, search
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import IntEnum
 from typing import Iterable
 
@@ -140,7 +139,11 @@ def plain_number(value: float) -> str:
         raise ValueError(f"cannot serialize non-finite number {value!r}")
     text = repr(float(value))
     # repr uses an exponent only outside [1e-4, 1e16); elsewhere its digits are already plain.
-    return format(Decimal(text), "f") if "e" in text else text
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # here, so that startup does not pay for the rare exponent branch
+
+    return format(Decimal(text), "f")
 
 
 def plain_sum(values: Iterable[float]) -> float:

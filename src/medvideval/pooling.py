@@ -8,7 +8,6 @@ and adding a run never perturbs the draws of other runs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -58,6 +57,8 @@ class PoolSpec:
 
 def inclusion_draw(seed: int, tag: str, question: str, rank: int) -> float:
     """Deterministic uniform draw in [0, 1) for one (run, question, rank)."""
+    import hashlib  # here, so that commands that never pool do not load OpenSSL
+
     key = f"{seed}\x1f{tag}\x1f{question}\x1f{rank}".encode("utf-8")
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64

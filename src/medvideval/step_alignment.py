@@ -29,7 +29,7 @@ from .segment_metrics import (
     temporal_iou,
     threshold_key,
 )
-from .text_metrics import PRF, CaptionPair, bleu_scores, meteor, prf, rouge_l, rouge_l_tokens, token_masks, tokenize
+from .text_metrics import PRF, CaptionPair, bleu_scores_tokens, meteor_tokens, prf, rouge_l_tokens, token_masks, tokenize
 
 BLEU_ORDERS = (2, 3)
 
@@ -69,25 +69,79 @@ def _steps(sequence: StepSequence | Sequence) -> Sequence:
     return sequence.steps if isinstance(sequence, StepSequence) else sequence
 
 
-def _step_scorer(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams) -> Callable[[int, int], float]:
-    """Cell scorer over (pred index, gold index).
-
-    Each caption is tokenized once, and each gold caption's LCS masks are
-    built once, for the scorer's lifetime.
-    """
-    pred_tokens = [tokenize(step.caption) for step in pred_steps]
-    gold_tokens = [tokenize(step.caption) for step in gold_steps]
-    gold_masks = [token_masks(tokens) for tokens in gold_tokens]
-    def score(p_idx: int, g_idx: int) -> float:
-        overlap = temporal_iou(pred_steps[p_idx].interval, gold_steps[g_idx].interval)
-        caption = rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], gold_masks[g_idx])
-        return params.alpha * overlap + params.beta * caption.f
-    return score
+def _cell(params: AlignmentParams, overlap: float, caption_f: float) -> float:
+    """The one alignment score: alpha * interval IoU + beta * caption ROUGE-L F."""
+    return params.alpha * overlap + params.beta * caption_f
 
 
 def alignment_score(pred_step: Step, gt_step: Step, params: AlignmentParams = AlignmentParams()) -> float:
     """alpha * interval IoU + beta * caption ROUGE-L F of one step pair."""
-    return _step_scorer([pred_step], [gt_step], params)(0, 0)
+    caption = rouge_l_tokens(tokenize(pred_step.caption), tokenize(gt_step.caption))
+    return _cell(params, temporal_iou(pred_step.interval, gt_step.interval), caption.f)
+
+
+def _bounded_scanner(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams):
+    """``scan(p_idx, start) -> (best score, best gold index)`` under the default score.
+
+    It picks what the plain scan over ``alignment_score`` picks, computing
+    ROUGE-L only on cells that could still win.  ROUGE-L F is at most 1.0 in
+    floats (the rounded ``2pr`` never exceeds the rounded ``p + r``), and
+    IEEE ``*`` and ``+`` are monotone, so a cell scores at most its bound
+    ``_cell(params, iou, 1.0)``: a cell whose bound is below theta or not
+    above the best so far cannot win.  A gold step that starts at or after
+    the predicted step's end has IoU exactly 0.0 and bound beta, so once every
+    remaining gold step does, the scan stops if beta cannot win either.
+
+    Each caption is tokenized once; each gold caption's LCS masks are built
+    when first needed.
+    """
+    theta = params.theta
+    beta = params.beta
+    pred_tokens = [tokenize(step.caption) for step in pred_steps]
+    gold_tokens = [tokenize(step.caption) for step in gold_steps]
+    gold_masks: list[dict[str, int] | None] = [None] * len(gold_steps)
+    # earliest_start[g]: the earliest start among gold_steps[g:], for unsorted library input.
+    earliest_start = [math.inf] * (len(gold_steps) + 1)
+    for g_idx in range(len(gold_steps) - 1, -1, -1):
+        earliest_start[g_idx] = min(gold_steps[g_idx].interval.start, earliest_start[g_idx + 1])
+
+    def scan(p_idx: int, start: int) -> tuple[float, int]:
+        interval = pred_steps[p_idx].interval
+        best_score = -1.0
+        best_g = -1
+        for g_idx in range(start, len(gold_steps)):
+            if earliest_start[g_idx] >= interval.end and (beta < theta or beta <= best_score):
+                break
+            overlap = temporal_iou(interval, gold_steps[g_idx].interval)
+            bound = _cell(params, overlap, 1.0)
+            if bound < theta or bound <= best_score:
+                continue
+            masks = gold_masks[g_idx]
+            if masks is None:
+                masks = gold_masks[g_idx] = token_masks(gold_tokens[g_idx])
+            cell = _cell(params, overlap, rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], masks).f)
+            if cell > best_score and cell >= theta:
+                best_score = cell
+                best_g = g_idx
+        return best_score, best_g
+
+    return scan
+
+
+def _plain_scanner(pred_steps: Sequence, gold_steps: Sequence, score_fn: Callable[[Step, Step], float], theta: float):
+    """``scan(p_idx, start) -> (best score, best gold index)`` scoring every cell through ``score_fn``."""
+
+    def scan(p_idx: int, start: int) -> tuple[float, int]:
+        best_score = -1.0
+        best_g = -1
+        for g_idx in range(start, len(gold_steps)):
+            cell = score_fn(pred_steps[p_idx], gold_steps[g_idx])
+            if cell > best_score and cell >= theta:
+                best_score = cell
+                best_g = g_idx
+        return best_score, best_g
+
+    return scan
 
 
 def align_steps(
@@ -100,24 +154,19 @@ def align_steps(
     """Greedy monotonic alignment; either side may be empty.
 
     ``score_fn`` overrides the caption/interval scoring, which keeps the
-    algorithm testable against arbitrary score matrices.
+    algorithm testable against arbitrary score matrices; it is called on
+    every cell of the scan.
     """
     pred_steps = _steps(pred)
     gold_steps = _steps(gold)
-    score = (_step_scorer(pred_steps, gold_steps, params) if score_fn is None
-             else lambda p_idx, g_idx: score_fn(pred_steps[p_idx], gold_steps[g_idx]))
+    scan = (_bounded_scanner(pred_steps, gold_steps, params) if score_fn is None
+            else _plain_scanner(pred_steps, gold_steps, score_fn, params.theta))
     tp = 0
     fp = 0
     pairs: list[tuple[int, int, float]] = []
     scan_start = 0
     for p_idx in range(len(pred_steps)):
-        best_score = -1.0
-        best_g = -1
-        for g_idx in range(scan_start, len(gold_steps)):
-            cell = score(p_idx, g_idx)
-            if cell > best_score and cell >= params.theta:
-                best_score = cell
-                best_g = g_idx
+        best_score, best_g = scan(p_idx, scan_start)
         if best_g != -1:
             tp += 1
             pairs.append((p_idx, best_g, best_score))
@@ -275,13 +324,17 @@ def evaluate_captions(
     gold_map: Mapping[str, StepSequence],
     params: AlignmentParams = AlignmentParams(),
 ) -> CaptionScore:
-    """BLEU / METEOR / ROUGE-L over matched pairs at the alignment threshold."""
-    pairs = matched_caption_pairs(pred_map, gold_map, params)
+    """BLEU / METEOR / ROUGE-L over matched pairs at the alignment threshold.
+
+    Each matched caption is tokenized once and every metric scores those tokens.
+    """
+    matched = matched_caption_pairs(pred_map, gold_map, params)
+    pairs = [(tokenize(pair.predicted), tokenize(pair.reference)) for pair in matched]
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
-    bleu = bleu_scores(pairs, BLEU_ORDERS)
-    meteor_mean = plain_sum(meteor(pair) for pair in pairs) / len(pairs)
-    rouge_mean = plain_sum(rouge_l(pair).f for pair in pairs) / len(pairs)
+    bleu = bleu_scores_tokens(pairs, BLEU_ORDERS)
+    meteor_mean = plain_sum(meteor_tokens(pred, ref) for pred, ref in pairs) / len(pairs)
+    rouge_mean = plain_sum(rouge_l_tokens(pred, ref).f for pred, ref in pairs) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)
 
 

@@ -108,7 +108,12 @@ def _ngram_counts(tokens: Sequence[str], top: int) -> Counter:
 
 
 def bleu_scores(pairs: Sequence[CaptionPair], orders: Sequence[int]) -> dict[int, float]:
-    """Corpus-level BLEU for each order in ``orders``, from one counting pass.
+    """Corpus-level BLEU for each order in ``orders``; see ``bleu_scores_tokens``."""
+    return bleu_scores_tokens([(tokenize(pair.predicted), tokenize(pair.reference)) for pair in pairs], orders)
+
+
+def bleu_scores_tokens(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], orders: Sequence[int]) -> dict[int, float]:
+    """Corpus-level BLEU of (pred tokens, ref tokens) pairs for each order in ``orders``, from one counting pass.
 
     Uniform weights up to each order and no smoothing.  Modified (clipped)
     k-gram precisions are pooled across all pairs, counted once up to the
@@ -126,9 +131,7 @@ def bleu_scores(pairs: Sequence[CaptionPair], orders: Sequence[int]) -> dict[int
     candidates = [0] * top
     pred_len = 0
     ref_len = 0
-    for pair in pairs:
-        pred = tokenize(pair.predicted)
-        ref = tokenize(pair.reference)
+    for pred, ref in pairs:
         pred_len += len(pred)
         ref_len += len(ref)
         for order in range(1, min(top, len(pred)) + 1):
@@ -159,17 +162,21 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
     depth-first search with branch-and-bound pruning; caption-sized inputs
     resolve immediately because chunk continuation is tried first.
     """
+    mask = token_masks(ref)
+    # later[i]: occurrences of pred[i] after position i, counted only for
+    # tokens of ref (the others are never matched, so their later[i] is 0).
+    later = [0] * len(pred)
+    count: dict[str, int] = {}
+    for i in range(len(pred) - 1, -1, -1):
+        token = pred[i]
+        if token in mask:
+            later[i] = count.get(token, 0)
+            count[token] = later[i] + 1
     # Every maximum alignment matches token t exactly quota[t] times.
-    quota = Counter(pred) & Counter(ref)
+    quota = {token: min(n, mask[token].bit_count()) for token, n in count.items()}
     max_matches = sum(quota.values())
     if max_matches == 0:
         return 0, 0
-    mask = token_masks(ref)
-    later = [0] * len(pred)  # occurrences of pred[i] after position i
-    seen: Counter = Counter()
-    for i in range(len(pred) - 1, -1, -1):
-        later[i] = seen[pred[i]]
-        seen[pred[i]] += 1
     best = max_matches + 1  # any alignment has at most one chunk per match
     # Node: (pred position, bitmask of used ref positions, ref position that
     # would continue the current chunk, chunks so far).  len(ref) is never free.
@@ -182,7 +189,7 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
             best = chunks
             continue
         token = pred[i]
-        need = quota[token] - (used & mask.get(token, 0)).bit_count()
+        need = quota.get(token, 0) - (used & mask.get(token, 0)).bit_count()
         if need <= later[i]:  # the quota can still be met after skipping
             stack.append((i + 1, used, len(ref), chunks))
         if need > 0:
@@ -198,13 +205,16 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
 
 
 def meteor(pair: CaptionPair) -> float:
-    """Exact-match METEOR: harmonic mean weighted toward recall, chunk penalty.
+    """Exact-match METEOR of a caption pair; see ``meteor_tokens``."""
+    return meteor_tokens(tokenize(pair.predicted), tokenize(pair.reference))
+
+
+def meteor_tokens(pred: Sequence[str], ref: Sequence[str]) -> float:
+    """Exact-match METEOR of two token lists: harmonic mean weighted toward recall, chunk penalty.
 
     F_mean = 10PR / (R + 9P), penalty = 0.5 (chunks/matches)^3, and the score
     is F_mean (1 - penalty); 0 when nothing matches.
     """
-    pred = tokenize(pair.predicted)
-    ref = tokenize(pair.reference)
     matches, chunks = _exact_alignment(pred, ref)
     if matches == 0:
         return 0.0

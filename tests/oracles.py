@@ -2,10 +2,12 @@
 
 Nothing here imports the production metric code; every function is a naive
 restatement of a definition so the test suite can check the optimized paths
-against it.  Three kinds of reference are the exception.
+against it.  Four kinds of reference are the exception.
 ``reference_relaxed_iou`` is the interval-by-interval IoU arithmetic that the
 one float core of ``segment_metrics`` replaced.  ``reference_lcs_length`` is
-the two-row dynamic program that the bit-parallel LCS replaced.  The
+the two-row dynamic program that the bit-parallel LCS replaced.
+``reference_align_steps`` is the full scan that the bounded step alignment
+replaced, scoring every cell through ``alignment_score``.  The
 reference parsers at the end are the line-by-line run parsers that the
 single-pass ones replaced, and they share the per-field checks of
 ``medvideval.io_formats``.
@@ -285,6 +287,16 @@ def align_oracle(scores: list[list[float]], gold_count: int, theta: float):
             fp += 1
     fn = gold_count - tp
     return tp, fp, fn, pairs
+
+
+def reference_align_steps(pred, gold, params):
+    """Greedy alignment of two step lists by the full scan: every (pred, gold)
+    cell is scored through ``alignment_score``, as before the bounded scan."""
+    from medvideval.step_alignment import AlignmentResult, alignment_score
+
+    scores = [[alignment_score(p_step, g_step, params) for g_step in gold] for p_step in pred]
+    tp, fp, fn, pairs = align_oracle(scores, len(gold), params.theta)
+    return AlignmentResult(tp, fp, fn, [(p_idx, g_idx, scores[p_idx][g_idx]) for p_idx, g_idx in pairs])
 
 
 # --- BM25 ---------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``perfbench/replay.py`` wraps and probes the package by name, so deleting or
 renaming a function it names breaks the replay only when a full trace runs.
 These tests read the replay's source with ``ast`` (without importing or
-running it) and check each name it reads on a ``medvideval`` module, and each
-keyword it passes to one, against the package as it is.
+running it) and check each name it reads on a ``medvideval`` module, each
+keyword it passes to one, and each ``(module, "name")`` entry point it wraps,
+against the package as it is.
 """
 
 import ast
@@ -90,3 +91,31 @@ def test_every_call_the_replay_makes_binds_to_its_signature():
                 signature.bind(*call.args, **dict.fromkeys(keywords))
             except TypeError as exc:
                 pytest.fail(f"{name} no longer accepts its arguments: {exc}")
+
+
+# Entry points the replay names as strings and ``Tracer.install`` looks up with
+# ``getattr(module, name, None)``, which skips a missing one without a word.
+KEPT_ENTRY_POINTS = {("cli", "_emit"), ("step_alignment", "matched_caption_pairs")}
+# The one pair the replay still names for a function that is gone.  When the
+# replay drops it, drop it here too.
+DEAD_ENTRY_POINTS = {("cli", "_ranking_from_candidates")}
+
+
+def _extra_entry_points(tree: ast.Module) -> list[tuple[str, str]]:
+    """The ``(module, "name")`` pairs of the replay's ``EXTRA_ENTRY_POINTS``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "EXTRA_ENTRY_POINTS" for target in node.targets
+        ):
+            return [(pair.elts[0].id, pair.elts[1].value) for pair in node.value.elts]
+    pytest.fail("perfbench/replay.py no longer defines EXTRA_ENTRY_POINTS")
+
+
+def test_every_entry_point_the_replay_names_resolves():
+    tree = _replay_tree()
+    modules = _package_modules(tree)
+    pairs = _extra_entry_points(tree)
+    resolved = {(module, name) for module, name in pairs if inspect.isfunction(getattr(modules[module], name, None))}
+    assert KEPT_ENTRY_POINTS <= resolved
+    missing = set(pairs) - resolved
+    assert missing == DEAD_ENTRY_POINTS, f"perfbench/replay.py names entry points that do not resolve: {sorted(missing)}"

@@ -523,6 +523,8 @@ def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
 STEPS = Path(__file__).resolve().parent / "data" / "steps"
 STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
 ROUGE_ONLY = ["--alpha", "0", "--beta", "1", "--theta", "0.3"]  # caption ROUGE-L alone decides the matches
+CAPTION_CAN_WIN = ["--alpha", "1", "--beta", "0.2", "--theta", "0.1"]  # beta >= theta: no scan may stop early
+OVERLAP_NEEDED = ["--theta", "0.9"]  # beta < theta: every cell without overlap is skipped
 
 
 @pytest.mark.parametrize(
@@ -535,6 +537,10 @@ ROUGE_ONLY = ["--alpha", "0", "--beta", "1", "--theta", "0.3"]  # caption ROUGE-
             ("captions", "eval-captions", []),
             ("steps_alpha0_beta1_theta0.3", "eval-steps", ROUGE_ONLY),
             ("captions_alpha0_beta1_theta0.3", "eval-captions", ROUGE_ONLY),
+            ("steps_alpha1_beta0.2_theta0.1", "eval-steps", CAPTION_CAN_WIN),
+            ("captions_alpha1_beta0.2_theta0.1", "eval-captions", CAPTION_CAN_WIN),
+            ("steps_theta0.9", "eval-steps", OVERLAP_NEEDED),
+            ("captions_theta0.9", "eval-captions", OVERLAP_NEEDED),
         ]
         for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
     ],
@@ -881,6 +887,18 @@ def test_entry_point_prints_one_line_per_warning(argv, expected):
     )
     assert result.returncode == 0
     assert result.stderr.splitlines() == expected
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
+    # Only pool draws hash and only plain_number's exponent branch needs
+    # decimal, so they are imported there; hashlib loads OpenSSL.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import medvideval.cli; "
+        "print(sorted({'hashlib', '_hashlib', 'decimal'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(REPO / "src")], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from medvideval.core import RelevanceGrade, TimeInterval, ToolkitWarning
@@ -317,9 +317,16 @@ def test_iou_is_symmetric_and_in_unit_range(pair, lam):
         assert 0.0 <= value <= 1.0
 
 
-@given(iou_intervals, iou_lambdas)
+# Drawn directly: filtering iou_intervals, half of whose draws are zero-length,
+# failed Hypothesis's filter_too_much health check on about one run in twenty.
+positive_intervals = st.tuples(iou_bounds, iou_bounds).filter(lambda bounds: bounds[0] != bounds[1]).map(
+    lambda bounds: TimeInterval(*sorted(bounds))
+)
+
+
+@given(positive_intervals, iou_lambdas)
 def test_identical_positive_intervals_score_one(a, lam):
-    assume(a.length > 0)
+    assert a.length > 0
     assert temporal_iou(a, a) == 1.0
     assert relaxed_iou(a, a, lam) == 1.0
 

@@ -4,7 +4,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medvideval import step_alignment, text_metrics
@@ -23,7 +23,7 @@ from medvideval.step_alignment import (
     steps_report,
 )
 from medvideval.text_metrics import bleu_n, tokenize
-from oracles import align_oracle
+from oracles import align_oracle, reference_align_steps
 
 
 def step(caption, start, end):
@@ -140,6 +140,59 @@ class TestAlignSteps:
         assert result.tp <= min(pred_count, gold_count)
         gold_indices = [g for _, g, _ in result.pairs]
         assert gold_indices == sorted(set(gold_indices))
+
+
+# Up to four tokens from a three-word vocabulary, or punctuation alone: ROUGE-L
+# F takes many values, including 0 and 1, and often ties.
+step_captions = st.sampled_from(["", "..."]) | st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(" ".join)
+# Half-second endpoints on a short axis: shared endpoints, zero-length steps
+# and steps that start where another ends are all common.
+step_intervals = st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda sl: TimeInterval(sl[0] / 2, (sl[0] + sl[1]) / 2))
+steps_lists = st.lists(st.builds(Step, step_captions, step_intervals), max_size=7)
+weights = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+@settings(max_examples=300)
+@given(steps_lists, steps_lists, weights, weights, weights)
+# A later gold step with no overlap beats an earlier overlapping one on its caption alone.
+@example([step("a", 0, 2)], [step("b", 1, 3), step("a", 5, 6)], 0.2, 1.0, 0.5)
+def test_bounded_scan_equals_the_full_scan(pred, gold, theta, alpha, beta):
+    # Neither list is sorted, so the scan cannot rely on gold start order.
+    params = AlignmentParams(theta=theta, alpha=alpha, beta=beta)
+    assert align_steps(pred, gold, params) == reference_align_steps(pred, gold, params)
+
+
+def wide_segment(count):
+    """``count`` gold steps of 2 s back to back, and as many predictions.
+
+    Every 100th prediction repeats its gold step exactly; the rest are shifted
+    by half a second and reword the caption, so their IoU is at most 0.6.
+    """
+    rng = random.Random(count)
+    vocab = [f"w{i}" for i in range(30)]
+    gold = [Step(" ".join(rng.sample(vocab, rng.randint(4, 7))), TimeInterval(2 * i, 2 * i + 2)) for i in range(count)]
+    pred = [
+        g if i % 100 == 0 else Step(" ".join(reversed(g.caption.split())), TimeInterval(2 * i + 0.5, 2 * i + 2.5))
+        for i, g in enumerate(gold)
+    ]
+    return pred, gold
+
+
+def test_wide_segment_scores_rouge_l_on_a_linear_number_of_cells(monkeypatch):
+    calls = 0
+    lcs_length = text_metrics.lcs_length
+
+    def counting_lcs_length(*args):
+        nonlocal calls
+        calls += 1
+        return lcs_length(*args)
+
+    monkeypatch.setattr(text_metrics, "lcs_length", counting_lcs_length)
+    pred, gold = wide_segment(1500)
+    result = align_steps(pred, gold, AlignmentParams(theta=0.99))
+    assert result.pairs == [(i, i, 1.0) for i in range(0, 1500, 100)]
+    # The full scan scores ROUGE-L on about P * G / 2 = 1.1 million cells here.
+    assert calls <= 2 * (len(pred) + len(gold))
 
 
 class TestStepPrf:
