@@ -15,18 +15,17 @@ little-endian, so loading is a handful of ``frombytes`` calls.
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
 import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
 from operator import attrgetter
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .core import FormatError, VideoId
 from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token, write_atomically
@@ -43,32 +42,53 @@ _SWAP = sys.byteorder == "big"  # the file is little-endian; 'I' is 4 bytes, 'Q'
 _TABLE = re.compile(r"\S+(?:\n\S+)*")  # "\n"-joined whitespace-free entries
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 0.9
-    b: float = 0.4
+class Bm25Params(namedtuple("Bm25Params", "k1 b")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, k1: float = 0.9, b: float = 0.4) -> Bm25Params:
         # The upper limit keeps (k1 + 1) * tf * idf and the length norms finite
         # for any index that fits the file format.
-        if not 0.0 < self.k1 <= 1e100:
-            raise ValueError(f"k1 must be in (0, 1e100], got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
+        if not 0.0 < k1 <= 1e100:
+            raise ValueError(f"k1 must be in (0, 1e100], got {k1}")
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"b must be in [0, 1], got {b}")
+        return tuple.__new__(cls, (k1, b))
 
 
-@dataclass
 class InvertedIndex:
-    """Term postings plus the document statistics BM25 needs."""
+    """Term postings plus the document statistics BM25 needs.
 
-    videos: list[VideoId]  # ascending; a document's id is its position
-    lengths: array  # 'I': token count per document id
-    avg_doc_length: float
-    terms: list[str]  # ascending
-    offsets: array  # 'Q': term t's postings are [offsets[t], offsets[t + 1])
-    doc_ids: array  # 'I': ascending within each term
-    tfs: array  # 'I'
-    _norms: tuple[Bm25Params, list[float]] | None = field(init=False, repr=False, compare=False, default=None)
+    Two indexes are equal when their data are; the norms cache is not compared.
+    """
+
+    __slots__ = ("videos", "lengths", "avg_doc_length", "terms", "offsets", "doc_ids", "tfs", "_norms")
+
+    def __init__(
+        self,
+        videos: list[VideoId],
+        lengths: array,
+        avg_doc_length: float,
+        terms: list[str],
+        offsets: array,
+        doc_ids: array,
+        tfs: array,
+    ):
+        self.videos = videos  # ascending; a document's id is its position
+        self.lengths = lengths  # 'I': token count per document id
+        self.avg_doc_length = avg_doc_length
+        self.terms = terms  # ascending
+        self.offsets = offsets  # 'Q': term t's postings are [offsets[t], offsets[t + 1])
+        self.doc_ids = doc_ids  # 'I': ascending within each term
+        self.tfs = tfs  # 'I'
+        self._norms: tuple[Bm25Params, list[float]] | None = None
+
+    def _data(self) -> tuple:
+        return (self.videos, self.lengths, self.avg_doc_length, self.terms, self.offsets, self.doc_ids, self.tfs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not InvertedIndex:
+            return NotImplemented
+        return self._data() == other._data()
 
     @property
     def doc_count(self) -> int:
@@ -221,15 +241,16 @@ def _strings_blob(strings: list[str]) -> bytes:
     return _BLOB_SIZE.pack(len(raw)) + raw
 
 
-def save_index(index: InvertedIndex, directory: str | Path) -> Path:
-    """Write the index under ``directory`` and return the file path.
+def save_index(index: InvertedIndex, directory: str | os.PathLike):
+    """Write the index under ``directory`` and return the file path as a ``pathlib.Path``.
 
     The file is written atomically, so the index is never seen half-written.
     An OS failure is a FormatError naming ``directory``.
     """
-    path = Path(directory)
+    from pathlib import Path  # here, so that commands that never save an index do not load pathlib
+
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise FormatError(str(exc.strerror or exc), source=str(directory)) from exc
     payload = b"".join(
@@ -243,9 +264,9 @@ def save_index(index: InvertedIndex, directory: str | Path) -> Path:
             _le_bytes(index.tfs),
         )
     )
-    target = path / INDEX_FILENAME
+    target = os.path.join(directory, INDEX_FILENAME)
     write_atomically(target, _HEADER.pack(INDEX_FORMAT_VERSION, zlib.crc32(payload)), payload)
-    return target
+    return Path(target)
 
 
 class _Reader:
@@ -293,12 +314,12 @@ def _strings(blob: memoryview, count: int, what: str, source: str) -> list[str]:
     return strings
 
 
-def load_index(directory: str | Path) -> InvertedIndex:
+def load_index(directory: str | os.PathLike) -> InvertedIndex:
     """Read an index written by save_index, validating its whole structure up front."""
-    target = Path(directory) / INDEX_FILENAME
-    source = str(target)
+    source = os.path.join(directory, INDEX_FILENAME)
     try:
-        data = target.read_bytes()
+        with open(source, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise FormatError(str(exc.strerror or exc), source=source) from exc
     if not data:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from collections.abc import Callable, Sequence
 from functools import partial
-from typing import Callable, Sequence
 
 from .bm25 import Bm25Params, build_index, load_index, run_from_searches, save_index
 from .core import FormatError
@@ -208,10 +208,10 @@ def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
 
 
 def _localization_inputs(args: argparse.Namespace):
-    """The run's judged questions, the judgments, and the IoU grid."""
+    """The run's judged questions, the judgments, and the IoU grid, which is checked before any file is read."""
+    params = _params(IoUParams, n_values=args.n, mu_values=args.mu, lam=args.lam)
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
-    params = _params(IoUParams, n_values=args.n, mu_values=args.mu, lam=args.lam)
     return judged_questions(run, qrels), qrels, params
 
 
@@ -238,22 +238,26 @@ def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _step_inputs(args: argparse.Namespace, **extra):
-    """Predicted and gold steps plus the alignment parameters."""
-    pred = parse_steps(read_text(args.pred), source=args.pred)
-    gold = parse_steps(read_text(args.gold), source=args.gold)
-    return pred, gold, _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, **extra)
+def _alignment_params(args: argparse.Namespace, **extra) -> AlignmentParams:
+    return _params(AlignmentParams, theta=args.theta, alpha=args.alpha, beta=args.beta, **extra)
+
+
+def _step_files(args: argparse.Namespace):
+    """Predicted and gold steps."""
+    return parse_steps(read_text(args.pred), source=args.pred), parse_steps(read_text(args.gold), source=args.gold)
 
 
 def _cmd_eval_steps(args: argparse.Namespace) -> int:
-    pred, gold, params = _step_inputs(args, lam=args.lam)
-    score = evaluate_steps(pred, gold, params, _params(normalise_thresholds, values=args.mu))
+    params = _alignment_params(args, lam=args.lam)
+    thresholds = _params(normalise_thresholds, values=args.mu)
+    score = evaluate_steps(*_step_files(args), params, thresholds)
     _emit_report(steps_report(score), args)
     return EXIT_OK
 
 
 def _cmd_eval_captions(args: argparse.Namespace) -> int:
-    score = evaluate_captions(*_step_inputs(args))
+    params = _alignment_params(args)
+    score = evaluate_captions(*_step_files(args), params)
     _emit_report(captions_report(score), args)
     return EXIT_OK
 
@@ -281,9 +285,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if len(args.k) != 1:
         raise FormatError("search takes a single --k cutoff")
+    params = _params(Bm25Params, k1=args.k1, b=args.b)
     index = load_index(args.index_dir)
     queries = parse_queries(read_text(args.queries), source=args.queries)
-    params = _params(Bm25Params, k1=args.k1, b=args.b)
     run = run_from_searches(index, queries, args.k[0], params)
     _emit(write_retrieval_run(run), args.out)
     return EXIT_OK

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import IntEnum
-from typing import Iterable
 
 QuestionId = str
 VideoId = str
@@ -63,8 +63,7 @@ class RelevanceGrade(IntEnum):
         return self >= RelevanceGrade.POSSIBLY_RELEVANT
 
 
-@dataclass(frozen=True, slots=True)
-class TimeInterval:
+class TimeInterval(namedtuple("TimeInterval", "start end")):
     """A [start, end] span in seconds, the atom of all temporal scoring.
 
     Zero-length intervals (start == end) are legal degenerate inputs.  The
@@ -72,32 +71,23 @@ class TimeInterval:
     ``0 <= start <= end <= MAX_SECONDS``.
     """
 
-    start: float
-    end: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        start = float(self.start)
-        end = float(self.end)
-        if not (math.isfinite(start) and end <= MAX_SECONDS):  # NaN and inf fail too
-            raise ValueError(f"interval bounds must be finite and at most {MAX_SECONDS:g}, got [{self.start}, {self.end}]")
-        if start < 0:
-            raise ValueError(f"interval start must be >= 0, got {start}")
-        if end < start:
-            raise ValueError(f"interval end {end} precedes start {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+    def __new__(cls, start: float, end: float) -> TimeInterval:
+        low = float(start)
+        high = float(end)
+        if not (math.isfinite(low) and high <= MAX_SECONDS):  # NaN and inf fail too
+            raise ValueError(f"interval bounds must be finite and at most {MAX_SECONDS:g}, got [{start}, {end}]")
+        if low < 0:
+            raise ValueError(f"interval start must be >= 0, got {low}")
+        if high < low:
+            raise ValueError(f"interval end {high} precedes start {low}")
+        return tuple.__new__(cls, (low, high))
 
     @classmethod
-    def _unchecked(cls, start: float, end: float) -> "TimeInterval":
+    def _unchecked(cls, start: float, end: float) -> TimeInterval:
         """An interval from float bounds ``0 <= start <= end`` the caller has already checked."""
-        interval = object.__new__(cls)
-        object.__setattr__(interval, "start", start)
-        object.__setattr__(interval, "end", end)
-        return interval
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
+        return tuple.__new__(cls, (start, end))
 
 
 def quote_token(token: str) -> str:

@@ -27,10 +27,8 @@ import math
 import os
 import re
 import warnings
-from collections import defaultdict
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from collections import defaultdict, namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 
 from .core import (
     MAX_SECONDS,
@@ -59,68 +57,59 @@ class StepLintWarning(ToolkitWarning):
 # ---------------------------------------------------------------------------
 
 
-class RetrievalRunEntry(NamedTuple):
+class RetrievalRunEntry(namedtuple("RetrievalRunEntry", "question video rank score tag")):
     """One ranked video for one question in a retrieval run."""
 
-    question: QuestionId
-    video: VideoId
-    rank: int
-    score: float
-    tag: str
+    __slots__ = ()
 
 
-@dataclass
-class JudgedVideo:
+class JudgedVideo(namedtuple("JudgedVideo", "question video grade answers")):
     """A video's graded relevance plus its assessed answer intervals."""
 
-    question: QuestionId
-    video: VideoId
-    grade: RelevanceGrade
-    answers: list[TimeInterval] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(
+        cls, question: QuestionId, video: VideoId, grade: RelevanceGrade, answers: list[TimeInterval] | None = None
+    ) -> JudgedVideo:
+        return tuple.__new__(cls, (question, video, grade, [] if answers is None else answers))
 
 
-class LocalizationCandidate(NamedTuple):
+class LocalizationCandidate(namedtuple("LocalizationCandidate", "question video interval score rank")):
     """One ranked (video, interval, score) answer candidate for a question."""
 
-    question: QuestionId
-    video: VideoId
-    interval: TimeInterval
-    score: float
-    rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(namedtuple("Step", "caption interval")):
     """One instructional step: a caption and the interval where it is shown."""
 
-    caption: str
-    interval: TimeInterval
+    __slots__ = ()
 
 
-@dataclass
-class StepSequence:
+class StepSequence(namedtuple("StepSequence", "segment_id steps")):
     """Ordered steps for one visual segment, sorted by start time."""
 
-    segment_id: str
-    steps: list[Step] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, segment_id: str, steps: list[Step] | None = None) -> StepSequence:
+        return tuple.__new__(cls, (segment_id, [] if steps is None else steps))
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
+class CorpusDocument(namedtuple("CorpusDocument", "video title subtitle", defaults=("", ""))):
     """A video's searchable text: title plus pre-extracted subtitle text."""
 
-    video: VideoId
-    title: str = ""
-    subtitle: str = ""
+    __slots__ = ()
 
 
-@dataclass
-class MetricReport:
+class MetricReport(namedtuple("MetricReport", "name params values")):
     """A named map of metric values plus the exact parameterization behind them."""
 
-    name: str
-    params: dict[str, Any] = field(default_factory=dict)
-    values: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, params: dict[str, object] | None = None, values: dict[str, object] | None = None
+    ) -> MetricReport:
+        return tuple.__new__(cls, (name, {} if params is None else params, {} if values is None else values))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,7 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _json_value(text: str, what: str, source: str, line: int) -> Any:
+def _json_value(text: str, what: str, source: str, line: int) -> object:
     """``json.loads(text)``, with every way it can fail as a FormatError naming ``source`` and ``line``."""
     try:
         return json.loads(text)
@@ -192,7 +181,7 @@ def _parse_score(token: str, source: str, line: int) -> float:
     return value
 
 
-def _str_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> str:
+def _str_field(obj: Mapping[str, object], key: str, source: str, line: int) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value.strip():
         raise FormatError(f"record needs a non-empty string {key!r}", source=source, line=line)
@@ -207,7 +196,7 @@ def _as_float(value: int | float) -> float:
         return math.inf
 
 
-def _number_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> float:
+def _number_field(obj: Mapping[str, object], key: str, source: str, line: int) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"record needs a number {key!r}", source=source, line=line)
@@ -217,7 +206,7 @@ def _number_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> f
     return number
 
 
-def _timestamp_field(obj: Mapping[str, Any], key: str, source: str, line: int) -> float:
+def _timestamp_field(obj: Mapping[str, object], key: str, source: str, line: int) -> float:
     """A timestamp in [0, MAX_SECONDS]: either an MM:SS / decimal string or a JSON number."""
     value = obj.get(key)
     if isinstance(value, str):
@@ -269,17 +258,24 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
         if not fields or fields[0][0] == "#":
             continue
         try:
-            if len(fields) != 6:
-                raise FormatError(
-                    f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
-                    source=source,
-                    line=lineno,
-                )
             qid, _, video, rank_token, score_token, tag = fields
-            rank = _parse_int(rank_token, "rank", source, lineno)
-            score = _parse_score(score_token, source, lineno)
-        except FormatError as exc:
-            raise _first_duplicate(staged, source) or exc from None
+            rank = int(rank_token)
+            score = float(score_token)
+            valid = rank >= 1 and math.isfinite(score)
+        except ValueError:
+            valid = False
+        if not valid:  # the checks below name the fault
+            try:
+                if len(fields) != 6:
+                    raise FormatError(
+                        f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
+                        source=source,
+                        line=lineno,
+                    )
+                rank = _parse_int(rank_token, "rank", source, lineno)
+                score = _parse_score(score_token, source, lineno)
+            except FormatError as exc:
+                raise _first_duplicate(staged, source) or exc from None
         staged[qid].append((-score, rank, video, tag, lineno))
 
     run: dict[QuestionId, list[RetrievalRunEntry]] = {}
@@ -408,23 +404,52 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     sorted by descending score with rank as tiebreak.
     """
     staged: defaultdict[QuestionId, list[tuple[float, int | None, int, VideoId, TimeInterval]]] = defaultdict(list)
+    seconds: dict[str, float] = {}  # timestamp token -> seconds; MM:SS tokens repeat across a run
+    # Each field is read inline when it is well formed.  Any other value goes to
+    # the checker that parse_qrels and parse_steps use, which names the fault,
+    # so a line's first fault is reported as if every field went through it.
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
-        obj = _json_record(line, source, lineno)
-        qid = _str_field(obj, "question", source, lineno)
-        video = _str_field(obj, "video", source, lineno)
-        start = _timestamp_field(obj, "start", source, lineno)
-        end = _timestamp_field(obj, "end", source, lineno)
-        interval = _interval(start, end, source, lineno)
-        score = _number_field(obj, "score", source, lineno)
+        try:
+            obj, stop = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            stop = -1
+        if stop != len(line) or type(obj) is not dict:
+            obj = _json_record(line, source, lineno)
+        qid = obj.get("question")
+        qid = qid.strip() if type(qid) is str else ""
+        if not qid:
+            qid = _str_field(obj, "question", source, lineno)
+        video = obj.get("video")
+        video = video.strip() if type(video) is str else ""
+        if not video:
+            video = _str_field(obj, "video", source, lineno)
+        bounds = []
+        for key in ("start", "end"):
+            value = obj.get(key)
+            if type(value) is str:
+                number = seconds.get(value)
+                if number is None:
+                    number = seconds[value] = _timestamp_field(obj, key, source, lineno)
+            elif (type(value) is int or type(value) is float) and 0 <= value <= MAX_SECONDS:
+                number = float(value)
+            else:
+                number = _timestamp_field(obj, key, source, lineno)
+            bounds.append(number)
+        start, end = bounds
+        if end < start:
+            _interval(start, end, source, lineno)
+        score = obj.get("score")
+        if type(score) is not float or score - score != 0.0:  # not a finite float
+            score = _number_field(obj, "score", source, lineno)
         rank = None
         if "rank" in obj:
             rank = obj["rank"]
             if type(rank) is not int or rank < 1:
                 raise FormatError(f"rank must be a positive integer, got {rank!r}", source=source, line=lineno)
-        staged[qid].append((-score, rank, lineno, video, interval))
+        staged[qid].append((-score, rank, lineno, video, tuple.__new__(TimeInterval, (start, end))))
 
     run: dict[QuestionId, list[LocalizationCandidate]] = {}
     for qid, rows in staged.items():
@@ -543,7 +568,7 @@ def parse_queries(text: str, source: str = "<queries>") -> dict[QuestionId, str]
 # ---------------------------------------------------------------------------
 
 
-def _flatten(values: Mapping[str, Any], path: str = "") -> Iterator[tuple[str, Any]]:
+def _flatten(values: Mapping[str, object], path: str = "") -> Iterator[tuple[str, object]]:
     for key, value in values.items():
         where = f"{path}/{key}" if path else str(key)
         if isinstance(value, Mapping):
@@ -552,7 +577,7 @@ def _flatten(values: Mapping[str, Any], path: str = "") -> Iterator[tuple[str, A
             yield where, value
 
 
-def _validate_values(values: Mapping[str, Any]) -> None:
+def _validate_values(values: Mapping[str, object]) -> None:
     for where, value in _flatten(values):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"report value {where!r} must be a number")
@@ -560,7 +585,7 @@ def _validate_values(values: Mapping[str, Any]) -> None:
             raise ValueError(f"report value {where!r} must be finite")
 
 
-def _render_param(value: Any) -> str:
+def _render_param(value: object) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(_render_param(v) for v in value)
     if isinstance(value, float):
@@ -607,22 +632,25 @@ def read_text(path: str) -> str:
         raise FormatError(str(exc.strerror or exc), source=path) from exc
 
 
-def write_atomically(path: str | Path, *chunks: bytes) -> None:
+def write_atomically(path: str | os.PathLike, *chunks: bytes) -> None:
     """Write ``chunks`` to ``path`` so that readers never see it half-written.
 
     The bytes go to a temporary file in the same directory that then replaces
     ``path``; if anything fails, the temporary file is removed and an existing
     ``path`` is left as it was.  An OS failure is a FormatError naming ``path``.
     """
-    target = Path(path)
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    directory, name = os.path.split(os.fspath(path).rstrip(os.sep))  # "dir/name/" names "dir/name", as in pathlib
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk)
-        os.replace(temporary, target)
+        os.replace(temporary, os.path.join(directory, name))
     except BaseException as exc:
-        temporary.unlink(missing_ok=True)
+        try:
+            os.remove(temporary)
+        except FileNotFoundError:
+            pass
         if isinstance(exc, OSError):
             raise FormatError(str(exc.strerror or exc), source=str(path)) from exc
         raise

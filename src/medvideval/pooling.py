@@ -8,9 +8,8 @@ and adding a run never perturbs the draws of other runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .core import QuestionId, VideoId
 from .io_formats import RetrievalRunEntry
@@ -20,39 +19,35 @@ from .io_formats import RetrievalRunEntry
 TRACK_SCHEDULE = ((10, 1.0), (5, 0.3), (5, 0.2), (5, 0.1))
 
 
-@dataclass(frozen=True)
-class PoolBand:
+class PoolBand(namedtuple("PoolBand", "depth probability")):
     """A contiguous block of ranks sharing one inclusion probability."""
 
-    depth: int
-    probability: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"band depth must be >= 1, got {self.depth}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"band probability must be in [0, 1], got {self.probability}")
+    def __new__(cls, depth: int, probability: float) -> PoolBand:
+        if depth < 1:
+            raise ValueError(f"band depth must be >= 1, got {depth}")
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"band probability must be in [0, 1], got {probability}")
+        return tuple.__new__(cls, (depth, probability))
 
 
-@dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(namedtuple("PoolSpec", "bands seed")):
     """Band schedule plus the seed that fixes every inclusion draw."""
 
-    bands: tuple[PoolBand, ...] = tuple(PoolBand(d, p) for d, p in TRACK_SCHEDULE)
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.bands:
+    def __new__(
+        cls, bands: tuple[PoolBand, ...] = tuple(PoolBand(d, p) for d, p in TRACK_SCHEDULE), seed: int = 0
+    ) -> PoolSpec:
+        if not bands:
             raise ValueError("a pool spec needs at least one band")
+        return tuple.__new__(cls, (bands, seed))
 
-    @cached_property
+    @property
     def rank_probabilities(self) -> tuple[float, ...]:
         """Inclusion probability of each 1-based rank in the schedule, in order."""
         return tuple(band.probability for band in self.bands for _ in range(band.depth))
-
-    def expected_inclusions(self) -> float:
-        """Expected pool contributions of one full-depth run for one question."""
-        return sum(band.depth * band.probability for band in self.bands)
 
 
 def inclusion_draw(seed: int, tag: str, question: str, rank: int) -> float:
@@ -64,15 +59,13 @@ def inclusion_draw(seed: int, tag: str, question: str, rank: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-@dataclass
-class Pool:
-    """Pooled videos per question, with the runs and ranks that contributed."""
+class Pool(namedtuple("Pool", "spec members")):
+    """Pooled videos per question, with the runs and ranks that contributed.
 
-    spec: PoolSpec
-    members: dict[QuestionId, dict[VideoId, list[tuple[str, int]]]]
+    ``members`` maps question -> video -> sorted (run tag, rank) contributions.
+    """
 
-    def videos(self, question: QuestionId) -> set[VideoId]:
-        return set(self.members.get(question, ()))
+    __slots__ = ()
 
 
 def build_pool(
@@ -90,10 +83,11 @@ def build_pool(
     """
     members: dict[QuestionId, dict[VideoId, list[tuple[str, int]]]] = {}
     owners: dict[tuple[str, QuestionId], int] = {}
+    rank_probabilities = spec.rank_probabilities
     for index, run in enumerate(runs):
         for qid, entries in run.items():
             tag = None
-            for position, (entry, probability) in enumerate(zip(entries, spec.rank_probabilities), start=1):
+            for position, (entry, probability) in enumerate(zip(entries, rank_probabilities), start=1):
                 if entry.tag != tag:  # a run's question rarely changes tag, so look up only on a change
                     tag = entry.tag
                     owner = owners.setdefault((tag, qid), index)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .core import QuestionId, VideoId, plain_sum
 from .io_formats import JudgedVideo, MetricReport, RetrievalRunEntry
@@ -63,13 +63,10 @@ def ndcg(ranking: Sequence[VideoId], judged: Sequence[JudgedVideo]) -> float:
     return _question_row(ranking, judged, ())["nDCG"]
 
 
-@dataclass
-class RetrievalScore:
+class RetrievalScore(namedtuple("RetrievalScore", "ks per_question macro")):
     """Per-question metric rows plus macro averages, with the cutoffs used."""
 
-    ks: tuple[int, ...]
-    per_question: dict[QuestionId, dict[str, float]]
-    macro: dict[str, float]
+    __slots__ = ()
 
 
 def evaluate_rankings(

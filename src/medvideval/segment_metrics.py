@@ -12,8 +12,8 @@ localization depths n) and IoU thresholds mu, each sorted and deduplicated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, plain_sum
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
@@ -145,27 +145,27 @@ def recall_at_n_iou(
     return evaluate_localization(run, qrels, IoUParams((n,), (mu,), lam)).table[n][threshold_key(mu)]
 
 
-@dataclass(frozen=True)
-class IoUParams:
+class IoUParams(namedtuple("IoUParams", "n_values mu_values lam")):
     """Evaluation grid: candidate depths, IoU thresholds, and the extension."""
 
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    mu_values: tuple[float, ...] = DEFAULT_MU_VALUES
-    lam: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", normalise_depths(self.n_values, "n"))
-        object.__setattr__(self, "mu_values", normalise_thresholds(self.mu_values))
-        check_lambda(self.lam)
+    def __new__(
+        cls,
+        n_values: Iterable[int] = DEFAULT_N_VALUES,
+        mu_values: Iterable[float] = DEFAULT_MU_VALUES,
+        lam: float = 0.0,
+    ) -> IoUParams:
+        depths = normalise_depths(n_values, "n")
+        thresholds = normalise_thresholds(mu_values)
+        check_lambda(lam)
+        return tuple.__new__(cls, (depths, thresholds, lam))
 
 
-@dataclass
-class LocalizationScore:
+class LocalizationScore(namedtuple("LocalizationScore", "params per_question table")):
     """Per-question best IoU at each depth plus the rendered percentage table."""
 
-    params: IoUParams
-    per_question: dict[QuestionId, dict[int, float]]
-    table: dict[int, dict[str, float]]
+    __slots__ = ()
 
 
 def evaluate_localization(

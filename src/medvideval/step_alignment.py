@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .core import ToolkitWarning, plain_sum
 from .io_formats import MetricReport, Step, StepSequence
@@ -34,35 +34,30 @@ from .text_metrics import PRF, CaptionPair, bleu_scores_tokens, meteor_tokens, p
 BLEU_ORDERS = (2, 3)
 
 
-@dataclass(frozen=True)
-class AlignmentParams:
+class AlignmentParams(namedtuple("AlignmentParams", "theta alpha beta lam")):
     """Threshold and weights for step matching, plus the IoU extension."""
 
-    theta: float = 0.4
-    alpha: float = 0.5
-    beta: float = 0.5
-    lam: float = 3.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        named = {"theta": self.theta, "alpha": self.alpha, "beta": self.beta}
-        for name, value in named.items():
+    def __new__(cls, theta: float = 0.4, alpha: float = 0.5, beta: float = 0.5, lam: float = 3.0) -> AlignmentParams:
+        for name, value in (("theta", theta), ("alpha", alpha), ("beta", beta)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-        check_lambda(self.lam)
+        check_lambda(lam)
+        return tuple.__new__(cls, (theta, alpha, beta, lam))
 
 
-@dataclass
-class AlignmentResult:
+class AlignmentResult(namedtuple("AlignmentResult", "tp fp fn pairs")):
     """Match counts plus the matched (pred index, gt index, score) pairs.
 
     Invariants: tp + fp = number of predicted steps, fn = ground-truth steps
     minus tp, and matched gt indices strictly increase with pred index.
     """
 
-    tp: int
-    fp: int
-    fn: int
-    pairs: list[tuple[int, int, float]] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, tp: int, fp: int, fn: int, pairs: list[tuple[int, int, float]] | None = None) -> AlignmentResult:
+        return tuple.__new__(cls, (tp, fp, fn, [] if pairs is None else pairs))
 
 
 def _steps(sequence: StepSequence | Sequence) -> Sequence:
@@ -206,12 +201,13 @@ def _align_segments(
     return aligned
 
 
-@dataclass
-class SegmentIoUStats:
-    """Relaxed-IoU statistics over every ground-truth step in a test set."""
+class SegmentIoUStats(namedtuple("SegmentIoUStats", "mean_iou fraction_at")):
+    """Relaxed-IoU statistics over every ground-truth step in a test set.
 
-    mean_iou: float
-    fraction_at: dict[float, float]  # threshold -> percentage of gt steps
+    ``fraction_at`` maps each threshold to the percentage of gt steps reaching it.
+    """
+
+    __slots__ = ()
 
 
 def step_segment_stats(
@@ -238,16 +234,10 @@ def step_segment_stats(
     return SegmentIoUStats(mean, fraction_at)
 
 
-@dataclass
-class StepScore:
+class StepScore(namedtuple("StepScore", "params tp fp fn prf iou")):
     """Pooled alignment accounting and IoU statistics for a whole run."""
 
-    params: AlignmentParams
-    tp: int
-    fp: int
-    fn: int
-    prf: PRF
-    iou: SegmentIoUStats
+    __slots__ = ()
 
 
 def evaluate_steps(
@@ -308,15 +298,10 @@ def matched_caption_pairs(
     ]
 
 
-@dataclass
-class CaptionScore:
-    """Corpus text metrics over the greedily matched caption pairs."""
+class CaptionScore(namedtuple("CaptionScore", "params pair_count bleu meteor rouge_l")):
+    """Corpus text metrics over the greedily matched caption pairs; ``bleu`` maps order to score."""
 
-    params: AlignmentParams
-    pair_count: int
-    bleu: dict[int, float]
-    meteor: float
-    rouge_l: float
+    __slots__ = ()
 
 
 def evaluate_captions(

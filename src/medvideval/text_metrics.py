@@ -10,34 +10,29 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 
 from .core import plain_sum
 
 _PUNCT = string.punctuation
 
 
-@dataclass(frozen=True)
-class CaptionPair:
+class CaptionPair(namedtuple("CaptionPair", "predicted reference")):
     """A predicted caption and the reference it is scored against."""
 
-    predicted: str
-    reference: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.predicted.strip() or not self.reference.strip():
+    def __new__(cls, predicted: str, reference: str) -> CaptionPair:
+        if not predicted.strip() or not reference.strip():
             raise ValueError("caption pair sides must be non-empty")
+        return tuple.__new__(cls, (predicted, reference))
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(namedtuple("PRF", "precision recall f")):
     """Precision / recall / F-score triple."""
 
-    precision: float
-    recall: float
-    f: float
+    __slots__ = ()
 
 
 def prf(tp: float, predicted: float, actual: float) -> PRF:

@@ -172,6 +172,13 @@ class TestPersistence:
         loaded = load_index(tmp_path)
         assert loaded == index
 
+    def test_equality_compares_data_not_the_norms_cache(self, tmp_path):
+        index = build_index(docs("attach the mouthpiece", "rinse the ear canal"))
+        save_index(index, tmp_path)
+        search(index, "the mouthpiece", 2)  # caches the length norms on index only
+        assert load_index(tmp_path) == index
+        assert build_index(docs("attach the mouthpiece")) != index
+
     def test_search_identical_after_reload(self, tmp_path):
         index = build_index(docs("attach the mouthpiece", "rinse the ear canal"))
         save_index(index, tmp_path)

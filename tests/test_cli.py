@@ -810,8 +810,9 @@ def test_integer_past_the_digit_limit_names_the_field_briefly(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "name, old, new, flags, field",
     [
-        # Widening [0, 1e300] by the largest float overflowed to an internal error.
-        ("localization.jsonl", '"end": "02:05"', '"end": 1e300', ["--lambda", "1.7976931348623157e308"], "'end' must be"),
+        # Widening [0, 1e300] by the largest float overflowed to an internal error.  Flags are
+        # checked before any file is read, so the largest accepted lambda keeps the fault in the file.
+        ("localization.jsonl", '"end": "02:05"', '"end": 1e300', ["--lambda", "1e100"], "'end' must be"),
         # The union of two [0, 1e308] intervals overflowed, so an exact match scored IoU 0.
         ("answers.jsonl", '"start": "01:30", "end": "02:00"', '"start": 0, "end": 1e308', [], "'end' must be"),
         ("localization.jsonl", '"end": "02:05"', '"end": "' + "9" * 400 + '"', [], "(field 'end')"),
@@ -891,14 +892,41 @@ def test_entry_point_prints_one_line_per_warning(argv, expected):
 
 def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
     # Only pool draws hash and only plain_number's exponent branch needs
-    # decimal, so they are imported there; hashlib loads OpenSSL.
+    # decimal, so they are imported there; hashlib loads OpenSSL.  Records are
+    # namedtuples and paths are strings, so dataclasses (with inspect),
+    # pathlib and typing are not needed at all.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import medvideval.cli; "
-        "print(sorted({'hashlib', '_hashlib', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'hashlib', '_hashlib', 'decimal', 'dataclasses', 'inspect', 'pathlib', 'typing'}"
+        " & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code, str(REPO / "src")], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval-localization", "--run", "{missing}", *ORGANISER_QRELS, "--lambda", "nan"], "lambda"),
+        (["eval-vcval", "--run", str(ORGANISER / "localization.jsonl"), "--qrels", "{missing}", "--mu", "1.5"], "mu"),
+        (["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--theta", "nan"], "theta"),
+        (["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--mu", "5"], "mu"),
+        (["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--alpha", "inf"], "alpha"),
+        (["search", "{missing}", "{missing}", "--k1", "0"], "k1"),
+    ],
+    ids=["eval-localization", "eval-vcval", "eval-steps", "eval-steps-mu", "eval-captions", "search"],
+)
+def test_bad_flag_is_reported_before_any_input_is_read(tmp_path, argv, flag):
+    # The step files would warn about a long caption if they were parsed.
+    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {flag} "), result.stderr
+    assert "warning:" not in result.stderr
 
 
 def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):

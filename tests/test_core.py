@@ -46,7 +46,7 @@ class TestParseTimestamp:
 class TestTimeInterval:
     def test_zero_length_is_legal(self):
         interval = TimeInterval(5, 5)
-        assert interval.length == 0
+        assert interval.end - interval.start == 0
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestTimeInterval:
             TimeInterval(7, 3)
 
     def test_rejects_non_finite(self):
-        for end in (float("inf"), 1e308, 1.1e100):
+        for end in (float("inf"), float("nan"), 1e308, 1.1e100):
             with pytest.raises(ValueError, match="at most 1e\\+100"):
                 TimeInterval(0, end)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from decimal import Decimal
 
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medvideval.bm25 import Bm25Params
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval
 from medvideval.io_formats import (
     CorpusDocument,
+    JudgedVideo,
     LocalizationCandidate,
     MetricReport,
     RetrievalRunEntry,
     Step,
     StepLintWarning,
+    StepSequence,
     _check_token,
     _plain_number,
     parse_corpus,
@@ -26,6 +30,10 @@ from medvideval.io_formats import (
     write_atomically,
     write_retrieval_run,
 )
+from medvideval.pooling import PoolSpec
+from medvideval.segment_metrics import IoUParams
+from medvideval.step_alignment import AlignmentParams, AlignmentResult
+from medvideval.text_metrics import CaptionPair
 
 # ---------------------------------------------------------------------------
 # retrieval runs
@@ -71,6 +79,28 @@ class TestRetrievalRunParsing:
     def test_rejects_bad_lines(self, line):
         with pytest.raises(FormatError):
             parse_retrieval_run(line)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q1 Q0 v1 0 2.0 t", "<run>:1: rank must be >= 1, got '0'"),
+            ("q1 Q0 v1 1.5 2.0 t", "<run>:1: rank must be an integer, got '1.5'"),
+            ("q1 Q0 v1 1 nan t", "<run>:1: score must be finite, got 'nan'"),
+            ("q1 Q0 v1 1 inf t", "<run>:1: score must be finite, got 'inf'"),
+            ("q1 Q0 v1 1 2.0", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 5"),
+            ("q1 Q0 v1 1 2.0 t extra", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 7"),
+            # A bad line after a duplicate: the duplicate comes first in the file.
+            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 2 1.0 t\nq1 Q0 v2 x 0.5 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
+        ],
+        ids=["rank-0", "rank-1.5", "score-nan", "score-inf", "5-fields", "7-fields", "bad-line-after-duplicate"],
+    )
+    def test_each_fault_keeps_its_message_and_line(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            parse_retrieval_run(text)
+        assert str(raised.value) == message
+
+    def test_rank_with_digit_separators_is_accepted(self):
+        assert parse_retrieval_run("q1 Q0 v1 1_000 2.0 t")["q1"][0].rank == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +213,44 @@ class TestLocalizationRunParsing:
     def test_malformed_json_positioned(self):
         with pytest.raises(FormatError, match="loc.jsonl:2"):
             parse_localization_run(_loc_record() + "\n{nope", source="loc.jsonl")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"score": True}, "record needs a number 'score'"),
+            ({"score": math.nan}, "'score' must be finite"),
+            ({"score": math.inf}, "'score' must be finite"),
+            ({"score": -math.inf}, "'score' must be finite"),
+            ({"score": 10**400}, "'score' must be finite"),
+            ({"score": "0.5"}, "record needs a number 'score'"),
+            ({"start": True}, "record needs a timestamp 'start'"),
+            ({"start": -1}, "'start' must be a non-negative finite number of seconds, at most 1e+100"),
+            ({"end": 10**400}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+            ({"start": "61:60"}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
+            # "02:50" is read on line 1 too, so line 2 finds it already converted.
+            ({"start": "02:50", "end": "01:00"}, "interval end 60.0 precedes start 170.0"),
+            ({"rank": True}, "rank must be a positive integer, got True"),
+            ({"rank": 1.0}, "rank must be a positive integer, got 1.0"),
+            ({"rank": 0}, "rank must be a positive integer, got 0"),
+            ({"rank": None}, "rank must be a positive integer, got None"),
+            ({"question": " \t"}, "record needs a non-empty string 'question'"),
+            # Of several faults on one line, the first field in record order is named.
+            ({"video": "", "start": True, "score": True}, "record needs a non-empty string 'video'"),
+            ({"start": "61:60", "end": True, "rank": 0}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
+            ({"end": -1, "score": "0.5"}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+        ],
+    )
+    def test_each_fault_keeps_its_message_and_line(self, overrides, message):
+        first = _loc_record(start="02:50", end="03:10", rank=1)
+        text = first + "\n" + _loc_record(**{"video": "v2", "rank": 2, **overrides})
+        with pytest.raises(FormatError) as raised:
+            parse_localization_run(text, source="loc.jsonl")
+        assert str(raised.value) == f"loc.jsonl:2: {message}"
+
+    def test_integer_score_and_timestamps_are_read_as_floats(self):
+        (candidate,) = parse_localization_run(_loc_record(start=150, end=190, score=3))["Q1"]
+        assert candidate.score == 3.0 and type(candidate.score) is float
+        assert type(candidate.interval.start) is float and type(candidate.interval.end) is float
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +516,64 @@ def test_time_interval_is_immutable_and_hashable():
         with pytest.raises(AttributeError):
             setattr(interval, name, 5.0)
     assert interval == TimeInterval(150, 190) and hash(interval) == hash(TimeInterval(150, 190))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TimeInterval(1, 2),
+        Step("tie the knot", TimeInterval(1, 2)),
+        JudgedVideo("q1", "v1", RelevanceGrade(2)),
+        StepSequence("s1"),
+        MetricReport("r"),
+        AlignmentParams(),
+        AlignmentResult(1, 0, 0),
+        IoUParams(),
+        PoolSpec(),
+        Bm25Params(),
+        CaptionPair("a", "b"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_record_fields_cannot_be_assigned(record):
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no instance dict either
+    assert record == tuple(record)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: JudgedVideo("q1", "v1", RelevanceGrade(2)), "answers"),
+        (lambda: StepSequence("s1"), "steps"),
+        (lambda: AlignmentResult(0, 0, 0), "pairs"),
+        (lambda: MetricReport("r"), "params"),
+        (lambda: MetricReport("r"), "values"),
+    ],
+    ids=["JudgedVideo.answers", "StepSequence.steps", "AlignmentResult.pairs", "MetricReport.params", "MetricReport.values"],
+)
+def test_container_defaults_are_not_shared(make, field):
+    first, second = getattr(make(), field), getattr(make(), field)
+    assert first == second and not first
+    assert first is not second
+
+
+def test_parameter_records_take_keywords_and_check_values():
+    assert PoolSpec(seed=3) == (PoolSpec().bands, 3)
+    assert IoUParams(n_values=[5, 1, 5], mu_values=[0.5]) == ((1, 5), (0.5,), 0.0)
+    assert AlignmentParams(lam=0.0).theta == 0.4
+    for make in (
+        lambda: PoolSpec(bands=()),
+        lambda: IoUParams(lam=-1.0),
+        lambda: AlignmentParams(beta=math.inf),
+        lambda: Bm25Params(b=2.0),
+        lambda: CaptionPair(" ", "b"),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 # ---------------------------------------------------------------------------

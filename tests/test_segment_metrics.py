@@ -269,7 +269,7 @@ def test_iou_is_one_only_for_equal_positive_intervals(a0, a1, b0, b1):
     assert 0.0 <= value <= 1.0
     assert temporal_iou(second, first) == value
     if value == 1.0:
-        assert first == second and first.length > 0
+        assert first == second and first.end > first.start
 
 
 # Bounds from 0 to MAX_SECONDS; the sampled values make zero-length intervals,
@@ -326,7 +326,7 @@ positive_intervals = st.tuples(iou_bounds, iou_bounds).filter(lambda bounds: bou
 
 @given(positive_intervals, iou_lambdas)
 def test_identical_positive_intervals_score_one(a, lam):
-    assert a.length > 0
+    assert a.end > a.start
     assert temporal_iou(a, a) == 1.0
     assert relaxed_iou(a, a, lam) == 1.0
 
