@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
 from operator import attrgetter
 
-from .core import FormatError, VideoId
+from .core import CheckedRecord, FormatError, VideoId
 from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token, write_atomically
 from .text_metrics import tokenize
 
@@ -42,7 +42,7 @@ _SWAP = sys.byteorder == "big"  # the file is little-endian; 'I' is 4 bytes, 'Q'
 _TABLE = re.compile(r"\S+(?:\n\S+)*")  # "\n"-joined whitespace-free entries
 
 
-class Bm25Params(namedtuple("Bm25Params", "k1 b")):
+class Bm25Params(CheckedRecord, namedtuple("Bm25Params", "k1 b")):
     __slots__ = ()
 
     def __new__(cls, k1: float = 0.9, b: float = 0.4) -> Bm25Params:
@@ -55,40 +55,19 @@ class Bm25Params(namedtuple("Bm25Params", "k1 b")):
         return tuple.__new__(cls, (k1, b))
 
 
-class InvertedIndex:
+class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length terms offsets doc_ids tfs")):
     """Term postings plus the document statistics BM25 needs.
 
-    Two indexes are equal when their data are; the norms cache is not compared.
+    ``videos`` is ascending and a document's id is its position; ``lengths``
+    ('I') is the token count per document id; ``terms`` is ascending; term
+    ``t``'s postings are ``[offsets[t], offsets[t + 1])`` ('Q') of ``doc_ids``
+    ('I', ascending within each term) and ``tfs`` ('I').
+
+    There is no ``__slots__ = ()``, so each index has a ``__dict__`` for its
+    norms cache; tuple equality compares the data and never that cache.
     """
 
-    __slots__ = ("videos", "lengths", "avg_doc_length", "terms", "offsets", "doc_ids", "tfs", "_norms")
-
-    def __init__(
-        self,
-        videos: list[VideoId],
-        lengths: array,
-        avg_doc_length: float,
-        terms: list[str],
-        offsets: array,
-        doc_ids: array,
-        tfs: array,
-    ):
-        self.videos = videos  # ascending; a document's id is its position
-        self.lengths = lengths  # 'I': token count per document id
-        self.avg_doc_length = avg_doc_length
-        self.terms = terms  # ascending
-        self.offsets = offsets  # 'Q': term t's postings are [offsets[t], offsets[t + 1])
-        self.doc_ids = doc_ids  # 'I': ascending within each term
-        self.tfs = tfs  # 'I'
-        self._norms: tuple[Bm25Params, list[float]] | None = None
-
-    def _data(self) -> tuple:
-        return (self.videos, self.lengths, self.avg_doc_length, self.terms, self.offsets, self.doc_ids, self.tfs)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not InvertedIndex:
-            return NotImplemented
-        return self._data() == other._data()
+    _norms: tuple[Bm25Params, list[float]] | None = None
 
     @property
     def doc_count(self) -> int:

@@ -63,7 +63,24 @@ class RelevanceGrade(IntEnum):
         return self >= RelevanceGrade.POSSIBLY_RELEVANT
 
 
-class TimeInterval(namedtuple("TimeInterval", "start end")):
+class CheckedRecord:
+    """Base for a namedtuple whose ``__new__`` checks its values.
+
+    ``_make`` and ``_replace`` build through the constructor too, so no way of
+    making a record skips the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class TimeInterval(CheckedRecord, namedtuple("TimeInterval", "start end")):
     """A [start, end] span in seconds, the atom of all temporal scoring.
 
     Zero-length intervals (start == end) are legal degenerate inputs.  The

@@ -181,11 +181,17 @@ def _parse_score(token: str, source: str, line: int) -> float:
     return value
 
 
+# The field readers below take objects that json built, so they test exact
+# types: bool, a subclass of int, is neither a number nor a timestamp.
+
+
 def _str_field(obj: Mapping[str, object], key: str, source: str, line: int) -> str:
     value = obj.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise FormatError(f"record needs a non-empty string {key!r}", source=source, line=line)
-    return value.strip()
+    if type(value) is str:
+        value = value.strip()
+        if value:
+            return value
+    raise FormatError(f"record needs a non-empty string {key!r}", source=source, line=line)
 
 
 def _as_float(value: int | float) -> float:
@@ -198,9 +204,12 @@ def _as_float(value: int | float) -> float:
 
 def _number_field(obj: Mapping[str, object], key: str, source: str, line: int) -> float:
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is float:
+        number = value
+    elif type(value) is int:
+        number = _as_float(value)
+    else:
         raise FormatError(f"record needs a number {key!r}", source=source, line=line)
-    number = _as_float(value)
     if not math.isfinite(number):
         raise FormatError(f"{key!r} must be finite", source=source, line=line)
     return number
@@ -209,14 +218,17 @@ def _number_field(obj: Mapping[str, object], key: str, source: str, line: int) -
 def _timestamp_field(obj: Mapping[str, object], key: str, source: str, line: int) -> float:
     """A timestamp in [0, MAX_SECONDS]: either an MM:SS / decimal string or a JSON number."""
     value = obj.get(key)
-    if isinstance(value, str):
+    if type(value) is str:
         try:
             return parse_timestamp(value)
         except FormatError as exc:
             raise FormatError(f"{exc.reason} (field {key!r})", source=source, line=line) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is int:
+        seconds = _as_float(value)
+    elif type(value) is float:
+        seconds = value
+    else:
         raise FormatError(f"record needs a timestamp {key!r}", source=source, line=line)
-    seconds = _as_float(value)
     if not 0.0 <= seconds <= MAX_SECONDS:  # NaN fails too
         reason = f"{key!r} must be a non-negative finite number of seconds, at most {MAX_SECONDS:g}"
         raise FormatError(reason, source=source, line=line)
@@ -258,24 +270,17 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
         if not fields or fields[0][0] == "#":
             continue
         try:
+            if len(fields) != 6:
+                raise FormatError(
+                    f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
+                    source=source,
+                    line=lineno,
+                )
             qid, _, video, rank_token, score_token, tag = fields
-            rank = int(rank_token)
-            score = float(score_token)
-            valid = rank >= 1 and math.isfinite(score)
-        except ValueError:
-            valid = False
-        if not valid:  # the checks below name the fault
-            try:
-                if len(fields) != 6:
-                    raise FormatError(
-                        f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
-                        source=source,
-                        line=lineno,
-                    )
-                rank = _parse_int(rank_token, "rank", source, lineno)
-                score = _parse_score(score_token, source, lineno)
-            except FormatError as exc:
-                raise _first_duplicate(staged, source) or exc from None
+            rank = _parse_int(rank_token, "rank", source, lineno)
+            score = _parse_score(score_token, source, lineno)
+        except FormatError as exc:
+            raise _first_duplicate(staged, source) or exc from None
         staged[qid].append((-score, rank, video, tag, lineno))
 
     run: dict[QuestionId, list[RetrievalRunEntry]] = {}
@@ -404,52 +409,23 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     sorted by descending score with rank as tiebreak.
     """
     staged: defaultdict[QuestionId, list[tuple[float, int | None, int, VideoId, TimeInterval]]] = defaultdict(list)
-    seconds: dict[str, float] = {}  # timestamp token -> seconds; MM:SS tokens repeat across a run
-    # Each field is read inline when it is well formed.  Any other value goes to
-    # the checker that parse_qrels and parse_steps use, which names the fault,
-    # so a line's first fault is reported as if every field went through it.
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj, stop = _scan_json(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            stop = -1
-        if stop != len(line) or type(obj) is not dict:
-            obj = _json_record(line, source, lineno)
-        qid = obj.get("question")
-        qid = qid.strip() if type(qid) is str else ""
-        if not qid:
-            qid = _str_field(obj, "question", source, lineno)
-        video = obj.get("video")
-        video = video.strip() if type(video) is str else ""
-        if not video:
-            video = _str_field(obj, "video", source, lineno)
-        bounds = []
-        for key in ("start", "end"):
-            value = obj.get(key)
-            if type(value) is str:
-                number = seconds.get(value)
-                if number is None:
-                    number = seconds[value] = _timestamp_field(obj, key, source, lineno)
-            elif (type(value) is int or type(value) is float) and 0 <= value <= MAX_SECONDS:
-                number = float(value)
-            else:
-                number = _timestamp_field(obj, key, source, lineno)
-            bounds.append(number)
-        start, end = bounds
-        if end < start:
-            _interval(start, end, source, lineno)
-        score = obj.get("score")
-        if type(score) is not float or score - score != 0.0:  # not a finite float
-            score = _number_field(obj, "score", source, lineno)
+        obj = _json_record(line, source, lineno)
+        qid = _str_field(obj, "question", source, lineno)
+        video = _str_field(obj, "video", source, lineno)
+        start = _timestamp_field(obj, "start", source, lineno)
+        end = _timestamp_field(obj, "end", source, lineno)
+        interval = _interval(start, end, source, lineno)
+        score = _number_field(obj, "score", source, lineno)
         rank = None
         if "rank" in obj:
             rank = obj["rank"]
             if type(rank) is not int or rank < 1:
                 raise FormatError(f"rank must be a positive integer, got {rank!r}", source=source, line=lineno)
-        staged[qid].append((-score, rank, lineno, video, tuple.__new__(TimeInterval, (start, end))))
+        staged[qid].append((-score, rank, lineno, video, interval))
 
     run: dict[QuestionId, list[LocalizationCandidate]] = {}
     for qid, rows in staged.items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
-from .core import QuestionId, VideoId
+from .core import CheckedRecord, QuestionId, VideoId
 from .io_formats import RetrievalRunEntry
 
 # Depth schedule used for the track assessments: pool size 25, first 10 ranks
@@ -19,7 +19,7 @@ from .io_formats import RetrievalRunEntry
 TRACK_SCHEDULE = ((10, 1.0), (5, 0.3), (5, 0.2), (5, 0.1))
 
 
-class PoolBand(namedtuple("PoolBand", "depth probability")):
+class PoolBand(CheckedRecord, namedtuple("PoolBand", "depth probability")):
     """A contiguous block of ranks sharing one inclusion probability."""
 
     __slots__ = ()
@@ -32,7 +32,7 @@ class PoolBand(namedtuple("PoolBand", "depth probability")):
         return tuple.__new__(cls, (depth, probability))
 
 
-class PoolSpec(namedtuple("PoolSpec", "bands seed")):
+class PoolSpec(CheckedRecord, namedtuple("PoolSpec", "bands seed")):
     """Band schedule plus the seed that fixes every inclusion draw."""
 
     __slots__ = ()

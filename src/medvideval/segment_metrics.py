@@ -15,7 +15,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .core import MAX_SECONDS, QuestionId, TimeInterval, ToolkitWarning, plain_sum
+from .core import MAX_SECONDS, CheckedRecord, QuestionId, TimeInterval, ToolkitWarning, plain_sum
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -145,7 +145,7 @@ def recall_at_n_iou(
     return evaluate_localization(run, qrels, IoUParams((n,), (mu,), lam)).table[n][threshold_key(mu)]
 
 
-class IoUParams(namedtuple("IoUParams", "n_values mu_values lam")):
+class IoUParams(CheckedRecord, namedtuple("IoUParams", "n_values mu_values lam")):
     """Evaluation grid: candidate depths, IoU thresholds, and the extension."""
 
     __slots__ = ()

@@ -18,7 +18,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
-from .core import ToolkitWarning, plain_sum
+from .core import CheckedRecord, ToolkitWarning, plain_sum
 from .io_formats import MetricReport, Step, StepSequence
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
@@ -34,7 +34,7 @@ from .text_metrics import PRF, CaptionPair, bleu_scores_tokens, meteor_tokens, p
 BLEU_ORDERS = (2, 3)
 
 
-class AlignmentParams(namedtuple("AlignmentParams", "theta alpha beta lam")):
+class AlignmentParams(CheckedRecord, namedtuple("AlignmentParams", "theta alpha beta lam")):
     """Threshold and weights for step matching, plus the IoU extension."""
 
     __slots__ = ()

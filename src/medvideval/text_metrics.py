@@ -13,12 +13,12 @@ import string
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .core import plain_sum
+from .core import CheckedRecord, plain_sum
 
 _PUNCT = string.punctuation
 
 
-class CaptionPair(namedtuple("CaptionPair", "predicted reference")):
+class CaptionPair(CheckedRecord, namedtuple("CaptionPair", "predicted reference")):
     """A predicted caption and the reference it is scored against."""
 
     __slots__ = ()

@@ -30,7 +30,7 @@ from medvideval.io_formats import (
     write_atomically,
     write_retrieval_run,
 )
-from medvideval.pooling import PoolSpec
+from medvideval.pooling import PoolBand, PoolSpec
 from medvideval.segment_metrics import IoUParams
 from medvideval.step_alignment import AlignmentParams, AlignmentResult
 from medvideval.text_metrics import CaptionPair
@@ -251,6 +251,11 @@ class TestLocalizationRunParsing:
         (candidate,) = parse_localization_run(_loc_record(start=150, end=190, score=3))["Q1"]
         assert candidate.score == 3.0 and type(candidate.score) is float
         assert type(candidate.interval.start) is float and type(candidate.interval.end) is float
+
+    def test_an_integer_timestamp_is_range_checked_as_a_float(self):
+        # 10**100 + 1 exceeds 1e100 as an integer but rounds to it as a float.
+        (candidate,) = parse_localization_run(_loc_record(start=0, end=10**100 + 1))["Q1"]
+        assert candidate.interval.end == 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +547,31 @@ def test_record_fields_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
         record.extra = 1  # no instance dict either
     assert record == tuple(record)
+
+
+@pytest.mark.parametrize(
+    "record, bad",
+    [
+        (TimeInterval(1, 2), {"end": 0}),
+        (IoUParams(), {"lam": -1.0}),
+        (AlignmentParams(), {"theta": math.nan}),
+        (Bm25Params(), {"b": 2.0}),
+        (PoolBand(5, 0.5), {"depth": 0}),
+        (PoolSpec(), {"bands": ()}),
+        (CaptionPair("a", "b"), {"reference": " "}),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, dict) else "",
+)
+def test_replace_and_make_run_the_constructor_checks(record, bad):
+    assert record._replace() == record and type(record)._make(record) == record
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **bad}.values())
+
+
+def test_replace_normalises_the_iou_grid():
+    assert IoUParams()._replace(mu_values=[0.7, 0.3, 0.7]).mu_values == (0.3, 0.7)
 
 
 @pytest.mark.parametrize(
