@@ -29,7 +29,7 @@ from .io_formats import (
     write_retrieval_run,
 )
 from .pooling import PoolSpec, build_pool, write_pool
-from .retrieval_metrics import evaluate_rankings, evaluate_retrieval, retrieval_report
+from .retrieval_metrics import DEFAULT_K_VALUES, evaluate_rankings, evaluate_retrieval, retrieval_report
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
@@ -51,6 +51,11 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
+# The library's defaults, which the flags and their help text repeat.
+_ALIGNMENT = AlignmentParams()
+_BM25 = Bm25Params()
+_IOU = IoUParams()
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -60,6 +65,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _number(text: str) -> float:
+    """``float(text)``, with ``-0`` read as ``0.0`` so that equal values give equal reports."""
+    return float(text) + 0.0
+
+
+_number.__name__ = "float"  # argparse names the type in its message: "invalid float value: 'x'"
+
+
+def _listed(values: Sequence[float]) -> str:
+    """Comma-separated values as a list flag takes them; a string default is read like a typed one."""
+    return ",".join(map(repr, values))
 
 
 def _comma_list(text: str, convert: Callable[[str], object], what: str) -> list:
@@ -74,7 +92,7 @@ def _comma_list(text: str, convert: Callable[[str], object], what: str) -> list:
 
 
 _int_list = partial(_comma_list, convert=_positive_int, what="positive integers")
-_float_list = partial(_comma_list, convert=float, what="numbers")
+_float_list = partial(_comma_list, convert=_number, what="numbers")
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
@@ -93,22 +111,22 @@ def _add_judged_run_flags(parser: argparse.ArgumentParser, run_help: str, *, cut
     parser.add_argument("--run", required=True, metavar="PATH", help=run_help)
     parser.add_argument("--qrels", required=True, nargs="+", metavar="PATH", help="grade file, then the optional answer sidecar")
     if cutoffs:
-        parser.add_argument("--k", type=_int_list, default=[5, 10], help="retrieval cutoffs (default 5,10)")
+        parser.add_argument("--k", type=_int_list, default=_listed(DEFAULT_K_VALUES), help="retrieval cutoffs (default %(default)s)")
 
 
 def _add_iou_flags(parser: argparse.ArgumentParser, *, lam: float, depths: bool) -> None:
     if depths:
-        parser.add_argument("--n", type=_int_list, default=list(DEFAULT_N_VALUES), help="candidate depths (default 1,3,5,10)")
-    parser.add_argument("--mu", type=_float_list, default=list(DEFAULT_MU_VALUES), help="IoU thresholds (default 0.3,0.5,0.7)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=lam, help=f"IoU extension in seconds (default {lam:g})")
+        parser.add_argument("--n", type=_int_list, default=_listed(DEFAULT_N_VALUES), help="candidate depths (default %(default)s)")
+    parser.add_argument("--mu", type=_float_list, default=_listed(DEFAULT_MU_VALUES), help="IoU thresholds (default %(default)s)")
+    parser.add_argument("--lambda", dest="lam", type=_number, default=lam, help="IoU extension in seconds (default %(default)g)")
 
 
 def _add_step_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pred", required=True, metavar="PATH", help="predicted step file (JSON lines)")
     parser.add_argument("--gold", required=True, metavar="PATH", help="ground-truth step file (JSON lines)")
-    parser.add_argument("--theta", type=float, default=0.4, help="alignment score threshold")
-    parser.add_argument("--alpha", type=float, default=0.5, help="temporal overlap weight")
-    parser.add_argument("--beta", type=float, default=0.5, help="caption ROUGE-L weight")
+    parser.add_argument("--theta", type=_number, default=_ALIGNMENT.theta, help="alignment score threshold (default %(default)g)")
+    parser.add_argument("--alpha", type=_number, default=_ALIGNMENT.alpha, help="temporal overlap weight (default %(default)g)")
+    parser.add_argument("--beta", type=_number, default=_ALIGNMENT.beta, help="caption ROUGE-L weight (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,19 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-localization", help="score a temporal localization run")
     _add_judged_run_flags(p, "localization run (JSON lines)", cutoffs=False)
-    _add_iou_flags(p, lam=0.0, depths=True)
+    _add_iou_flags(p, lam=_IOU.lam, depths=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_localization)
 
     p = sub.add_parser("eval-vcval", help="retrieval plus localization from one candidate run")
     _add_judged_run_flags(p, "localization run (JSON lines)", cutoffs=True)
-    _add_iou_flags(p, lam=0.0, depths=True)
+    _add_iou_flags(p, lam=_IOU.lam, depths=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_vcval)
 
     p = sub.add_parser("eval-steps", help="score predicted instructional steps against gold steps")
     _add_step_flags(p)
-    _add_iou_flags(p, lam=3.0, depths=False)
+    _add_iou_flags(p, lam=_ALIGNMENT.lam, depths=False)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_eval_steps)
 
@@ -149,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pool", help="build an assessment pool from one or more runs")
     p.add_argument("--run", required=True, nargs="+", metavar="PATH", help="run files to pool")
-    p.add_argument("--seed", type=int, default=0, help="seed for the inclusion draws (default 0)")
+    p.add_argument("--seed", type=int, default=PoolSpec().seed, help="seed for the inclusion draws (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write the pool here instead of stdout")
     p.set_defaults(handler=_cmd_pool)
 
@@ -163,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index_dir", metavar="INDEX_DIR", help="directory written by the index command")
     p.add_argument("queries", metavar="QUERIES", help="query file: qid followed by query text")
     p.add_argument("--k", type=_int_list, default=[10], help="results per query (default 10)")
-    p.add_argument("--k1", type=float, default=0.9, help="BM25 k1 (default 0.9)")
-    p.add_argument("--b", type=float, default=0.4, help="BM25 b (default 0.4)")
+    p.add_argument("--k1", type=_number, default=_BM25.k1, help="BM25 k1 (default %(default)g)")
+    p.add_argument("--b", type=_number, default=_BM25.b, help="BM25 b (default %(default)g)")
     p.add_argument("--out", metavar="PATH", help="write the run here instead of stdout")
     _add_threads_flag(p)
     p.set_defaults(handler=_cmd_search)

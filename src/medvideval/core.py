@@ -101,11 +101,6 @@ class TimeInterval(CheckedRecord, namedtuple("TimeInterval", "start end")):
             raise ValueError(f"interval end {high} precedes start {low}")
         return tuple.__new__(cls, (low, high))
 
-    @classmethod
-    def _unchecked(cls, start: float, end: float) -> TimeInterval:
-        """An interval from float bounds ``0 <= start <= end`` the caller has already checked."""
-        return tuple.__new__(cls, (start, end))
-
 
 def quote_token(token: str) -> str:
     """``repr(token)`` for an error message, cut to its first 40 characters plus its length when longer."""

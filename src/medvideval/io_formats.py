@@ -29,6 +29,7 @@ import re
 import warnings
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
+from operator import itemgetter
 
 from .core import (
     MAX_SECONDS,
@@ -239,7 +240,7 @@ def _interval(start: float, end: float, source: str, line: int) -> TimeInterval:
     """The interval between two ``_timestamp_field`` values, which are already in range."""
     if end < start:
         raise FormatError(f"interval end {end} precedes start {start}", source=source, line=line)
-    return TimeInterval._unchecked(start, end)
+    return tuple.__new__(TimeInterval, (start, end))
 
 
 _TOKEN = re.compile(r"\S+")  # \s is exactly str.isspace for str patterns
@@ -261,64 +262,41 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
 
     Entries are grouped per question and sorted by descending score with the
     stated rank as tiebreak.  Duplicate (question, video) pairs and duplicate
-    ranks within a question are rejected.  Of several faults, the first in
-    file order is reported.
+    ranks within a question are rejected.  Each line is checked in full
+    before the next, so of several faults the first in file order is reported.
     """
-    staged: defaultdict[QuestionId, list[tuple[float, int, VideoId, str, int]]] = defaultdict(list)
+    # question -> (the question's first qid string, its entries, their videos, their ranks)
+    questions: dict[QuestionId, tuple[QuestionId, list[RetrievalRunEntry], set[VideoId], set[int]]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
             continue
-        try:
-            if len(fields) != 6:
-                raise FormatError(
-                    f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
-                    source=source,
-                    line=lineno,
-                )
-            qid, _, video, rank_token, score_token, tag = fields
-            rank = _parse_int(rank_token, "rank", source, lineno)
-            score = _parse_score(score_token, source, lineno)
-        except FormatError as exc:
-            raise _first_duplicate(staged, source) or exc from None
-        staged[qid].append((-score, rank, video, tag, lineno))
-
-    run: dict[QuestionId, list[RetrievalRunEntry]] = {}
-    for qid, rows in staged.items():
-        if len({row[2] for row in rows}) < len(rows) or len({row[1] for row in rows}) < len(rows):
-            raise _first_duplicate(staged, source)
-        rows.sort()  # ranks are distinct, so (-score, rank) decides
+        if len(fields) != 6:
+            raise FormatError(
+                f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
+                source=source,
+                line=lineno,
+            )
+        qid, _, video, rank_token, score_token, tag = fields
+        rank = _parse_int(rank_token, "rank", source, lineno)
+        score = _parse_score(score_token, source, lineno)
+        question = questions.get(qid)
+        if question is None:
+            question = questions[qid] = (qid, [], set(), set())
+        qid, entries, videos, ranks = question  # one qid string for all of a question's records
+        if video in videos:
+            raise FormatError(f"duplicate video {video!r} for question {qid!r}", source=source, line=lineno)
+        if rank in ranks:
+            raise FormatError(f"duplicate rank {rank} for question {qid!r}", source=source, line=lineno)
+        videos.add(video)
+        ranks.add(rank)
         # tuple.__new__ builds the record without the argument handling of its constructor.
-        run[qid] = [
-            tuple.__new__(RetrievalRunEntry, (qid, video, rank, -negated, tag))
-            for negated, rank, video, tag, _ in rows
-        ]
-    return run
+        entries.append(tuple.__new__(RetrievalRunEntry, (qid, video, rank, score, tag)))
 
-
-def _first_duplicate(staged: Mapping[QuestionId, list[tuple]], source: str) -> FormatError | None:
-    """The error for the first staged run line that repeats a video or a rank of its question.
-
-    Only questions without a duplicate have been sorted, so the rows of any
-    other question are still in file order.
-    """
-    first: FormatError | None = None
-    for qid, rows in staged.items():
-        videos: set[VideoId] = set()
-        ranks: set[int] = set()
-        for _, rank, video, _, lineno in rows:
-            if video in videos:
-                reason = f"duplicate video {video!r} for question {qid!r}"
-            elif rank in ranks:
-                reason = f"duplicate rank {rank} for question {qid!r}"
-            else:
-                videos.add(video)
-                ranks.add(rank)
-                continue
-            if first is None or lineno < first.line:
-                first = FormatError(reason, source=source, line=lineno)
-            break
-    return first
+    for _, entries, _, _ in questions.values():
+        entries.sort(key=itemgetter(2))  # by rank; both sorts are stable, so the distinct ranks break score ties
+        entries.sort(key=itemgetter(3), reverse=True)  # by descending score
+    return {qid: entries for qid, entries, _, _ in questions.values()}
 
 
 def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -> str:
@@ -472,18 +450,19 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
             if not isinstance(raw, dict):
                 raise FormatError("each step must be a JSON object", source=source, line=lineno)
             caption = raw.get("caption")
-            if not isinstance(caption, str) or not caption.strip():
+            caption = caption.strip() if isinstance(caption, str) else ""
+            if not caption:
                 raise FormatError(
                     f"step {number} of segment {segment_id!r} has an empty caption",
                     source=source,
                     line=lineno,
                 )
-            caption = caption.strip()
-            if len(caption.split()) > STEP_CAPTION_WORD_LIMIT:
+            words = len(caption.split())
+            if words > STEP_CAPTION_WORD_LIMIT:
                 warnings.warn(
                     StepLintWarning(
                         f"{source}:{lineno}: caption of segment {segment_id!r} has "
-                        f"{len(caption.split())} words (guideline is <= {STEP_CAPTION_WORD_LIMIT})"
+                        f"{words} words (guideline is <= {STEP_CAPTION_WORD_LIMIT})"
                     ),
                     stacklevel=2,
                 )

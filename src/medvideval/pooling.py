@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
-from .core import CheckedRecord, QuestionId, VideoId
+from .core import CheckedRecord, QuestionId, VideoId, plain_number
 from .io_formats import RetrievalRunEntry
 
 # Depth schedule used for the track assessments: pool size 25, first 10 ranks
@@ -25,8 +25,8 @@ class PoolBand(CheckedRecord, namedtuple("PoolBand", "depth probability")):
     __slots__ = ()
 
     def __new__(cls, depth: int, probability: float) -> PoolBand:
-        if depth < 1:
-            raise ValueError(f"band depth must be >= 1, got {depth}")
+        if type(depth) is bool or not isinstance(depth, int) or depth < 1:
+            raise ValueError(f"band depth must be an integer >= 1, got {depth!r}")
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"band probability must be in [0, 1], got {probability}")
         return tuple.__new__(cls, (depth, probability))
@@ -86,19 +86,17 @@ def build_pool(
     rank_probabilities = spec.rank_probabilities
     for index, run in enumerate(runs):
         for qid, entries in run.items():
-            tag = None
             for position, (entry, probability) in enumerate(zip(entries, rank_probabilities), start=1):
-                if entry.tag != tag:  # a run's question rarely changes tag, so look up only on a change
-                    tag = entry.tag
-                    owner = owners.setdefault((tag, qid), index)
-                    if owner != index:
-                        names = sources or [f"run {number}" for number in range(1, len(runs) + 1)]
-                        raise ValueError(
-                            f"run tag {tag!r} is used for question {qid!r} by both {names[owner]} and "
-                            f"{names[index]}; pooled runs need distinct tags on a question they share"
-                        )
-                if probability >= 1.0 or inclusion_draw(spec.seed, entry.tag, qid, position) < probability:
-                    members.setdefault(qid, {}).setdefault(entry.video, []).append((entry.tag, position))
+                tag = entry.tag
+                owner = owners.setdefault((tag, qid), index)
+                if owner != index:
+                    names = sources or [f"run {number}" for number in range(1, len(runs) + 1)]
+                    raise ValueError(
+                        f"run tag {tag!r} is used for question {qid!r} by both {names[owner]} and "
+                        f"{names[index]}; pooled runs need distinct tags on a question they share"
+                    )
+                if probability >= 1.0 or inclusion_draw(spec.seed, tag, qid, position) < probability:
+                    members.setdefault(qid, {}).setdefault(entry.video, []).append((tag, position))
     ordered = {
         qid: {video: sorted(members[qid][video]) for video in sorted(members[qid])}
         for qid in sorted(members)
@@ -106,11 +104,17 @@ def build_pool(
     return Pool(spec, ordered)
 
 
+def _probability_text(probability: float) -> str:
+    """``probability`` as ``:g`` writes it when that reads back as the same float, else all its digits."""
+    short = f"{probability:g}"
+    return short if float(short) == probability else plain_number(probability)
+
+
 def write_pool(pool: Pool) -> str:
-    """Flat assessor file ``qid video run_tag rank``, one line per contribution."""
+    """Flat assessor file ``qid video run_tag rank``, one line per contribution, after a seed and a bands header."""
     lines = [
         f"# pool seed = {pool.spec.seed}",
-        "# pool bands = " + ",".join(f"{b.depth}:{b.probability:g}" for b in pool.spec.bands),
+        "# pool bands = " + ",".join(f"{b.depth}:{_probability_text(b.probability)}" for b in pool.spec.bands),
     ]
     for qid, videos in pool.members.items():
         for video, contributions in videos.items():

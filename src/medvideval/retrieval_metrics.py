@@ -17,6 +17,8 @@ from .core import QuestionId, VideoId, plain_sum
 from .io_formats import JudgedVideo, MetricReport, RetrievalRunEntry
 from .segment_metrics import judged_questions, normalise_depths
 
+DEFAULT_K_VALUES = (5, 10)
+
 
 def _question_row(
     ranking: Iterable[VideoId], judged: Sequence[JudgedVideo], cutoffs: Sequence[int]
@@ -72,7 +74,7 @@ class RetrievalScore(namedtuple("RetrievalScore", "ks per_question macro")):
 def evaluate_rankings(
     rankings: Mapping[QuestionId, Iterable[VideoId]],
     qrels: Mapping[QuestionId, Sequence[JudgedVideo]],
-    ks: Sequence[int] = (5, 10),
+    ks: Sequence[int] = DEFAULT_K_VALUES,
 ) -> RetrievalScore:
     """Macro-average the metrics of ranked video lists over every judged question.
 
@@ -91,7 +93,7 @@ def evaluate_rankings(
 def evaluate_retrieval(
     run: Mapping[QuestionId, Sequence[RetrievalRunEntry]],
     qrels: Mapping[QuestionId, Sequence[JudgedVideo]],
-    ks: Sequence[int] = (5, 10),
+    ks: Sequence[int] = DEFAULT_K_VALUES,
 ) -> RetrievalScore:
     """:func:`evaluate_rankings` over a parsed run, each question in run order."""
     return evaluate_rankings({qid: [entry.video for entry in entries] for qid, entries in run.items()}, qrels, ks)

@@ -605,12 +605,16 @@ def test_unexpected_exception_exits_1_with_one_line(files, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "internal error: scorer bug\n")
 
 
-def _organiser_report(command, *flags):
+def _report(command, *argv):
     out = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out):
         warnings.simplefilter("ignore")
-        assert main([command, "--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS, *flags]) == 0
+        assert main([command, *argv]) == 0
     return out.getvalue()
+
+
+def _organiser_report(command, *flags):
+    return _report(command, "--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS, *flags)
 
 
 @pytest.mark.parametrize("command, prefix", [("eval-localization", ""), ("eval-vcval", "localization/")])
@@ -619,6 +623,27 @@ def test_repeated_depths_and_thresholds_are_reported_once(command, prefix):
     assert f"\n# {prefix}n = 1\n" in repeated
     assert f"\n# {prefix}mu = 0.5\n" in repeated
     assert repeated == _organiser_report(command, "--n", "1", "--mu", "0.5")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("eval-localization", "--lambda"),
+        ("eval-vcval", "--lambda"),
+        *[("eval-steps", flag) for flag in ("--theta", "--alpha", "--beta", "--lambda")],
+        *[("eval-captions", flag) for flag in ("--theta", "--alpha", "--beta")],
+    ],
+)
+def test_negative_zero_flag_gives_the_zero_report(command, flag, fmt):
+    def report(value):
+        if command in ("eval-steps", "eval-captions"):
+            return _report(command, *STEPS_FILES, f"{flag}={value}", "--format", fmt)
+        return _organiser_report(command, f"{flag}={value}", "--format", fmt)
+
+    zero = report("0")
+    assert report("-0") == zero
+    assert "-0.0" not in zero
 
 
 @pytest.mark.parametrize("command", ["eval-localization", "eval-vcval", "eval-steps"])

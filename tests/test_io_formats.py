@@ -91,8 +91,30 @@ class TestRetrievalRunParsing:
             ("q1 Q0 v1 1 2.0 t extra", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 7"),
             # A bad line after a duplicate: the duplicate comes first in the file.
             ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 2 1.0 t\nq1 Q0 v2 x 0.5 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
+            # Interleaved questions: q2's repeat on line 3 comes before q1's on line 4.
+            (
+                "q1 Q0 v1 1 2.0 t\nq2 Q0 v1 1 2.0 t\nq2 Q0 v1 2 1.0 t\nq1 Q0 v1 2 1.0 t",
+                "<run>:3: duplicate video 'v1' for question 'q2'",
+            ),
+            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 1 1.0 t", "<run>:2: duplicate rank 1 for question 'q1'"),
+            # A line that repeats both the video and the rank names the video.
+            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 1 1.0 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
+            # A malformed line before a later duplicate: the malformed line comes first in the file.
+            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 x 1.0 t\nq1 Q0 v1 3 0.5 t", "<run>:2: rank must be an integer, got 'x'"),
         ],
-        ids=["rank-0", "rank-1.5", "score-nan", "score-inf", "5-fields", "7-fields", "bad-line-after-duplicate"],
+        ids=[
+            "rank-0",
+            "rank-1.5",
+            "score-nan",
+            "score-inf",
+            "5-fields",
+            "7-fields",
+            "bad-line-after-duplicate",
+            "interleaved-questions",
+            "duplicate-rank",
+            "duplicate-video-and-rank",
+            "bad-line-before-duplicate",
+        ],
     )
     def test_each_fault_keeps_its_message_and_line(self, text, message):
         with pytest.raises(FormatError) as raised:
@@ -101,6 +123,12 @@ class TestRetrievalRunParsing:
 
     def test_rank_with_digit_separators_is_accepted(self):
         assert parse_retrieval_run("q1 Q0 v1 1_000 2.0 t")["q1"][0].rank == 1000
+
+    def test_score_ties_fall_back_to_rank_and_keep_their_sign(self):
+        text = "q1 Q0 a 3 0.0 t\nq1 Q0 b 1 -0.0 t\nq1 Q0 c 2 1.5 t\nq1 Q0 d 4 0.0 t"
+        entries = parse_retrieval_run(text)["q1"]
+        assert [e.rank for e in entries] == [2, 1, 3, 4]
+        assert [math.copysign(1.0, e.score) for e in entries] == [1.0, -1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +284,17 @@ class TestLocalizationRunParsing:
         # 10**100 + 1 exceeds 1e100 as an integer but rounds to it as a float.
         (candidate,) = parse_localization_run(_loc_record(start=0, end=10**100 + 1))["Q1"]
         assert candidate.interval.end == 1e100
+
+
+def test_all_records_of_a_question_share_one_question_string():
+    # Each line's split makes its own "q1"; one shared string keeps parsed runs small.
+    retrieval = parse_retrieval_run("q1 Q0 v1 1 2.0 t\nq2 Q0 v1 1 2.0 t\nq1 Q0 v2 2 1.0 t\nq1 Q0 v3 3 0.5 t")
+    localization = parse_localization_run(
+        "\n".join(_loc_record(question="q1", video=video, rank=rank) for rank, video in enumerate("abc", start=1))
+    )
+    for entries in (retrieval["q1"], localization["q1"]):
+        assert len(entries) == 3
+        assert all(entry.question is entries[0].question for entry in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ class TestPoolSpec:
             PoolBand(5, 1.5)
         with pytest.raises(ValueError):
             PoolSpec(bands=())
+        with pytest.raises(ValueError):
+            PoolBand(2.5, 0.5)
+        with pytest.raises(ValueError):
+            PoolBand(True, 1.0)
 
 
 class TestBuildPool:
@@ -162,3 +166,30 @@ def test_write_pool_lists_every_contribution_sorted():
 def test_rank_probabilities_follow_the_bands():
     spec = PoolSpec((PoolBand(2, 1.0), PoolBand(3, 0.25)))
     assert spec.rank_probabilities == (1.0, 1.0, 0.25, 0.25, 0.25)
+
+
+def _header_spec(text):
+    """The PoolSpec that a pool file's two ``#`` header lines describe."""
+    seed_line, bands_line = text.splitlines()[:2]
+    seed = int(seed_line.removeprefix("# pool seed = "))
+    bands = []
+    for band in bands_line.removeprefix("# pool bands = ").split(","):
+        depth, probability = band.split(":")
+        bands.append(PoolBand(int(depth), float(probability)))
+    return PoolSpec(tuple(bands), seed)
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [
+        PoolSpec().bands,
+        (PoolBand(5, 1 / 3), PoolBand(3, 0.1 + 0.2), PoolBand(2, 1e-7), PoolBand(1, 0.0)),
+        (PoolBand(4, 0.123456789), PoolBand(1, 5e-324)),
+    ],
+    ids=["track", "thirds-and-sums", "long-and-tiny"],
+)
+def test_pool_header_reads_back_as_the_spec(bands):
+    spec = PoolSpec(bands, seed=7)
+    recovered = _header_spec(write_pool(build_pool([make_run()], spec)))
+    assert recovered == spec
+    assert recovered.rank_probabilities == spec.rank_probabilities
