@@ -191,7 +191,7 @@ def run_from_searches(
     """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``."""
     return {
         qid: [
-            RetrievalRunEntry(qid, video, rank, score, BASELINE_TAG)
+            tuple.__new__(RetrievalRunEntry, (qid, video, rank, score, BASELINE_TAG))
             for rank, (video, score) in enumerate(search(index, text, k, params), start=1)
         ]
         for qid, text in queries.items()

@@ -300,15 +300,24 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
 
 
 def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -> str:
+    """Six-column run text that ``parse_retrieval_run`` reads back.
+
+    Raises ``ValueError`` for a question id, video id or run tag that is not
+    a whitespace-free token, and for a rank that is not an integer >= 1.
+    """
     lines = []
+    checked: set[str] = set()  # strings that already passed _check_token
     for qid in sorted(run):
-        for entry in run[qid]:
-            _check_token(entry.question, "question id")
-            _check_token(entry.video, "video id")
-            _check_token(entry.tag, "run tag")
-            lines.append(
-                f"{entry.question} Q0 {entry.video} {entry.rank} {_plain_number(entry.score)} {entry.tag}"
-            )
+        for question, video, rank, score, tag in run[qid]:
+            if question not in checked:
+                checked.add(_check_token(question, "question id"))
+            if video not in checked:
+                checked.add(_check_token(video, "video id"))
+            if tag not in checked:
+                checked.add(_check_token(tag, "run tag"))
+            if type(rank) is not int or rank < 1:
+                raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
+            lines.append(f"{question} Q0 {video} {rank} {_plain_number(score)} {tag}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -42,6 +42,8 @@ class PoolSpec(CheckedRecord, namedtuple("PoolSpec", "bands seed")):
     ) -> PoolSpec:
         if not bands:
             raise ValueError("a pool spec needs at least one band")
+        if type(seed) is bool or not isinstance(seed, int):  # each draw is keyed by f"{seed}"
+            raise ValueError(f"pool seed must be an integer, got {seed!r}")
         return tuple.__new__(cls, (bands, seed))
 
     @property

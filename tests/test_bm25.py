@@ -20,7 +20,7 @@ from medvideval.bm25 import (
     search,
 )
 from medvideval.core import FormatError
-from medvideval.io_formats import CorpusDocument
+from medvideval.io_formats import CorpusDocument, RetrievalRunEntry
 from medvideval.text_metrics import tokenize
 from oracles import bm25_rank_oracle
 
@@ -163,6 +163,18 @@ class TestSearch:
         run = run_from_searches(index, {"Q1": "mouthpiece"}, k=10)
         assert run["Q1"][0].tag == "bm25-baseline"
         assert run["Q1"][0].rank == 1
+
+    def test_run_entries_equal_constructor_built_records(self):
+        index = build_index(docs("attach the mouthpiece", "rinse the mouthpiece", "attach the spacer"))
+        queries = {"Q1": "attach mouthpiece", "Q2": "spacer"}
+        run = run_from_searches(index, queries, k=10)
+        for qid, text in queries.items():
+            expected = [
+                RetrievalRunEntry(qid, video, rank, score, "bm25-baseline")
+                for rank, (video, score) in enumerate(search(index, text, 10), start=1)
+            ]
+            assert run[qid] == expected
+            assert all(type(entry) is RetrievalRunEntry for entry in run[qid])
 
 
 class TestPersistence:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from decimal import Decimal
 
@@ -459,6 +460,48 @@ def retrieval_runs(draw):
 def test_retrieval_run_round_trip(run):
     normalized = parse_retrieval_run(write_retrieval_run(run))
     assert parse_retrieval_run(write_retrieval_run(normalized)) == normalized
+
+
+class TestRetrievalRunWriter:
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (RetrievalRunEntry("", "v1", 1, 1.0, "t"), "question id must be a non-empty whitespace-free token, got ''"),
+            (RetrievalRunEntry("q1", "v 1", 1, 1.0, "t"), "video id must be a non-empty whitespace-free token, got 'v 1'"),
+            (RetrievalRunEntry("q1", "v1", 1, 1.0, "a\tb"), "run tag must be a non-empty whitespace-free token, got 'a\\tb'"),
+            (RetrievalRunEntry("q1", "v 1", 1, 1.0, "a\tb"), "video id must be"),
+        ],
+    )
+    def test_bad_string_names_its_field(self, entry, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_retrieval_run({entry.question: [entry]})
+
+    def test_bad_video_after_a_thousand_good_lines_is_rejected(self):
+        entries = [RetrievalRunEntry("q1", f"v{rank}", rank, 1.0, "t") for rank in range(1, 1001)]
+        entries.append(RetrievalRunEntry("q1", "v 1001", 1001, 1.0, "t"))
+        with pytest.raises(ValueError, match=re.escape("video id must be a non-empty whitespace-free token, got 'v 1001'")):
+            write_retrieval_run({"q1": entries})
+
+    def test_a_checked_video_id_may_later_be_a_question_id(self):
+        run = {
+            "a": [RetrievalRunEntry("a", "b", 1, 1.0, "t")],
+            "b": [RetrievalRunEntry("b", "a", 1, 1.0, "t")],
+        }
+        assert write_retrieval_run(run) == "a Q0 b 1 1.0 t\nb Q0 a 1 1.0 t\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_score_is_rejected(self, value):
+        with pytest.raises(ValueError, match="cannot serialize non-finite number"):
+            write_retrieval_run({"q1": [RetrievalRunEntry("q1", "v1", 1, value, "t")]})
+
+    @pytest.mark.parametrize("rank", [0, -1, True, 2.0, "1"])
+    def test_rank_must_be_an_integer_of_at_least_one(self, rank):
+        with pytest.raises(ValueError, match=re.escape(f"rank must be an integer >= 1, got {rank!r}")):
+            write_retrieval_run({"q1": [RetrievalRunEntry("q1", "v1", rank, 1.0, "t")]})
+
+    def test_rank_is_checked_after_the_strings_of_its_record(self):
+        with pytest.raises(ValueError, match="run tag must be"):
+            write_retrieval_run({"q1": [RetrievalRunEntry("q1", "v1", 0, 1.0, "")]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 import statistics
 
 import pytest
@@ -39,6 +40,12 @@ class TestPoolSpec:
             PoolBand(2.5, 0.5)
         with pytest.raises(ValueError):
             PoolBand(True, 1.0)
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"pool seed must be an integer, got {seed!r}")):
+            PoolSpec(seed=seed)
+        assert PoolSpec(seed=1).seed == 1
 
 
 class TestBuildPool:
