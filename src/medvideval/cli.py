@@ -8,6 +8,7 @@ and are byte-identical for identical inputs, parameters, and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 from collections.abc import Callable, Sequence
@@ -330,6 +331,15 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """Console-script and ``python -m`` entry point: print each warning as one ``warning: …`` line."""
+    """Console-script and ``python -m`` entry point: print each warning as one ``warning: …`` line.
+
+    The command runs with the cyclic garbage collector off; ``run_cli`` keeps the interpreter's settings.
+    """
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    # A command builds large acyclic structures and then exits, so a cyclic
+    # collection frees nothing of its own (tests/test_cli.py checks that no
+    # command leaves cyclic garbage).  Freezing the start-up objects keeps the
+    # collection at interpreter exit from walking them too.
+    gc.disable()
+    gc.freeze()
     sys.exit(run_cli())

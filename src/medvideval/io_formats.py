@@ -302,23 +302,61 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
 def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -> str:
     """Six-column run text that ``parse_retrieval_run`` reads back.
 
-    Raises ``ValueError`` for a question id, video id or run tag that is not
-    a whitespace-free token, and for a rank that is not an integer >= 1.
+    Raises ``ValueError`` for every record the parser would reject or skip:
+    one filed under another question's key, a question id, video id or run
+    tag that is not a whitespace-free token, a question id that starts with
+    ``#``, a rank that is not an integer >= 1, a video or rank that repeats
+    within its question, and a score that is not finite.  Of a question's
+    faulty records the first is named.
     """
     lines = []
     checked: set[str] = set()  # strings that already passed _check_token
     for qid in sorted(run):
-        for question, video, rank, score, tag in run[qid]:
-            if question not in checked:
-                checked.add(_check_token(question, "question id"))
-            if video not in checked:
-                checked.add(_check_token(video, "video id"))
-            if tag not in checked:
-                checked.add(_check_token(tag, "run tag"))
-            if type(rank) is not int or rank < 1:
-                raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
-            lines.append(f"{question} Q0 {video} {rank} {_plain_number(score)} {tag}")
+        entries = run[qid]
+        if not entries:
+            continue
+        # Whole-question checks in C, on the fields as columns; the records
+        # are walked one by one only to name a fault.
+        questions, videos, ranks, scores, tags = zip(*entries, strict=True)
+        rank_set = set(ranks)
+        strings = set(videos)
+        if not (
+            questions.count(qid) == len(strings) == len(rank_set) == len(entries)
+            and set(map(type, rank_set)) == {int}
+            and min(rank_set) >= 1
+        ):
+            _raise_run_fault(qid, entries)
+        strings.update(tags, (qid,))
+        strings -= checked
+        if not all(map(_TOKEN.fullmatch, strings)) or qid.startswith("#"):
+            _raise_run_fault(qid, entries)
+        checked |= strings
+        lines += [
+            f"{qid} Q0 {video} {rank} {_plain_number(score)} {tag}"
+            for video, rank, score, tag in zip(videos, ranks, scores, tags)
+        ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _raise_run_fault(qid: QuestionId, entries: Sequence[RetrievalRunEntry]) -> None:
+    """Raise ``ValueError`` for the first record of question ``qid`` that ``write_retrieval_run`` refuses."""
+    videos: set[VideoId] = set()
+    ranks: set[int] = set()
+    for question, video, rank, _, tag in entries:
+        if question != qid:
+            raise ValueError(f"record for question {question!r} is filed under question {qid!r}")
+        if _check_token(question, "question id").startswith("#"):
+            raise ValueError(f"question id must not start with '#', got {qid!r}")
+        _check_token(video, "video id")
+        _check_token(tag, "run tag")
+        if type(rank) is not int or rank < 1:
+            raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
+        if video in videos:
+            raise ValueError(f"duplicate video {video!r} for question {qid!r}")
+        if rank in ranks:
+            raise ValueError(f"duplicate rank {rank} for question {qid!r}")
+        videos.add(video)
+        ranks.add(rank)
 
 
 # ---------------------------------------------------------------------------

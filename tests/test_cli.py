@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medvideval import cli
 from medvideval.bm25 import build_index, save_index
+from medvideval.cli import build_parser
 from medvideval.cli import run_cli as main
-from medvideval.io_formats import parse_retrieval_run
+from medvideval.io_formats import MetricReport, parse_retrieval_run, write_report
 
 SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
 SMOKE_QUERIES = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "queries.txt")
@@ -982,3 +986,136 @@ def test_long_caption_pair_rouge_l_is_exact(tmp_path):
         warnings.simplefilter("ignore")  # a caption past seven words warns by design
         assert main(["eval-captions", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]), "--out", str(out_path)]) == 0
     assert f"\nROUGE-L\t{100.0 * rouge:.4f}\n" in out_path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# The console script runs with the cyclic garbage collector off
+# ---------------------------------------------------------------------------
+
+# Each fixture the commands read, and the JSON key whose ids a copy renames;
+# None marks a flat file, whose lines start with the renamed id.
+TRACK_FIXTURES = {
+    "retrieval.run": (ORGANISER / "retrieval.run", None),
+    "qrels.txt": (ORGANISER / "qrels.txt", None),
+    "answers.jsonl": (ORGANISER / "answers.jsonl", "question"),
+    "localization.jsonl": (ORGANISER / "localization.jsonl", "question"),
+    "pred.jsonl": (STEPS / "pred.jsonl", "segment"),
+    "gold.jsonl": (STEPS / "gold.jsonl", "segment"),
+    "corpus.jsonl": (Path(SMOKE_CORPUS), "video"),
+    "queries.txt": (Path(SMOKE_QUERIES), None),
+}
+
+
+def _track_inputs(directory: Path, copies: int) -> Path:
+    """The fixtures ``copies`` times over in ``directory``, each copy after the first under renamed ids.
+
+    Also a BM25 index of the corpus, and ``bad.run``: the retrieval run with a
+    malformed last line, so that its parse fails only after every valid line.
+    """
+    directory.mkdir()
+    for name, (fixture, key) in TRACK_FIXTURES.items():
+        text = fixture.read_text(encoding="utf-8")
+        pattern = r"(?m)^(?=[^#\s])" if key is None else f'(?<="{key}": ")'
+        copied = "".join([text] + [re.sub(pattern, f"c{copy}-", text) for copy in range(1, copies)])
+        (directory / name).write_text(copied, encoding="utf-8")
+    run = (directory / "retrieval.run").read_text(encoding="utf-8")
+    (directory / "bad.run").write_text(run + "q1 Q0 broken\n", encoding="utf-8")
+    assert main(["index", str(directory / "corpus.jsonl"), "--out", str(directory / "idx")]) == 0
+    return directory
+
+
+def _command_argv(directory: Path, out: Path) -> dict[str, list[str]]:
+    """Every subcommand, plus one that exits 2 on a malformed run, on the inputs of ``_track_inputs``."""
+    d = {name: str(directory / name) for name in [*TRACK_FIXTURES, "bad.run", "idx"]}
+    qrels = ["--qrels", d["qrels.txt"], d["answers.jsonl"]]
+    steps = ["--pred", d["pred.jsonl"], "--gold", d["gold.jsonl"]]
+    structured = ["--format", "structured"]
+    argv = {
+        "eval-retrieval": ["eval-retrieval", "--run", d["retrieval.run"], *qrels],
+        "eval-localization": ["eval-localization", "--run", d["localization.jsonl"], *qrels],
+        "eval-vcval": ["eval-vcval", "--run", d["localization.jsonl"], *qrels, *structured],
+        "eval-steps": ["eval-steps", *steps],
+        "eval-captions": ["eval-captions", *steps, *structured],
+        "pool": ["pool", "--run", d["retrieval.run"]],
+        "index": ["index", d["corpus.jsonl"]],
+        "search": ["search", d["idx"], d["queries.txt"], "--k", "10"],
+        "malformed-run": ["eval-retrieval", "--run", d["bad.run"], *qrels],
+    }
+    return {command: [*args, "--out", str(out)] for command, args in argv.items()}
+
+
+def _cyclic_garbage_after(action) -> int:
+    """How many unreachable objects ``gc.collect()`` finds after ``action()`` ran with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture(scope="module", params=[1, 50], ids=["fixtures", "fixtures-x50"])
+def track_inputs(request, tmp_path_factory):
+    return _track_inputs(tmp_path_factory.mktemp("track") / "in", request.param)
+
+
+@pytest.mark.parametrize("command", list(_command_argv(Path(), Path())))
+def test_no_command_leaves_cyclic_garbage(track_inputs, command, tmp_path, capsys):
+    # The console script turns the collector off, which is only safe while no
+    # command builds reference cycles.  What a command does leave is a fixed
+    # set, whatever the input size: argparse's own cycles, and for a structured
+    # report those of json's pure-Python indenting encoder, which makes its
+    # nested functions refer to each other on every call.
+    argv = _command_argv(track_inputs, tmp_path / "out")[command]
+
+    def fixed_part():
+        build_parser()
+        if "structured" in argv:
+            write_report(MetricReport("empty"), "structured")
+
+    codes = []
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")  # take the warning path on every warning
+        expected = _cyclic_garbage_after(fixed_part)
+        after_command = _cyclic_garbage_after(lambda: codes.append(main(argv)))
+    assert codes == [2 if command == "malformed-run" else 0], capsys.readouterr().err
+    assert after_command == expected
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    gc.unfreeze()
+    if enabled:
+        gc.enable()
+
+
+def test_entry_point_turns_the_collector_off_and_freezes_start_up(monkeypatch, restore_gc):
+    seen = []
+
+    def run_cli():
+        seen.append((gc.isenabled(), gc.get_freeze_count()))
+        return 0
+
+    monkeypatch.setattr(cli, "run_cli", run_cli)
+    monkeypatch.setattr(warnings, "formatwarning", warnings.formatwarning)  # the entry point replaces it
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 0
+    [(enabled, frozen)] = seen
+    assert not enabled
+    assert frozen > 0
+
+
+def test_run_cli_keeps_the_collector_settings(files, restore_gc):
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        out = str(files["dir"] / "report.tsv")
+        assert main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--out", out]) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen

@@ -503,6 +503,82 @@ class TestRetrievalRunWriter:
         with pytest.raises(ValueError, match="run tag must be"):
             write_retrieval_run({"q1": [RetrievalRunEntry("q1", "v1", 0, 1.0, "")]})
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("q1", "v1", 1), ("q1", "v2", 2), ("q1", "v1", 3)], "duplicate video 'v1' for question 'q1'"),
+            ([("q1", "v1", 1), ("q1", "v2", 1)], "duplicate rank 1 for question 'q1'"),
+        ],
+    )
+    def test_repeat_within_a_question_is_rejected_in_the_parsers_words(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_retrieval_run({"q1": [RetrievalRunEntry(*entry, 1.0, "t") for entry in entries]})
+        text = "".join(f"q1 Q0 {video} {rank} 1.0 t\n" for _, video, rank in entries)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_retrieval_run(text)
+
+    def test_record_filed_under_another_question_is_rejected(self):
+        # Written as it stands, the record would repeat video v1 for question q2.
+        run = {
+            "q1": [RetrievalRunEntry("q2", "v1", 1, 1.0, "t")],
+            "q2": [RetrievalRunEntry("q2", "v1", 1, 1.0, "t")],
+        }
+        with pytest.raises(ValueError, match=re.escape("record for question 'q2' is filed under question 'q1'")):
+            write_retrieval_run(run)
+
+    def test_question_id_that_starts_a_comment_is_rejected(self):
+        assert parse_retrieval_run("#q Q0 v1 1 1.0 t\n") == {}  # the parser skips the line
+        with pytest.raises(ValueError, match=re.escape("question id must not start with '#', got '#q'")):
+            write_retrieval_run({"#q": [RetrievalRunEntry("#q", "v1", 1, 1.0, "t")]})
+
+    def test_first_faulty_record_of_a_question_is_named(self):
+        entries = [
+            RetrievalRunEntry("q1", "v1", 1, 1.0, "t"),
+            RetrievalRunEntry("q1", "v1", 2, 1.0, "t"),  # repeats v1
+            RetrievalRunEntry("q1", "v 3", 0, 1.0, "t"),  # bad video and rank
+        ]
+        with pytest.raises(ValueError, match="^duplicate video 'v1'"):
+            write_retrieval_run({"q1": entries})
+        with pytest.raises(ValueError, match="^video id must be"):
+            write_retrieval_run({"q1": entries[::-1]})
+
+    def test_empty_question_writes_nothing(self):
+        run = {"q1": [], "q2": [RetrievalRunEntry("q2", "v1", 1, 1.0, "t")]}
+        assert write_retrieval_run(run) == "q2 Q0 v1 1 1.0 t\n"
+
+
+# Values drawn so that most runs break a rule of the format, and about a quarter do not.
+loose_string = st.sampled_from([*(f"v{n}" for n in range(12)), "q1", "q2", "#c", "a b", "x\u2028y", ""])
+loose_rank = st.sampled_from([*range(1, 13), 0, True, 2.0])
+
+
+@st.composite
+def loose_retrieval_runs(draw):
+    run = {}
+    for qid in draw(st.lists(loose_string, max_size=3, unique=True)):
+        run[qid] = [
+            RetrievalRunEntry(
+                draw(st.sampled_from([qid] * 9 + ["q1"])),
+                draw(loose_string),
+                draw(loose_rank),
+                draw(st.floats(allow_nan=False, allow_infinity=False)),
+                draw(st.sampled_from(["t", "u", "a\tb"] + ["t"] * 7)),
+            )
+            for _ in range(draw(st.integers(min_value=0, max_value=3)))
+        ]
+    return run
+
+
+@given(loose_retrieval_runs())
+def test_every_run_the_writer_accepts_parses_back_to_its_records(run):
+    try:
+        text = write_retrieval_run(run)
+    except ValueError:
+        return
+    parsed = parse_retrieval_run(text)  # raises FormatError on any line it rejects
+    records = sorted(entry for entries in run.values() for entry in entries)
+    assert sorted(entry for entries in parsed.values() for entry in entries) == records
+
 
 # ---------------------------------------------------------------------------
 # writer helpers against their reference definitions
