@@ -310,53 +310,30 @@ def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -
     faulty records the first is named.
     """
     lines = []
-    checked: set[str] = set()  # strings that already passed _check_token
+    checked: set[str] = set()  # video ids and run tags that already passed _check_token
     for qid in sorted(run):
-        entries = run[qid]
-        if not entries:
-            continue
-        # Whole-question checks in C, on the fields as columns; the records
-        # are walked one by one only to name a fault.
-        questions, videos, ranks, scores, tags = zip(*entries, strict=True)
-        rank_set = set(ranks)
-        strings = set(videos)
-        if not (
-            questions.count(qid) == len(strings) == len(rank_set) == len(entries)
-            and set(map(type, rank_set)) == {int}
-            and min(rank_set) >= 1
-        ):
-            _raise_run_fault(qid, entries)
-        strings.update(tags, (qid,))
-        strings -= checked
-        if not all(map(_TOKEN.fullmatch, strings)) or qid.startswith("#"):
-            _raise_run_fault(qid, entries)
-        checked |= strings
-        lines += [
-            f"{qid} Q0 {video} {rank} {_plain_number(score)} {tag}"
-            for video, rank, score, tag in zip(videos, ranks, scores, tags)
-        ]
+        videos: set[VideoId] = set()
+        ranks: set[int] = set()
+        for question, video, rank, score, tag in run[qid]:
+            if question != qid:
+                raise ValueError(f"record for question {question!r} is filed under question {qid!r}")
+            # The question id is checked once, at the question's first record.
+            if not videos and _check_token(question, "question id").startswith("#"):
+                raise ValueError(f"question id must not start with '#', got {qid!r}")
+            if video not in checked:
+                checked.add(_check_token(video, "video id"))
+            if tag not in checked:
+                checked.add(_check_token(tag, "run tag"))
+            if type(rank) is not int or rank < 1:
+                raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
+            if video in videos:
+                raise ValueError(f"duplicate video {video!r} for question {qid!r}")
+            if rank in ranks:
+                raise ValueError(f"duplicate rank {rank} for question {qid!r}")
+            videos.add(video)
+            ranks.add(rank)
+            lines.append(f"{question} Q0 {video} {rank} {_plain_number(score)} {tag}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _raise_run_fault(qid: QuestionId, entries: Sequence[RetrievalRunEntry]) -> None:
-    """Raise ``ValueError`` for the first record of question ``qid`` that ``write_retrieval_run`` refuses."""
-    videos: set[VideoId] = set()
-    ranks: set[int] = set()
-    for question, video, rank, _, tag in entries:
-        if question != qid:
-            raise ValueError(f"record for question {question!r} is filed under question {qid!r}")
-        if _check_token(question, "question id").startswith("#"):
-            raise ValueError(f"question id must not start with '#', got {qid!r}")
-        _check_token(video, "video id")
-        _check_token(tag, "run tag")
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
-        if video in videos:
-            raise ValueError(f"duplicate video {video!r} for question {qid!r}")
-        if rank in ranks:
-            raise ValueError(f"duplicate rank {rank} for question {qid!r}")
-        videos.add(video)
-        ranks.add(rank)
 
 
 # ---------------------------------------------------------------------------
