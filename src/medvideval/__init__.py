@@ -68,7 +68,7 @@ from .text_metrics import (
     token_masks,
     tokenize,
 )
-from .pooling import Pool, PoolBand, PoolSpec, build_pool
+from .pooling import Pool, PoolBand, PoolSpec, build_pool, run_prefix
 from .bm25 import Bm25Params, InvertedIndex, bm25_score, build_index, load_index, save_index, search
 
 __version__ = "0.1.0"

@@ -100,7 +100,7 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
     """Index token counts of title + subtitle (or subtitle alone) per video."""
     documents = sorted(corpus, key=attrgetter("video"))
     lengths = array("I")
-    term_postings: dict[str, tuple[list[int], list[int]]] = {}
+    term_postings: dict[str, tuple[array, array]] = {}  # term -> (doc ids, tfs); merged below by C-level copies
     for doc_id, doc in enumerate(documents):
         _check_token(doc.video, "video id")
         if doc_id and doc.video == documents[doc_id - 1].video:
@@ -110,13 +110,13 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
         for term, tf in Counter(tokens).items():
             posting = term_postings.get(term)
             if posting is None:
-                posting = term_postings[term] = ([], [])
+                posting = term_postings[term] = (array("I"), array("I"))
             posting[0].append(doc_id)
             posting[1].append(tf)
     terms = sorted(term_postings)
     offsets, doc_ids, tfs = array("Q", [0]), array("I"), array("I")
     for term in terms:
-        ids, counts = term_postings[term]
+        ids, counts = term_postings.pop(term)  # each posting is freed once copied
         doc_ids.extend(ids)
         tfs.extend(counts)
         offsets.append(len(doc_ids))
@@ -232,19 +232,20 @@ def save_index(index: InvertedIndex, directory: str | os.PathLike):
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise FormatError(str(exc.strerror or exc), source=str(directory)) from exc
-    payload = b"".join(
-        (
-            _COUNTS.pack(index.doc_count, len(index.terms), len(index.doc_ids), index.avg_doc_length),
-            _strings_blob(index.videos),
-            _le_bytes(index.lengths),
-            _strings_blob(index.terms),
-            _le_bytes(index.offsets),
-            _le_bytes(index.doc_ids),
-            _le_bytes(index.tfs),
-        )
+    payload = (
+        _COUNTS.pack(index.doc_count, len(index.terms), len(index.doc_ids), index.avg_doc_length),
+        _strings_blob(index.videos),
+        _le_bytes(index.lengths),
+        _strings_blob(index.terms),
+        _le_bytes(index.offsets),
+        _le_bytes(index.doc_ids),
+        _le_bytes(index.tfs),
     )
+    crc = 0
+    for chunk in payload:  # the checksum runs over the parts, so they are never joined into one copy
+        crc = zlib.crc32(chunk, crc)
     target = os.path.join(directory, INDEX_FILENAME)
-    write_atomically(target, _HEADER.pack(INDEX_FORMAT_VERSION, zlib.crc32(payload)), payload)
+    write_atomically(target, _HEADER.pack(INDEX_FORMAT_VERSION, crc), *payload)
     return Path(target)
 
 

@@ -29,7 +29,7 @@ from .io_formats import (
     write_report,
     write_retrieval_run,
 )
-from .pooling import PoolSpec, build_pool, write_pool
+from .pooling import PoolSpec, build_pool, run_prefix, write_pool
 from .retrieval_metrics import DEFAULT_K_VALUES, evaluate_rankings, evaluate_retrieval, retrieval_report
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
@@ -282,9 +282,13 @@ def _cmd_eval_captions(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
-    runs = [parse_retrieval_run(read_text(path), source=path) for path in args.run]
+    spec = PoolSpec(seed=args.seed)
+    # Each run is cut to the ranks the pool reads as soon as it is parsed, so
+    # memory holds one full run at a time; every run is still parsed before
+    # any is pooled, so a malformed line is reported before a tag conflict.
+    runs = [run_prefix(parse_retrieval_run(read_text(path), source=path), spec) for path in args.run]
     try:
-        pool = build_pool(runs, PoolSpec(seed=args.seed), sources=args.run)
+        pool = build_pool(runs, spec, sources=args.run)
     except ValueError as exc:  # two runs share a tag on one question
         raise FormatError(str(exc)) from None
     _emit(write_pool(pool), args.out)

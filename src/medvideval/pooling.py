@@ -70,6 +70,14 @@ class Pool(namedtuple("Pool", "spec members")):
     __slots__ = ()
 
 
+def run_prefix(
+    run: Mapping[QuestionId, Sequence[RetrievalRunEntry]], spec: PoolSpec = PoolSpec()
+) -> dict[QuestionId, Sequence[RetrievalRunEntry]]:
+    """Each question's ranked list of ``run`` cut to the schedule's depth, all that ``build_pool`` reads of it."""
+    depth = len(spec.rank_probabilities)  # build_pool zips each ranked list with these
+    return {qid: entries[:depth] for qid, entries in run.items()}
+
+
 def build_pool(
     runs: Sequence[Mapping[QuestionId, Sequence[RetrievalRunEntry]]],
     spec: PoolSpec = PoolSpec(),
@@ -77,7 +85,9 @@ def build_pool(
 ) -> Pool:
     """Union the sampled rank prefixes of every run, deduplicated per question.
 
-    Band membership is decided by 1-based position in each run's ranked list.
+    Band membership is decided by 1-based position in each run's ranked list;
+    nothing past the schedule's depth is read, so runs cut by ``run_prefix``
+    pool exactly as the full runs do.
     Two runs that use one tag for one question within the schedule's depth
     would get identical draws and pool every contribution twice, so that
     raises ValueError naming the tag, the question and both runs (by

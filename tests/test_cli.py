@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -283,6 +284,44 @@ class TestPoolCommand:
             "pooled runs need distinct tags on a question they share\n"
         )
         assert not out.exists()
+
+    def test_a_malformed_third_run_is_reported_before_a_tag_conflict(self, files, tmp_path, capsys):
+        # Runs 1 and 2 share tag sysA on Q1, but every run is parsed before any is pooled.
+        copy, broken = tmp_path / "copy.run", tmp_path / "broken.run"
+        copy.write_text(RUN_TEXT, encoding="utf-8")
+        broken.write_text("Q1 Q0 v1 1 9.5 sysB\nQ1 Q0 v2 2 8.0\n", encoding="utf-8")
+        out = tmp_path / "pool.txt"
+        assert main(["pool", "--run", files["run.txt"], str(copy), str(broken), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {broken}:2: expected 6 fields (qid Q0 video rank score tag), got 5\n"
+        )
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_number_of_runs(self, tmp_path):
+        # Each run keeps only the ranks the schedule reaches, so pooling six
+        # 4,000-line runs takes about the memory of pooling one.
+        paths = []
+        for number in range(6):
+            lines = [
+                f"q{q:02d} Q0 v{(rank * 7 + number * 13) % 1000:04d} {rank} {1000 - rank} sys{number}\n"
+                for q in range(20)
+                for rank in range(1, 201)
+            ]
+            paths.append(tmp_path / f"sys{number}.run")
+            paths[-1].write_text("".join(lines), encoding="utf-8")
+        out = str(tmp_path / "pool.txt")
+
+        def traced_peak(runs):
+            tracemalloc.start()
+            try:
+                assert main(["pool", "--run", *map(str, runs), "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(paths[:1])  # warm-up: the first pool imports hashlib
+        one, six = traced_peak(paths[:1]), traced_peak(paths)
+        assert six < 1.5 * one, f"pooling 6 runs peaked at {six} bytes, 1 run at {one}"
 
     def test_one_submission_split_over_files_pools_like_one_file(self, files, tmp_path, capsys):
         halves = [tmp_path / "q1.run", tmp_path / "q2.run"]

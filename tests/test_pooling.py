@@ -2,9 +2,11 @@ import re
 import statistics
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from medvideval.io_formats import RetrievalRunEntry
-from medvideval.pooling import Pool, PoolBand, PoolSpec, build_pool, inclusion_draw, write_pool
+from medvideval.pooling import Pool, PoolBand, PoolSpec, build_pool, inclusion_draw, run_prefix, write_pool
 
 
 def make_run(qid="Q1", tag="sysA", depth=25):
@@ -130,6 +132,47 @@ class TestBuildPool:
         first, second = make_run("Q1"), make_run("Q2")
         split = build_pool([first, second], PoolSpec(seed=3))
         assert split == build_pool([{**first, **second}], PoolSpec(seed=3))
+
+
+def _pool_outcome(runs, spec):
+    """``build_pool``'s pool, or the message of the ValueError it raises."""
+    try:
+        return build_pool(runs, spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+_SCHEDULES = st.lists(
+    st.builds(PoolBand, st.integers(1, 12), st.sampled_from((1.0, 0.6, 0.3, 0.0))), min_size=1, max_size=4
+)
+# Per run: its tag and each question's list depth.  Tags repeat across runs,
+# so some draws share a tag on a question only within the schedule, some only
+# beyond it.  Every run ranks the same videos, so pooling deduplicates.
+_RUNS = st.lists(
+    st.tuples(
+        st.sampled_from(("sysA", "sysB", "sysC")),
+        st.dictionaries(st.sampled_from(("Q1", "Q2", "Q3")), st.integers(1, 60), min_size=1),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(_RUNS, _SCHEDULES, st.integers(0, 3))
+@example([("sysA", {"Q1": 60}), ("sysB", {"Q1": 3})], [PoolBand(10, 1.0), PoolBand(5, 0.3)], 0)  # deeper and shallower
+@example([("sysA", {"Q1": 30}), ("sysA", {"Q1": 40})], [PoolBand(25, 0.3)], 1)  # a tag shared within the schedule
+@example([("sysA", {"Q1": 5}), ("sysB", {"Q1": 8})], [PoolBand(12, 1.0), PoolBand(12, 0.6)], 2)  # runs shorter than it
+def test_runs_cut_by_run_prefix_pool_as_the_full_runs_do(runs, bands, seed):
+    spec = PoolSpec(tuple(bands), seed)
+    full = [
+        {qid: [RetrievalRunEntry(qid, f"v{rank}", rank, float(100 - rank), tag) for rank in range(1, depth + 1)]
+         for qid, depth in depths.items()}
+        for tag, depths in runs
+    ]
+    cut = [run_prefix(run, spec) for run in full]
+    depth = len(spec.rank_probabilities)
+    assert cut == [{qid: entries[:depth] for qid, entries in run.items()} for run in full]
+    assert _pool_outcome(cut, spec) == _pool_outcome(full, spec)
 
 
 class TestInclusionDraw:
