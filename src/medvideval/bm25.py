@@ -208,11 +208,12 @@ def run_from_searches(
 # ---------------------------------------------------------------------------
 
 
-def _le_bytes(values: array) -> bytes:
+def _little_endian(values: array) -> array:
+    """``values`` as the file stores them: the array itself, or a swapped copy on a big-endian machine."""
     if _SWAP:
         values = array(values.typecode, values)
         values.byteswap()
-    return values.tobytes()
+    return values
 
 
 def _strings_blob(strings: list[str]) -> bytes:
@@ -235,14 +236,14 @@ def save_index(index: InvertedIndex, directory: str | os.PathLike):
     payload = (
         _COUNTS.pack(index.doc_count, len(index.terms), len(index.doc_ids), index.avg_doc_length),
         _strings_blob(index.videos),
-        _le_bytes(index.lengths),
+        _little_endian(index.lengths),
         _strings_blob(index.terms),
-        _le_bytes(index.offsets),
-        _le_bytes(index.doc_ids),
-        _le_bytes(index.tfs),
+        _little_endian(index.offsets),
+        _little_endian(index.doc_ids),
+        _little_endian(index.tfs),
     )
     crc = 0
-    for chunk in payload:  # the checksum runs over the parts, so they are never joined into one copy
+    for chunk in payload:  # the checksum and the write read each part in place; no array is copied to bytes
         crc = zlib.crc32(chunk, crc)
     target = os.path.join(directory, INDEX_FILENAME)
     write_atomically(target, _HEADER.pack(INDEX_FORMAT_VERSION, crc), *payload)

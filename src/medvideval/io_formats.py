@@ -40,7 +40,7 @@ from .core import (
     ToolkitWarning,
     VideoId,
     parse_timestamp,
-    plain_number as _plain_number,
+    plain_number,
     quote_token,
 )
 
@@ -332,7 +332,7 @@ def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -
                 raise ValueError(f"duplicate rank {rank} for question {qid!r}")
             videos.add(video)
             ranks.add(rank)
-            lines.append(f"{question} Q0 {video} {rank} {_plain_number(score)} {tag}")
+            lines.append(f"{question} Q0 {video} {rank} {plain_number(score)} {tag}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -411,11 +411,7 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     sorted by descending score with rank as tiebreak.
     """
     staged: defaultdict[QuestionId, list[tuple[float, int | None, int, VideoId, TimeInterval]]] = defaultdict(list)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        obj = _json_record(line, source, lineno)
+    for lineno, obj in _jsonl_records(text, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
         start = _timestamp_field(obj, "start", source, lineno)
@@ -568,7 +564,7 @@ def _render_param(value: object) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(_render_param(v) for v in value)
     if isinstance(value, float):
-        return _plain_number(value)
+        return plain_number(value)
     return str(value)
 
 
@@ -612,7 +608,7 @@ def read_text(path: str) -> str:
 
 
 def write_atomically(path: str | os.PathLike, *chunks: bytes) -> None:
-    """Write ``chunks`` to ``path`` so that readers never see it half-written.
+    """Write the bytes-like ``chunks`` to ``path`` so that readers never see it half-written.
 
     The bytes go to a temporary file in the same directory that then replaces
     ``path``; if anything fails, the temporary file is removed and an existing

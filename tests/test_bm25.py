@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 import zlib
 from array import array
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from medvideval import bm25
 from medvideval.bm25 import (
     Bm25Params,
     build_index,
@@ -217,6 +219,23 @@ class TestPersistence:
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_index(tmp_path / "nowhere")
+
+    @pytest.mark.skipif(bm25._SWAP, reason="a big-endian machine writes a byteswapped copy of each array")
+    def test_save_writes_the_arrays_without_copying_them(self, tmp_path):
+        rng = random.Random(7)
+        vocab = [f"term{n}" for n in range(500)]
+        index = build_index(docs(*(" ".join(rng.sample(vocab, 60)) for _ in range(2000))))
+        array_bytes = sum(
+            len(values) * values.itemsize for values in (index.lengths, index.offsets, index.doc_ids, index.tfs)
+        )
+        tracemalloc.start()
+        try:
+            save_index(index, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes / 2
+        assert load_index(tmp_path) == index
 
 
 # ---------------------------------------------------------------------------

@@ -432,20 +432,6 @@ class TestThreads:
         )
         assert code == 0
 
-    def test_env_fallback(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("MEDVIDEVAL_THREADS", "2")
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-            ]
-        )
-        assert code == 0
-
     def test_thread_count_does_not_change_output(self, files, tmp_path, capsys):
         index_dir = tmp_path / "idx"
         assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
@@ -540,21 +526,23 @@ ORGANISER = Path(__file__).resolve().parent / "data" / "organiser"
 ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        *[
-            (f"{name}.{ext}", [command, "--run", str(ORGANISER / run), *ORGANISER_QRELS, "--format", fmt])
-            for name, command, run in [
-                ("retrieval", "eval-retrieval", "retrieval.run"),
-                ("localization", "eval-localization", "localization.jsonl"),
-                ("vcval", "eval-vcval", "localization.jsonl"),
-            ]
-            for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
-        ],
-        ("pool.txt", ["pool", "--run", str(ORGANISER / "retrieval.run")]),
+# Each golden file under tests/data/*/expected/ is checked by one case here,
+# and test_every_golden_file_has_a_case keeps these lists complete.
+ORGANISER_CASES = [
+    *[
+        (f"{name}.{ext}", [command, "--run", str(ORGANISER / run), *ORGANISER_QRELS, "--format", fmt])
+        for name, command, run in [
+            ("retrieval", "eval-retrieval", "retrieval.run"),
+            ("localization", "eval-localization", "localization.jsonl"),
+            ("vcval", "eval-vcval", "localization.jsonl"),
+        ]
+        for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
     ],
-)
+    ("pool.txt", ["pool", "--run", str(ORGANISER / "retrieval.run")]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", ORGANISER_CASES)
 def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
     out_path = tmp_path / golden
     with warnings.catch_warnings():
@@ -570,30 +558,37 @@ CAPTION_CAN_WIN = ["--alpha", "1", "--beta", "0.2", "--theta", "0.1"]  # beta >=
 OVERLAP_NEEDED = ["--theta", "0.9"]  # beta < theta: every cell without overlap is skipped
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        (f"{name}.{ext}", [command, *STEPS_FILES, *flags, "--format", fmt])
-        for name, command, flags in [
-            ("steps", "eval-steps", []),
-            ("steps_lambda0_mu0.5", "eval-steps", ["--lambda", "0", "--mu", "0.5"]),
-            ("captions", "eval-captions", []),
-            ("steps_alpha0_beta1_theta0.3", "eval-steps", ROUGE_ONLY),
-            ("captions_alpha0_beta1_theta0.3", "eval-captions", ROUGE_ONLY),
-            ("steps_alpha1_beta0.2_theta0.1", "eval-steps", CAPTION_CAN_WIN),
-            ("captions_alpha1_beta0.2_theta0.1", "eval-captions", CAPTION_CAN_WIN),
-            ("steps_theta0.9", "eval-steps", OVERLAP_NEEDED),
-            ("captions_theta0.9", "eval-captions", OVERLAP_NEEDED),
-        ]
-        for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
-    ],
-)
+STEP_CASES = [
+    (f"{name}.{ext}", [command, *STEPS_FILES, *flags, "--format", fmt])
+    for name, command, flags in [
+        ("steps", "eval-steps", []),
+        ("steps_lambda0_mu0.5", "eval-steps", ["--lambda", "0", "--mu", "0.5"]),
+        ("captions", "eval-captions", []),
+        ("steps_alpha0_beta1_theta0.3", "eval-steps", ROUGE_ONLY),
+        ("captions_alpha0_beta1_theta0.3", "eval-captions", ROUGE_ONLY),
+        ("steps_alpha1_beta0.2_theta0.1", "eval-steps", CAPTION_CAN_WIN),
+        ("captions_alpha1_beta0.2_theta0.1", "eval-captions", CAPTION_CAN_WIN),
+        ("steps_theta0.9", "eval-steps", OVERLAP_NEEDED),
+        ("captions_theta0.9", "eval-captions", OVERLAP_NEEDED),
+    ]
+    for ext, fmt in [("tsv", "tsv"), ("json", "structured")]
+]
+
+
+@pytest.mark.parametrize("golden, argv", STEP_CASES)
 def test_step_outputs_match_golden_bytes(golden, argv, tmp_path):
     out_path = tmp_path / golden
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a long caption and a prediction-only segment warn by design
         assert main([*argv, "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == (STEPS / "expected" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("fixture, cases", [(ORGANISER, ORGANISER_CASES), (STEPS, STEP_CASES)])
+def test_every_golden_file_has_a_case(fixture, cases):
+    goldens = [golden for golden, _ in cases]
+    assert len(goldens) == len(set(goldens))
+    assert set(goldens) == {path.name for path in (fixture / "expected").iterdir()}
 
 
 def test_failed_out_write_keeps_the_previous_file(files, tmp_path, monkeypatch, capsys):

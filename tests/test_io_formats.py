@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from medvideval.bm25 import Bm25Params
-from medvideval.core import FormatError, RelevanceGrade, TimeInterval
+from medvideval.core import FormatError, RelevanceGrade, TimeInterval, plain_number
 from medvideval.io_formats import (
     CorpusDocument,
     JudgedVideo,
@@ -20,7 +20,6 @@ from medvideval.io_formats import (
     StepLintWarning,
     StepSequence,
     _check_token,
-    _plain_number,
     parse_corpus,
     parse_localization_run,
     parse_qrels,
@@ -590,12 +589,12 @@ def test_every_run_the_writer_accepts_parses_back_to_its_records(run):
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15, 1e16, 1.7976931348623157e308],
 )
 def test_plain_number_edge_values(value):
-    assert _plain_number(value) == format(Decimal(repr(value)), "f")
+    assert plain_number(value) == format(Decimal(repr(value)), "f")
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_plain_number_matches_decimal_rendering(value):
-    assert _plain_number(value) == format(Decimal(repr(value)), "f")
+    assert plain_number(value) == format(Decimal(repr(value)), "f")
 
 
 def _has_space(value):
