@@ -48,9 +48,9 @@ class Bm25Params(CheckedRecord, namedtuple("Bm25Params", "k1 b")):
     def __new__(cls, k1: float = 0.9, b: float = 0.4) -> Bm25Params:
         # The upper limit keeps (k1 + 1) * tf * idf and the length norms finite
         # for any index that fits the file format.
-        if not 0.0 < k1 <= 1e100:
+        if isinstance(k1, bool) or not 0.0 < k1 <= 1e100:
             raise ValueError(f"k1 must be in (0, 1e100], got {k1}")
-        if not 0.0 <= b <= 1.0:
+        if isinstance(b, bool) or not 0.0 <= b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {b}")
         return tuple.__new__(cls, (k1, b))
 

@@ -202,9 +202,13 @@ def _emit_report(report: MetricReport, args: argparse.Namespace) -> None:
     _emit(write_report(report, args.format), args.out)
 
 
-def _load_qrels(paths: Sequence[str]):
+def _check_qrels_flag(paths: Sequence[str]) -> None:
+    """Reject a ``--qrels`` with more than two paths; called before any input is read."""
     if len(paths) > 2:
         raise FormatError("--qrels takes a grade file plus at most one answer sidecar")
+
+
+def _load_qrels(paths: Sequence[str]):
     grades, *sidecar = paths
     texts = [read_text(path) for path in paths]
     return parse_qrels(*texts, grades_source=grades, answers_source=sidecar[0] if sidecar else "<answers>")
@@ -219,6 +223,7 @@ def _params(build, **values):
 
 
 def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
+    _check_qrels_flag(args.qrels)
     run = parse_retrieval_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
     score = evaluate_retrieval(run, qrels, ks=args.k)
@@ -229,6 +234,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
 def _localization_inputs(args: argparse.Namespace):
     """The run's judged questions, the judgments, and the IoU grid, which is checked before any file is read."""
     params = _params(IoUParams, n_values=args.n, mu_values=args.mu, lam=args.lam)
+    _check_qrels_flag(args.qrels)
     run = parse_localization_run(read_text(args.run), source=args.run)
     qrels = _load_qrels(args.qrels)
     return judged_questions(run, qrels), qrels, params

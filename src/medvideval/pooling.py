@@ -27,7 +27,7 @@ class PoolBand(CheckedRecord, namedtuple("PoolBand", "depth probability")):
     def __new__(cls, depth: int, probability: float) -> PoolBand:
         if type(depth) is bool or not isinstance(depth, int) or depth < 1:
             raise ValueError(f"band depth must be an integer >= 1, got {depth!r}")
-        if not 0.0 <= probability <= 1.0:
+        if isinstance(probability, bool) or not 0.0 <= probability <= 1.0:
             raise ValueError(f"band probability must be in [0, 1], got {probability}")
         return tuple.__new__(cls, (depth, probability))
 

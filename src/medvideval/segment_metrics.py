@@ -24,6 +24,9 @@ DEFAULT_MU_VALUES = (0.3, 0.5, 0.7)
 
 def normalise_depths(values: Iterable[int], name: str) -> tuple[int, ...]:
     """Positive integer depths, sorted and deduplicated; ``name`` appears in errors."""
+    values = tuple(values)
+    if any(isinstance(value, bool) for value in values):  # checked before the set folds True into 1
+        raise ValueError(f"{name} must be integers, not bool, got {list(values)}")
     depths = tuple(sorted(set(values)))
     if not depths or not all(isinstance(depth, int) and depth >= 1 for depth in depths):
         raise ValueError(f"{name} must be one or more integers >= 1, got {list(depths)}")
@@ -37,6 +40,9 @@ def threshold_key(mu: float) -> str:
 
 def normalise_thresholds(values: Iterable[float]) -> tuple[float, ...]:
     """IoU thresholds in (0, 1], sorted and deduplicated, each with its own label."""
+    values = tuple(values)
+    if any(isinstance(value, bool) for value in values):  # checked before the set folds True into 1.0
+        raise ValueError(f"mu must be numbers, not bool, got {list(values)}")
     thresholds = tuple(sorted(set(values)))
     if not thresholds or not all(0.0 < mu <= 1.0 for mu in thresholds):
         raise ValueError(f"mu must be one or more values in (0, 1], got {list(thresholds)}")
@@ -61,7 +67,7 @@ def judged_questions(run: Mapping[QuestionId, object], qrels: Mapping[QuestionId
 
 def check_lambda(lam: float) -> None:
     """Raise ValueError naming lambda unless ``lam`` is an IoU extension in [0, MAX_SECONDS] seconds."""
-    if not 0.0 <= lam <= MAX_SECONDS:  # NaN fails too
+    if isinstance(lam, bool) or not 0.0 <= lam <= MAX_SECONDS:  # NaN fails too
         raise ValueError(f"lambda must be a finite number in [0, {MAX_SECONDS:g}], got {lam}")
 
 

@@ -41,7 +41,7 @@ class AlignmentParams(CheckedRecord, namedtuple("AlignmentParams", "theta alpha 
 
     def __new__(cls, theta: float = 0.4, alpha: float = 0.5, beta: float = 0.5, lam: float = 3.0) -> AlignmentParams:
         for name, value in (("theta", theta), ("alpha", alpha), ("beta", beta)):
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         check_lambda(lam)
         return tuple.__new__(cls, (theta, alpha, beta, lam))

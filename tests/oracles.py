@@ -8,9 +8,8 @@ one float core of ``segment_metrics`` replaced.  ``reference_lcs_length`` is
 the two-row dynamic program that the bit-parallel LCS replaced.
 ``reference_align_steps`` is the full scan that the bounded step alignment
 replaced, scoring every cell through ``alignment_score``.  The
-reference parsers at the end are the line-by-line run parsers that the
-single-pass ones replaced, and they share the per-field checks of
-``medvideval.io_formats``.
+reference parsers at the end are the run parsers that the current ones
+replaced, and they share the per-field checks of ``medvideval.io_formats``.
 """
 
 from __future__ import annotations
@@ -334,8 +333,10 @@ def bm25_rank_oracle(
 
 
 # --- run parsers ----------------------------------------------------------------
-# Line by line, one record and every duplicate check per line.  The package is
-# imported inside each parser, so that this module loads without it on the path.
+# The retrieval parser checks each line in full, duplicates included, before
+# the next.  The localization parser checks each record, then each question's
+# ranks once every record is read, as parse_localization_run does.  The package
+# is imported inside each parser, so that this module loads without it on the path.
 
 
 def _reference_lines(text: str):

@@ -109,6 +109,10 @@ class TestScoring:
             Bm25Params(k1=0)
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
+        with pytest.raises(ValueError, match="^k1 must be"):
+            Bm25Params(k1=True)
+        with pytest.raises(ValueError, match="^b must be"):
+            Bm25Params(b=False)
 
 
 class TestSearch:

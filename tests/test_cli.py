@@ -977,8 +977,19 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
         (["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--mu", "5"], "mu"),
         (["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--alpha", "inf"], "alpha"),
         (["search", "{missing}", "{missing}", "--k1", "0"], "k1"),
+        (["eval-retrieval", "--run", "{missing}", *ORGANISER_QRELS, str(ORGANISER / "qrels.txt")], "--qrels"),
+        (["eval-vcval", "--run", "{missing}", *ORGANISER_QRELS, "{missing}"], "--qrels"),
     ],
-    ids=["eval-localization", "eval-vcval", "eval-steps", "eval-steps-mu", "eval-captions", "search"],
+    ids=[
+        "eval-localization",
+        "eval-vcval",
+        "eval-steps",
+        "eval-steps-mu",
+        "eval-captions",
+        "search",
+        "eval-retrieval-qrels",
+        "eval-vcval-qrels",
+    ],
 )
 def test_bad_flag_is_reported_before_any_input_is_read(tmp_path, argv, flag):
     # The step files would warn about a long caption if they were parsed.

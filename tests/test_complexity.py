@@ -1,0 +1,188 @@
+"""Clock-free complexity contracts: four times the input costs at most about four times the work.
+
+Work is counted as the events that ``sys.setprofile`` reports: each Python
+call and return, and each C function called from Python.  On one interpreter
+the count is the same on every run, so a test can compare two sizes with no
+wall clock.  The tests assert the ratio between the sizes, never an absolute
+count, because counts differ between Python versions.  A quadratic loop in
+Python code would show a ratio near 16; work done inside one C call (a sort,
+a set lookup) is one event, so it is not covered here.
+"""
+
+import json
+import sys
+
+import pytest
+
+from medvideval.io_formats import (
+    RetrievalRunEntry,
+    parse_corpus,
+    parse_localization_run,
+    parse_qrels,
+    parse_queries,
+    parse_retrieval_run,
+    parse_steps,
+    write_retrieval_run,
+)
+from medvideval.pooling import build_pool
+from medvideval.retrieval_metrics import evaluate_rankings
+from medvideval.segment_metrics import IoUParams, evaluate_localization
+
+SIZE = 200  # records at the smaller size; the larger has four times as many
+MAX_RATIO = 4.5
+QUESTIONS = 5  # parser inputs spread their records over this many questions
+
+
+def profile_events(call) -> int:
+    """The number of profile events while ``call()`` runs."""
+    count = 0
+
+    def tally(frame, event, arg):
+        nonlocal count
+        count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(tally)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def jsonl(records) -> str:
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+def timestamp(seconds: int) -> str | int:
+    """Alternate between the ``MM:SS`` and the number forms, so both are read."""
+    return f"{seconds // 60:02d}:{seconds % 60:02d}" if seconds % 2 else seconds
+
+
+def retrieval_run_text(n: int) -> str:
+    return "".join(f"q{i % QUESTIONS} Q0 v{i} {i // QUESTIONS + 1} {1.0 / (i + 1)!r} sys\n" for i in range(n))
+
+
+def localization_run_text(n: int) -> str:
+    return jsonl(
+        {
+            "question": f"q{i % QUESTIONS}",
+            "video": f"v{i % 7}",
+            "start": timestamp(i % 50),
+            "end": timestamp(i % 50 + 30),
+            "score": 1.0 / (i + 1),
+            "rank": i // QUESTIONS + 1,
+        }
+        for i in range(n)
+    )
+
+
+def grades_text(n: int) -> str:
+    return "".join(f"q{i % QUESTIONS} 0 v{i} {i % 3}\n" for i in range(n))
+
+
+def answers_text(n: int) -> str:
+    """One answer interval for each positively graded video of ``grades_text(n)``."""
+    return jsonl(
+        {
+            "question": f"q{i % QUESTIONS}",
+            "video": f"v{i}",
+            "start": timestamp(i % 40),
+            "end": timestamp(i % 40 + 20),
+        }
+        for i in range(n)
+        if i % 3
+    )
+
+
+def steps_text(n: int) -> str:
+    """``n`` segments of three steps each, out of start-time order."""
+    return jsonl(
+        {
+            "segment": f"s{i}",
+            "steps": [
+                {"caption": "rinse the wound with saline", "start": 20, "end": "00:30"},
+                {"caption": "wash your hands", "start": "00:00", "end": 8},
+                {"caption": "put on gloves", "start": 10, "end": 15},
+            ],
+        }
+        for i in range(n)
+    )
+
+
+def corpus_text(n: int) -> str:
+    return jsonl({"video": f"v{i}", "title": f"video {i}", "subtitle": "wash and dry the hands"} for i in range(n))
+
+
+def queries_text(n: int) -> str:
+    return "".join(f"q{i} how to clean a wound number {i}\n" for i in range(n))
+
+
+def qrels(n: int):
+    """Judgments for ``n`` questions, two relevant videos each with answers, one not relevant."""
+    grades = "".join(f"q{i} 0 a{i} 2\nq{i} 0 b{i} 1\nq{i} 0 c{i} 0\n" for i in range(n))
+    answers = jsonl(
+        {"question": f"q{i}", "video": f"{video}{i}", "start": 10, "end": 40} for i in range(n) for video in "ab"
+    )
+    return parse_qrels(grades, answers)
+
+
+def localization_run(n: int):
+    """Ten candidates for each of ``n`` questions, some on judged videos."""
+    return parse_localization_run(
+        jsonl(
+            {
+                "question": f"q{i}",
+                "video": f"{'abxyz'[rank % 5]}{i}",
+                "start": 5 * rank,
+                "end": 5 * rank + 30,
+                "score": -rank,
+            }
+            for i in range(n)
+            for rank in range(10)
+        )
+    )
+
+
+def retrieval_runs(n: int, count: int):
+    """``count`` runs with distinct tags, 30 ranks for each of ``n`` questions."""
+    return [
+        {
+            f"q{i}": [
+                RetrievalRunEntry(f"q{i}", f"v{(rank * (tag + 1)) % 40}", rank, float(-rank), f"sys{tag}")
+                for rank in range(1, 31)
+            ]
+            for i in range(n)
+        }
+        for tag in range(count)
+    ]
+
+
+# Each case maps an input size to the function whose work is counted and its
+# arguments, which are built before the count starts.
+CASES = {
+    "parse_retrieval_run": lambda n: (parse_retrieval_run, retrieval_run_text(n)),
+    "parse_localization_run": lambda n: (parse_localization_run, localization_run_text(n)),
+    "parse_qrels": lambda n: (parse_qrels, grades_text(n), answers_text(n)),
+    "parse_steps": lambda n: (parse_steps, steps_text(n)),
+    "parse_corpus": lambda n: (parse_corpus, corpus_text(n)),
+    "parse_queries": lambda n: (parse_queries, queries_text(n)),
+    "write_retrieval_run": lambda n: (write_retrieval_run, parse_retrieval_run(retrieval_run_text(n))),
+    "evaluate_rankings": lambda n: (
+        evaluate_rankings,
+        {f"q{i}": [f"{video}{i}" for video in "xaybzc"] for i in range(n)},
+        qrels(n),
+    ),
+    "evaluate_localization": lambda n: (evaluate_localization, localization_run(n), qrels(n), IoUParams(lam=3.0)),
+    "build_pool": lambda n: (build_pool, retrieval_runs(n // 10, 4)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_four_times_the_input_costs_at_most_about_four_times_the_work(name):
+    def events(n: int) -> int:
+        function, *arguments = CASES[name](n)
+        return profile_events(lambda: function(*arguments))
+
+    small, large = events(SIZE), events(4 * SIZE)
+    assert large / small <= MAX_RATIO, (name, small, large)

@@ -3,8 +3,10 @@
 Each test takes one golden input file, damages one of its lines (or its bytes)
 with the inputs that have crashed parsers before, and runs the subcommand that
 reads it.  Exit 2 must name the damaged file.  The run parsers must also
-return what the line-by-line reference parsers of ``oracles`` return, or
-raise the same error, on the damaged files with more faults added.
+return what the reference parsers of ``oracles`` return, or raise the same
+error, on the damaged files with more faults added.  Both retrieval parsers
+check each line in full before the next; both localization parsers check
+each record, then each question's ranks once every record is read.
 """
 
 import contextlib
@@ -144,7 +146,7 @@ def test_query_parser(workdir, data):
     check(workdir, data, lambda path: ["search", str(workdir / "idx"), path, "--k", "3"])
 
 
-# --- single-pass run parsers against the line-by-line reference parsers --------
+# --- run parsers against the reference parsers of oracles -----------------------
 
 HOSTILE_TOKENS = ["x", "0", "-1", "01", "+2", "1_0", "1.5", "-0.0", "nan", "inf", "1e400", "9" * 5000, "#", "\u0663"]
 HOSTILE_VALUES = [None, True, "", " ", "x", 0, -1, 2.5, 10**400, "9" * 400, "01:75", "1:00", " 00:10 ", "7", [1], {}]

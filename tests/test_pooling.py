@@ -42,6 +42,8 @@ class TestPoolSpec:
             PoolBand(2.5, 0.5)
         with pytest.raises(ValueError):
             PoolBand(True, 1.0)
+        with pytest.raises(ValueError, match="band probability"):
+            PoolBand(5, True)
 
     @pytest.mark.parametrize("seed", [1.0, True, "1"])
     def test_seed_must_be_an_integer(self, seed):

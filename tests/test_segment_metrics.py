@@ -361,7 +361,17 @@ class TestEvaluateLocalization:
             IoUParams(lam=-1)
 
 
-@pytest.mark.parametrize("values", [{"lam": math.nan}, {"lam": math.inf}, {"mu_values": (math.nan,)}])
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"mu_values": (math.nan,)},
+        {"lam": True},
+        {"n_values": (True,)},
+        {"mu_values": (True,)},
+    ],
+)
 def test_params_reject_non_finite_values(values):
     with pytest.raises(ValueError):
         IoUParams(**values)
@@ -373,7 +383,13 @@ class TestScoringGrid:
 
     @pytest.mark.parametrize(
         "values, message",
-        [((), r"n must be .*, got \[\]"), ((3, 0), r"n must be .*, got \[0, 3\]"), ((1.5,), r"got \[1\.5\]")],
+        [
+            ((), r"n must be .*, got \[\]"),
+            ((3, 0), r"n must be .*, got \[0, 3\]"),
+            ((1.5,), r"got \[1\.5\]"),
+            ((True,), r"n must be .*, got \[True\]"),
+            ((1, True), r"n must be .*, got \[1, True\]"),
+        ],
     )
     def test_bad_depths_name_the_parameter(self, values, message):
         with pytest.raises(ValueError, match=message):
@@ -382,7 +398,9 @@ class TestScoringGrid:
     def test_thresholds_sorted_and_deduplicated(self):
         assert normalise_thresholds([0.7, 0.3, 0.5, 0.3]) == (0.3, 0.5, 0.7)
 
-    @pytest.mark.parametrize("values", [(), (0.0,), (-0.5,), (1.5,), (math.nan,), (math.inf,), (0.5, 0.3, 0.30000001)])
+    @pytest.mark.parametrize(
+        "values", [(), (0.0,), (-0.5,), (1.5,), (math.nan,), (math.inf,), (0.5, 0.3, 0.30000001), (True,), (1.0, True)]
+    )
     def test_bad_thresholds_rejected(self, values):
         with pytest.raises(ValueError, match="mu"):
             normalise_thresholds(values)

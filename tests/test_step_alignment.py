@@ -324,7 +324,19 @@ def test_caption_bleu_equals_bleu_n_of_the_matched_pairs(segments):
         assert score.bleu[order] == bleu_n(pairs, order)
 
 
-@pytest.mark.parametrize("values", [{"theta": math.nan}, {"alpha": math.inf}, {"beta": -math.inf}, {"lam": math.nan}])
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"theta": math.nan},
+        {"alpha": math.inf},
+        {"beta": -math.inf},
+        {"lam": math.nan},
+        {"theta": True},
+        {"alpha": False},
+        {"beta": True},
+        {"lam": True},
+    ],
+)
 def test_params_reject_non_finite_values(values):
     with pytest.raises(ValueError):
         AlignmentParams(**values)
