@@ -170,7 +170,9 @@ def search(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> list[tuple[VideoId, float]]:
-    """Top-k positively scoring videos, ties broken by ascending video id."""
+    """Top-k positively scoring videos, ties broken by ascending video id; ``k`` is an ``int`` >= 1."""
+    if type(k) is bool or not isinstance(k, int):
+        raise ValueError(f"cutoff k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
     scores = _scores(index, tokenize(query), params)

@@ -248,8 +248,8 @@ def _cmd_eval_localization(args: argparse.Namespace) -> int:
 
 def _cmd_eval_vcval(args: argparse.Namespace) -> int:
     run, qrels, params = _localization_inputs(args)
-    # The video ranking a candidate list induces: first appearance wins.
-    rankings = {qid: dict.fromkeys(c.video for c in candidates) for qid, candidates in run.items()}
+    # evaluate_rankings counts a video that repeats in a candidate list at its first appearance.
+    rankings = {qid: [c.video for c in candidates] for qid, candidates in run.items()}
     retrieval = evaluate_rankings(rankings, qrels, ks=args.k)
     localization = evaluate_localization(run, qrels, params)
     retrieval_part = retrieval_report(retrieval)

@@ -66,8 +66,9 @@ class RelevanceGrade(IntEnum):
 class CheckedRecord:
     """Base for a namedtuple whose ``__new__`` checks its values.
 
-    ``_make`` and ``_replace`` build through the constructor too, so no way of
-    making a record skips the checks.
+    ``_make`` builds through the constructor too, and namedtuple's own
+    ``_replace`` builds through ``_make``, so no way of making a record skips
+    the checks.
     """
 
     __slots__ = ()
@@ -75,9 +76,6 @@ class CheckedRecord:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
 
 class TimeInterval(CheckedRecord, namedtuple("TimeInterval", "start end")):

@@ -23,12 +23,15 @@ DEFAULT_K_VALUES = (5, 10)
 def _question_row(
     ranking: Iterable[VideoId], judged: Sequence[JudgedVideo], cutoffs: Sequence[int]
 ) -> dict[str, float]:
-    """MAP, R@k and P@k for each cutoff, and nDCG, from one pass over the ranking."""
+    """MAP, R@k and P@k for each cutoff, and nDCG, from one pass over the ranking.
+
+    A video that repeats in the ranking counts once, at its first appearance.
+    """
     grades = {jv.video: int(jv.grade) for jv in judged}
     relevant = sum(1 for gain in grades.values() if gain)  # videos graded positive
     hit_positions: list[int] = []
     dcg = 0.0
-    for position, video in enumerate(ranking, start=1):
+    for position, video in enumerate(dict.fromkeys(ranking), start=1):
         gain = grades.get(video, 0)
         if gain:
             hit_positions.append(position)

@@ -122,6 +122,10 @@ class TestSearch:
         assert len(search(index, "shared", 10)) == 10
         with pytest.raises(ValueError, match="^cutoff k must be >= 1, got 0$"):
             search(index, "shared", 0)
+        with pytest.raises(ValueError, match="^cutoff k must be an integer, got True$"):
+            search(index, "shared", True)
+        with pytest.raises(ValueError, match="^cutoff k must be an integer, got 2.5$"):
+            search(index, "shared", 2.5)
 
     def test_no_indexed_terms_yields_empty(self):
         index = build_index(docs("press the wound"))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -24,6 +25,11 @@ from medvideval.io_formats import MetricReport, parse_retrieval_run, write_repor
 SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
 SMOKE_QUERIES = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "queries.txt")
 SMOKE_GOLDEN_RUN = Path(__file__).resolve().parent / "data" / "smoke_bm25_k10.run"
+ORGANISER = Path(__file__).resolve().parent / "data" / "organiser"
+ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
+STEPS = Path(__file__).resolve().parent / "data" / "steps"
+STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
+REPO = Path(__file__).resolve().parents[1]
 
 RUN_TEXT = """\
 Q1 Q0 v1 1 9.5 sysA
@@ -77,6 +83,77 @@ def files(tmp_path):
         paths[name] = str(target)
     paths["dir"] = tmp_path
     return paths
+
+
+# ---------------------------------------------------------------------------
+# One command line for each subcommand
+# ---------------------------------------------------------------------------
+
+# Each fixture the commands read, and the JSON key whose ids a copy renames;
+# None marks a flat file, whose lines start with the renamed id.
+TRACK_FIXTURES = {
+    "retrieval.run": (ORGANISER / "retrieval.run", None),
+    "qrels.txt": (ORGANISER / "qrels.txt", None),
+    "answers.jsonl": (ORGANISER / "answers.jsonl", "question"),
+    "localization.jsonl": (ORGANISER / "localization.jsonl", "question"),
+    "pred.jsonl": (STEPS / "pred.jsonl", "segment"),
+    "gold.jsonl": (STEPS / "gold.jsonl", "segment"),
+    "corpus.jsonl": (Path(SMOKE_CORPUS), "video"),
+    "queries.txt": (Path(SMOKE_QUERIES), None),
+}
+
+
+def _track_inputs(directory: Path, copies: int) -> Path:
+    """The fixtures ``copies`` times over in ``directory``, each copy after the first under renamed ids.
+
+    Also a BM25 index of the corpus, and ``bad.run``: the retrieval run with a
+    malformed last line, so that its parse fails only after every valid line.
+    """
+    directory.mkdir()
+    for name, (fixture, key) in TRACK_FIXTURES.items():
+        text = fixture.read_text(encoding="utf-8")
+        pattern = r"(?m)^(?=[^#\s])" if key is None else f'(?<="{key}": ")'
+        copied = "".join([text] + [re.sub(pattern, f"c{copy}-", text) for copy in range(1, copies)])
+        (directory / name).write_text(copied, encoding="utf-8")
+    run = (directory / "retrieval.run").read_text(encoding="utf-8")
+    (directory / "bad.run").write_text(run + "q1 Q0 broken\n", encoding="utf-8")
+    assert main(["index", str(directory / "corpus.jsonl"), "--out", str(directory / "idx")]) == 0
+    return directory
+
+
+def _command_argv(directory: Path, out: Path) -> dict[str, list[str]]:
+    """Every subcommand, plus one that exits 2 on a malformed run, on the inputs of ``_track_inputs``.
+
+    Each test that runs one subcommand on valid inputs takes its command line
+    from here, so a flag added to every subcommand is one edit.
+    """
+    d = {name: str(directory / name) for name in [*TRACK_FIXTURES, "bad.run", "idx"]}
+    qrels = ["--qrels", d["qrels.txt"], d["answers.jsonl"]]
+    steps = ["--pred", d["pred.jsonl"], "--gold", d["gold.jsonl"]]
+    structured = ["--format", "structured"]
+    argv = {
+        "eval-retrieval": ["eval-retrieval", "--run", d["retrieval.run"], *qrels],
+        "eval-localization": ["eval-localization", "--run", d["localization.jsonl"], *qrels],
+        "eval-vcval": ["eval-vcval", "--run", d["localization.jsonl"], *qrels, *structured],
+        "eval-steps": ["eval-steps", *steps],
+        "eval-captions": ["eval-captions", *steps, *structured],
+        "pool": ["pool", "--run", d["retrieval.run"]],
+        "index": ["index", d["corpus.jsonl"]],
+        "search": ["search", d["idx"], d["queries.txt"], "--k", "10"],
+        "malformed-run": ["eval-retrieval", "--run", d["bad.run"], *qrels],
+    }
+    return {command: [*args, "--out", str(out)] for command, args in argv.items()}
+
+
+@pytest.fixture(scope="module")
+def fixture_inputs(tmp_path_factory):
+    """The committed fixtures, once over, as ``_command_argv`` reads them."""
+    return _track_inputs(tmp_path_factory.mktemp("fixtures") / "in", 1)
+
+
+def test_every_subcommand_has_a_command_line():
+    [subparsers] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    assert set(_command_argv(Path(), Path())) - {"malformed-run"} == set(subparsers.choices)
 
 
 class TestEvalRetrieval:
@@ -416,41 +493,17 @@ class TestIndexAndSearch:
             assert "version 1" in err
 
 
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 class TestThreads:
-    def test_threads_flag_accepted(self, files, capsys):
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-                "--threads",
-                "2",
-            ]
-        )
-        assert code == 0
+    def test_threads_flag_accepted(self, fixture_inputs, tmp_path):
+        assert main([*_command_argv(fixture_inputs, tmp_path / "out")["eval-localization"], "--threads", "2"]) == 0
 
-    def test_thread_count_does_not_change_output(self, files, tmp_path, capsys):
-        index_dir = tmp_path / "idx"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        commands = {
-            "loc": [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-            ],
-            "search": ["search", str(index_dir), SMOKE_QUERIES, "--k", "1000"],
-        }
-        for name, argv in commands.items():
+    def test_thread_count_does_not_change_output(self, fixture_inputs, tmp_path):
+        for command in ("eval-localization", "search"):
             outputs = []
             for threads in (["--threads", "1"], ["--threads", "2"], []):
-                out_path = tmp_path / f"{name}-{len(outputs)}.out"
-                assert main([*argv, *threads, "--out", str(out_path)]) == 0
+                out_path = tmp_path / f"{command}-{len(outputs)}.out"
+                assert main([*_command_argv(fixture_inputs, out_path)[command], *threads]) == 0
                 outputs.append(out_path.read_bytes())
             assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
@@ -458,37 +511,19 @@ class TestThreads:
         "command",
         ["eval-retrieval", "eval-localization", "eval-vcval", "eval-steps", "eval-captions", "search"],
     )
-    def test_zero_threads_exits_2(self, files, command, capsys):
-        qrels = ["--qrels", files["qrels.txt"], files["answers.jsonl"]]
-        argv = {
-            "eval-retrieval": ["--run", files["run.txt"], *qrels],
-            "eval-localization": ["--run", files["loc.jsonl"], *qrels],
-            "eval-vcval": ["--run", files["loc.jsonl"], *qrels],
-            "eval-steps": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
-            "eval-captions": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
-            "search": [str(files["dir"]), SMOKE_QUERIES],
-        }[command]
-        assert main([command, *argv, "--threads", "0"]) == 2
+    def test_zero_threads_exits_2(self, fixture_inputs, command, tmp_path, capsys):
+        assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], "--threads", "0"]) == 2
         assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval-localization", "eval-vcval"])
-@pytest.mark.parametrize("flag", [["--mu", "1.5"], ["--lambda", "-1"]])
-def test_out_of_range_iou_flag_exits_2(files, command, flag, capsys):
-    code = main(
-        [command, "--run", files["loc.jsonl"], "--qrels", files["qrels.txt"], files["answers.jsonl"], *flag]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
+def _python_m(argv):
+    """``python -m medvideval *argv``, run in the repository on the package under src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env)
 
 
 def test_module_entry_point(files):
-    result = subprocess.run(
-        [sys.executable, "-m", "medvideval", "eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]],
-        capture_output=True,
-        text=True,
-    )
+    result = _python_m(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]])
     assert result.returncode == 0
     assert "MAP" in result.stdout
 
@@ -506,24 +541,18 @@ def test_help_exits_zero():
         ("eval-captions", "--theta", "nan"),
         ("eval-captions", "--alpha", "inf"),
         *[(command, "--lambda", value) for command in ("eval-localization", "eval-vcval") for value in ("nan", "inf")],
+        *[
+            (command, flag, value)
+            for command in ("eval-localization", "eval-vcval")
+            for flag, value in [("--mu", "1.5"), ("--lambda", "-1")]
+        ],
     ],
 )
-def test_non_finite_or_out_of_range_scoring_flag_exits_2(files, command, flag, value, capsys):
-    qrels = ["--qrels", files["qrels.txt"], files["answers.jsonl"]]
-    argv = {
-        "eval-localization": ["--run", files["loc.jsonl"], *qrels],
-        "eval-vcval": ["--run", files["loc.jsonl"], *qrels],
-        "eval-steps": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
-        "eval-captions": ["--pred", files["steps.jsonl"], "--gold", files["steps.jsonl"]],
-    }[command]
-    code = main([command, *argv, flag, value])
+def test_non_finite_or_out_of_range_scoring_flag_exits_2(fixture_inputs, command, flag, value, tmp_path, capsys):
+    code = main([*_command_argv(fixture_inputs, tmp_path / "out")[command], flag, value])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
-
-
-ORGANISER = Path(__file__).resolve().parent / "data" / "organiser"
-ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
 
 
 # Each golden file under tests/data/*/expected/ is checked by one case here,
@@ -551,8 +580,6 @@ def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
     assert out_path.read_bytes() == (ORGANISER / "expected" / golden).read_bytes()
 
 
-STEPS = Path(__file__).resolve().parent / "data" / "steps"
-STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
 ROUGE_ONLY = ["--alpha", "0", "--beta", "1", "--theta", "0.3"]  # caption ROUGE-L alone decides the matches
 CAPTION_CAN_WIN = ["--alpha", "1", "--beta", "0.2", "--theta", "0.1"]  # beta >= theta: no scan may stop early
 OVERLAP_NEEDED = ["--theta", "0.9"]  # beta < theta: every cell without overlap is skipped
@@ -685,15 +712,8 @@ def test_negative_zero_flag_gives_the_zero_report(command, flag, fmt):
 
 
 @pytest.mark.parametrize("command", ["eval-localization", "eval-vcval", "eval-steps"])
-def test_thresholds_sharing_a_column_label_exit_2(command, capsys):
-    argv = {
-        "eval-localization": ["--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS],
-        "eval-vcval": ["--run", str(ORGANISER / "localization.jsonl"), *ORGANISER_QRELS],
-        "eval-steps": STEPS_FILES,
-    }[command]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main([command, *argv, "--mu", "0.3,0.30000001"]) == 2
+def test_thresholds_sharing_a_column_label_exit_2(fixture_inputs, command, tmp_path, capsys):
+    assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], "--mu", "0.3,0.30000001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: mu values 0.3 and 0.30000001 share the column IoU=0.3")
@@ -748,33 +768,15 @@ _SCORING_FLAGS = {
 }
 
 
-@pytest.fixture(scope="module")
-def scoring_argv(tmp_path_factory):
-    root = tmp_path_factory.mktemp("scoring")
-    for name, text in [("run.txt", RUN_TEXT), ("qrels.txt", QRELS_TEXT), ("answers.jsonl", ANSWERS_TEXT),
-                       ("loc.jsonl", LOC_RUN_TEXT), ("steps.jsonl", STEPS_TEXT)]:
-        (root / name).write_text(text, encoding="utf-8")
-    assert main(["index", SMOKE_CORPUS, "--out", str(root / "idx")]) == 0
-    qrels = ["--qrels", str(root / "qrels.txt"), str(root / "answers.jsonl")]
-    steps = ["--pred", str(root / "steps.jsonl"), "--gold", str(root / "steps.jsonl")]
-    return {
-        "eval-retrieval": ["--run", str(root / "run.txt"), *qrels],
-        "eval-localization": ["--run", str(root / "loc.jsonl"), *qrels],
-        "eval-vcval": ["--run", str(root / "loc.jsonl"), *qrels],
-        "eval-steps": steps,
-        "eval-captions": steps,
-        "search": [str(root / "idx"), SMOKE_QUERIES],
-    }
-
-
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _SCORING_FLAGS.items() for f in flags])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_bad_numeric_flag_exits_2_naming_it(scoring_argv, command, flag, data):
+def test_bad_numeric_flag_exits_2_naming_it(fixture_inputs, command, flag, data):
     value = data.draw(_BAD_FLAG_VALUES[flag], label="value")
+    argv = _command_argv(fixture_inputs, fixture_inputs / "out")[command]  # each value exits before writing
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, *scoring_argv[command], f"--{flag}={value}"])
+        code = main([*argv, f"--{flag}={value}"])
     assert code == 2
     assert out.getvalue() == ""
     message = err.getvalue()
@@ -915,9 +917,6 @@ def test_malformed_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv,
     assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
 
-REPO = Path(__file__).resolve().parents[1]
-
-
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -945,10 +944,7 @@ REPO = Path(__file__).resolve().parents[1]
     ],
 )
 def test_entry_point_prints_one_line_per_warning(argv, expected):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env
-    )
+    result = _python_m(argv)
     assert result.returncode == 0
     assert result.stderr.splitlines() == expected
 
@@ -994,10 +990,7 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
 def test_bad_flag_is_reported_before_any_input_is_read(tmp_path, argv, flag):
     # The step files would warn about a long caption if they were parsed.
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env
-    )
+    result = _python_m(argv)
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {flag} "), result.stderr
     assert "warning:" not in result.stderr
@@ -1036,58 +1029,6 @@ def test_long_caption_pair_rouge_l_is_exact(tmp_path):
 # ---------------------------------------------------------------------------
 # The console script runs with the cyclic garbage collector off
 # ---------------------------------------------------------------------------
-
-# Each fixture the commands read, and the JSON key whose ids a copy renames;
-# None marks a flat file, whose lines start with the renamed id.
-TRACK_FIXTURES = {
-    "retrieval.run": (ORGANISER / "retrieval.run", None),
-    "qrels.txt": (ORGANISER / "qrels.txt", None),
-    "answers.jsonl": (ORGANISER / "answers.jsonl", "question"),
-    "localization.jsonl": (ORGANISER / "localization.jsonl", "question"),
-    "pred.jsonl": (STEPS / "pred.jsonl", "segment"),
-    "gold.jsonl": (STEPS / "gold.jsonl", "segment"),
-    "corpus.jsonl": (Path(SMOKE_CORPUS), "video"),
-    "queries.txt": (Path(SMOKE_QUERIES), None),
-}
-
-
-def _track_inputs(directory: Path, copies: int) -> Path:
-    """The fixtures ``copies`` times over in ``directory``, each copy after the first under renamed ids.
-
-    Also a BM25 index of the corpus, and ``bad.run``: the retrieval run with a
-    malformed last line, so that its parse fails only after every valid line.
-    """
-    directory.mkdir()
-    for name, (fixture, key) in TRACK_FIXTURES.items():
-        text = fixture.read_text(encoding="utf-8")
-        pattern = r"(?m)^(?=[^#\s])" if key is None else f'(?<="{key}": ")'
-        copied = "".join([text] + [re.sub(pattern, f"c{copy}-", text) for copy in range(1, copies)])
-        (directory / name).write_text(copied, encoding="utf-8")
-    run = (directory / "retrieval.run").read_text(encoding="utf-8")
-    (directory / "bad.run").write_text(run + "q1 Q0 broken\n", encoding="utf-8")
-    assert main(["index", str(directory / "corpus.jsonl"), "--out", str(directory / "idx")]) == 0
-    return directory
-
-
-def _command_argv(directory: Path, out: Path) -> dict[str, list[str]]:
-    """Every subcommand, plus one that exits 2 on a malformed run, on the inputs of ``_track_inputs``."""
-    d = {name: str(directory / name) for name in [*TRACK_FIXTURES, "bad.run", "idx"]}
-    qrels = ["--qrels", d["qrels.txt"], d["answers.jsonl"]]
-    steps = ["--pred", d["pred.jsonl"], "--gold", d["gold.jsonl"]]
-    structured = ["--format", "structured"]
-    argv = {
-        "eval-retrieval": ["eval-retrieval", "--run", d["retrieval.run"], *qrels],
-        "eval-localization": ["eval-localization", "--run", d["localization.jsonl"], *qrels],
-        "eval-vcval": ["eval-vcval", "--run", d["localization.jsonl"], *qrels, *structured],
-        "eval-steps": ["eval-steps", *steps],
-        "eval-captions": ["eval-captions", *steps, *structured],
-        "pool": ["pool", "--run", d["retrieval.run"]],
-        "index": ["index", d["corpus.jsonl"]],
-        "search": ["search", d["idx"], d["queries.txt"], "--k", "10"],
-        "malformed-run": ["eval-retrieval", "--run", d["bad.run"], *qrels],
-    }
-    return {command: [*args, "--out", str(out)] for command, args in argv.items()}
-
 
 def _cyclic_garbage_after(action) -> int:
     """How many unreachable objects ``gc.collect()`` finds after ``action()`` ran with the collector off."""

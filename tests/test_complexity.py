@@ -4,9 +4,13 @@ Work is counted as the events that ``sys.setprofile`` reports: each Python
 call and return, and each C function called from Python.  On one interpreter
 the count is the same on every run, so a test can compare two sizes with no
 wall clock.  The tests assert the ratio between the sizes, never an absolute
-count, because counts differ between Python versions.  A quadratic loop in
-Python code would show a ratio near 16; work done inside one C call (a sort,
-a set lookup) is one event, so it is not covered here.
+count, because counts differ between Python versions.  A loop shows in these
+events only when its body calls something: a quadratic loop that calls would
+show a ratio near 16, but the iterations of a loop of plain arithmetic and
+indexing show not at all.  The posting loop of BM25 search is such a loop, so
+search is counted by the line events of ``sys.settrace`` instead.  Work done
+inside one C call (a sort, a set lookup) is at most one event, so it is not
+covered here.
 """
 
 import json
@@ -14,6 +18,7 @@ import sys
 
 import pytest
 
+from medvideval.bm25 import build_index, run_from_searches
 from medvideval.io_formats import (
     RetrievalRunEntry,
     parse_corpus,
@@ -22,11 +27,13 @@ from medvideval.io_formats import (
     parse_queries,
     parse_retrieval_run,
     parse_steps,
+    write_report,
     write_retrieval_run,
 )
 from medvideval.pooling import build_pool
-from medvideval.retrieval_metrics import evaluate_rankings
+from medvideval.retrieval_metrics import evaluate_rankings, retrieval_report
 from medvideval.segment_metrics import IoUParams, evaluate_localization
+from medvideval.step_alignment import evaluate_captions, evaluate_steps
 
 SIZE = 200  # records at the smaller size; the larger has four times as many
 MAX_RATIO = 4.5
@@ -47,6 +54,24 @@ def profile_events(call) -> int:
         call()
     finally:
         sys.setprofile(previous)
+    return count
+
+
+def line_events(call) -> int:
+    """The number of line events while ``call()`` runs: each line of Python code it executes."""
+    count = 0
+
+    def tally(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tally
+
+    previous = sys.gettrace()
+    sys.settrace(tally)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
     return count
 
 
@@ -118,6 +143,11 @@ def queries_text(n: int) -> str:
     return "".join(f"q{i} how to clean a wound number {i}\n" for i in range(n))
 
 
+def rankings(n: int):
+    """Six videos for each of ``n`` questions, three of them judged by ``qrels(n)``."""
+    return {f"q{i}": [f"{video}{i}" for video in "xaybzc"] for i in range(n)}
+
+
 def qrels(n: int):
     """Judgments for ``n`` questions, two relevant videos each with answers, one not relevant."""
     grades = "".join(f"q{i} 0 a{i} 2\nq{i} 0 b{i} 1\nq{i} 0 c{i} 0\n" for i in range(n))
@@ -125,6 +155,11 @@ def qrels(n: int):
         {"question": f"q{i}", "video": f"{video}{i}", "start": 10, "end": 40} for i in range(n) for video in "ab"
     )
     return parse_qrels(grades, answers)
+
+
+def report(n: int):
+    """A retrieval report with a metric row for each of ``n`` questions."""
+    return retrieval_report(evaluate_rankings(rankings(n), qrels(n)))
 
 
 def localization_run(n: int):
@@ -168,13 +203,14 @@ CASES = {
     "parse_corpus": lambda n: (parse_corpus, corpus_text(n)),
     "parse_queries": lambda n: (parse_queries, queries_text(n)),
     "write_retrieval_run": lambda n: (write_retrieval_run, parse_retrieval_run(retrieval_run_text(n))),
-    "evaluate_rankings": lambda n: (
-        evaluate_rankings,
-        {f"q{i}": [f"{video}{i}" for video in "xaybzc"] for i in range(n)},
-        qrels(n),
-    ),
+    "evaluate_rankings": lambda n: (evaluate_rankings, rankings(n), qrels(n)),
     "evaluate_localization": lambda n: (evaluate_localization, localization_run(n), qrels(n), IoUParams(lam=3.0)),
     "build_pool": lambda n: (build_pool, retrieval_runs(n // 10, 4)),
+    "build_index": lambda n: (build_index, parse_corpus(corpus_text(n))),
+    "evaluate_steps": lambda n: (evaluate_steps, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
+    "evaluate_captions": lambda n: (evaluate_captions, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
+    "write_report-tsv": lambda n: (write_report, report(n), "tsv"),
+    "write_report-structured": lambda n: (write_report, report(n), "structured"),
 }
 
 
@@ -186,3 +222,14 @@ def test_four_times_the_input_costs_at_most_about_four_times_the_work(name):
 
     small, large = events(SIZE), events(4 * SIZE)
     assert large / small <= MAX_RATIO, (name, small, large)
+
+
+def test_four_times_the_documents_cost_bm25_search_at_most_about_four_times_the_lines():
+    # Every document holds the query terms, so each search walks every posting.
+    def events(n: int) -> int:
+        index = build_index(parse_corpus(corpus_text(n)))
+        queries = {f"q{i}": "wash the hands" for i in range(QUESTIONS)}
+        return line_events(lambda: run_from_searches(index, queries, 10))
+
+    small, large = events(SIZE), events(4 * SIZE)
+    assert large / small <= MAX_RATIO, (small, large)

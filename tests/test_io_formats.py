@@ -725,6 +725,9 @@ def test_replace_and_make_run_the_constructor_checks(record, bad):
         record._replace(**bad)
     with pytest.raises(ValueError):
         type(record)._make({**record._asdict(), **bad}.values())
+    # namedtuple raises ValueError before Python 3.13 and TypeError from 3.13 on.
+    with pytest.raises((TypeError, ValueError), match=r"^Got unexpected field names: \['extra'\]$"):
+        record._replace(extra=1)
 
 
 def test_replace_normalises_the_iou_grid():

@@ -1,8 +1,8 @@
 """Mutated golden-fixture lines driven through every parser: exit 0 or 2, never 1.
 
-Each test takes one golden input file, damages one of its lines (or its bytes)
-with the inputs that have crashed parsers before, and runs the subcommand that
-reads it.  Exit 2 must name the damaged file.  The run parsers must also
+One test takes each golden input file in turn, damages one of its lines (or
+its bytes) with the inputs that have crashed parsers before, and runs a
+subcommand that reads it.  Exit 2 must name the damaged file.  The run parsers must also
 return what the reference parsers of ``oracles`` return, or raise the same
 error, on the damaged files with more faults added.  Both retrieval parsers
 check each line in full before the next; both localization parsers check
@@ -96,54 +96,34 @@ def run_quietly(argv):
     return code, err.getvalue()
 
 
-def check(workdir, data: bytes, argv_for):
-    target = workdir / "mutated"
-    target.write_bytes(data)
-    code, err = run_quietly(argv_for(str(target)))
-    assert code in (0, 2), err
-    if code == 2:
-        assert err.startswith(f"error: {target}"), err
-
-
 QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
 
 
-@given(data=mutated(ORGANISER / "retrieval.run"))
-def test_retrieval_run_parser(workdir, data):
-    check(workdir, data, lambda path: ["eval-retrieval", "--run", path, *QRELS])
-
-
-@given(data=mutated(ORGANISER / "qrels.txt"))
-def test_qrels_grade_parser(workdir, data):
-    check(workdir, data, lambda path: ["eval-retrieval", "--run", str(ORGANISER / "retrieval.run"), "--qrels", path])
-
-
-@given(data=mutated(ORGANISER / "answers.jsonl"))
-def test_answer_sidecar_parser(workdir, data):
-    argv = ["eval-localization", "--run", str(ORGANISER / "localization.jsonl"), "--qrels", str(ORGANISER / "qrels.txt")]
-    check(workdir, data, lambda path: [*argv, path])
-
-
-@given(data=mutated(ORGANISER / "localization.jsonl"))
-def test_localization_run_parser(workdir, data):
-    check(workdir, data, lambda path: ["eval-vcval", "--run", path, *QRELS])
-
-
-@given(data=st.data(), side=st.sampled_from(["pred", "gold"]))
-def test_step_parser(workdir, data, side):
-    other = "gold" if side == "pred" else "pred"
-    argv = ["eval-steps", f"--{other}", str(STEPS / f"{other}.jsonl"), f"--{side}"]
-    check(workdir, data.draw(mutated(STEPS / f"{side}.jsonl")), lambda path: [*argv, path])
-
-
-@given(data=mutated(SMOKE / "corpus.jsonl"))
-def test_corpus_parser(workdir, data):
-    check(workdir, data, lambda path: ["index", path, "--out", str(workdir / "mutated-idx")])
-
-
-@given(data=mutated(SMOKE / "queries.txt"))
-def test_query_parser(workdir, data):
-    check(workdir, data, lambda path: ["search", str(workdir / "idx"), path, "--k", "3"])
+# Each golden input file and a command line that reads it, with {mutated} where
+# the damaged copy goes and {workdir} for the directory of the module's index.
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (ORGANISER / "retrieval.run", ["eval-retrieval", "--run", "{mutated}", *QRELS]),
+        (ORGANISER / "qrels.txt", ["eval-retrieval", "--run", str(ORGANISER / "retrieval.run"), "--qrels", "{mutated}"]),
+        (ORGANISER / "answers.jsonl", ["eval-localization", "--run", str(ORGANISER / "localization.jsonl"),
+                                       "--qrels", str(ORGANISER / "qrels.txt"), "{mutated}"]),
+        (ORGANISER / "localization.jsonl", ["eval-vcval", "--run", "{mutated}", *QRELS]),
+        (STEPS / "pred.jsonl", ["eval-steps", "--pred", "{mutated}", "--gold", str(STEPS / "gold.jsonl")]),
+        (STEPS / "gold.jsonl", ["eval-steps", "--pred", str(STEPS / "pred.jsonl"), "--gold", "{mutated}"]),
+        (SMOKE / "corpus.jsonl", ["index", "{mutated}", "--out", "{workdir}/mutated-idx"]),
+        (SMOKE / "queries.txt", ["search", "{workdir}/idx", "{mutated}", "--k", "3"]),
+    ],
+    ids=["retrieval-run", "qrels", "answer-sidecar", "localization-run", "pred-steps", "gold-steps", "corpus", "queries"],
+)
+@given(data=st.data())
+def test_damaged_golden_file_exits_0_or_2_naming_it(workdir, golden, argv, data):
+    target = workdir / "mutated"
+    target.write_bytes(data.draw(mutated(golden), label="damaged"))
+    code, err = run_quietly([arg.replace("{mutated}", str(target)).replace("{workdir}", str(workdir)) for arg in argv])
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(f"error: {target}"), err
 
 
 # --- run parsers against the reference parsers of oracles -----------------------

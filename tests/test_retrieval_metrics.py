@@ -142,12 +142,15 @@ def test_matches_oracles_on_random_instances():
         pool = judged("Q", grades)
         relevant = {video for video, grade in grades.items() if grade >= 1}
         k = rng.randint(1, 8)
-        assert average_precision(ranking, pool) == pytest.approx(ap_oracle(ranking, relevant), abs=1e-9)
-        assert precision_at_k(ranking, pool, k) == pytest.approx(
-            precision_oracle(ranking, relevant, k), abs=1e-9
-        )
-        assert recall_at_k(ranking, pool, k) == pytest.approx(recall_oracle(ranking, relevant, k), abs=1e-9)
-        assert ndcg(ranking, pool) == pytest.approx(ndcg_oracle(ranking, grades), abs=1e-9)
+        # A ranking with repeats scores like its first-appearance order.
+        repeated = [video for video in ranking for _ in range(2)] + ranking[::-1]
+        for scored in (ranking, repeated):
+            assert average_precision(scored, pool) == pytest.approx(ap_oracle(ranking, relevant), abs=1e-9)
+            assert precision_at_k(scored, pool, k) == pytest.approx(
+                precision_oracle(ranking, relevant, k), abs=1e-9
+            )
+            assert recall_at_k(scored, pool, k) == pytest.approx(recall_oracle(ranking, relevant, k), abs=1e-9)
+            assert ndcg(scored, pool) == pytest.approx(ndcg_oracle(ranking, grades), abs=1e-9)
 
 
 def test_cross_consistency_of_precision_and_recall():
@@ -203,6 +206,13 @@ def test_evaluate_rankings_accepts_any_iterable_ranking():
     score = evaluate_rankings({"Q": dict.fromkeys(["a", "x", "a", "b"])}, qrels, ks=[2])
     assert score.per_question["Q"]["P@2"] == 0.5
     assert score.per_question["Q"]["MAP"] == pytest.approx((1 / 1 + 2 / 3) / 2)
+
+
+def test_a_repeated_video_counts_once_at_its_first_appearance():
+    qrels = {"q": [JudgedVideo("q", "v", RelevanceGrade.DEFINITELY_RELEVANT)]}
+    row = evaluate_rankings({"q": ["v", "v", "v"]}, qrels, ks=(2,)).per_question["q"]
+    assert row == {"MAP": 1.0, "R@2": 1.0, "P@2": 0.5, "nDCG": 1.0}
+    assert average_precision(["v", "v"], qrels["q"]) == 1.0
 
 
 def test_evaluate_rankings_warns_on_unjudged_question():
