@@ -408,9 +408,12 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
 
     Ranks must be supplied on all records of a question or on none; when
     absent they are assigned from descending score.  Candidates come back
-    sorted by descending score with rank as tiebreak.
+    sorted by descending score with rank as tiebreak.  Each record is checked
+    in full, its rank against the question's earlier records included, before
+    the next, so of several faults the first in file order is reported.
     """
-    staged: defaultdict[QuestionId, list[tuple[float, int | None, int, VideoId, TimeInterval]]] = defaultdict(list)
+    # question -> (the question's first qid string, its candidates, their ranks or None if it is unranked)
+    questions: dict[QuestionId, tuple[QuestionId, list[LocalizationCandidate], set[int] | None]] = {}
     for lineno, obj in _jsonl_records(text, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
@@ -418,31 +421,28 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
         end = _timestamp_field(obj, "end", source, lineno)
         interval = _interval(start, end, source, lineno)
         score = _number_field(obj, "score", source, lineno)
-        rank = None
-        if "rank" in obj:
-            rank = obj["rank"]
-            if type(rank) is not int or rank < 1:
-                raise FormatError(f"rank must be a positive integer, got {rank!r}", source=source, line=lineno)
-        staged[qid].append((-score, rank, lineno, video, interval))
+        ranked = "rank" in obj
+        rank = obj["rank"] if ranked else lineno  # an unranked record's line number is its tiebreak
+        if ranked and (type(rank) is not int or rank < 1):
+            raise FormatError(f"rank must be a positive integer, got {rank!r}", source=source, line=lineno)
+        question = questions.get(qid)
+        if question is None:
+            question = questions[qid] = (qid, [], set() if ranked else None)
+        qid, candidates, ranks = question  # one qid string for all of a question's records
+        if (ranks is not None) != ranked:
+            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=lineno)
+        if ranked:
+            if rank in ranks:
+                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=lineno)
+            ranks.add(rank)
+        candidates.append(tuple.__new__(LocalizationCandidate, (qid, video, interval, score, rank)))
 
-    run: dict[QuestionId, list[LocalizationCandidate]] = {}
-    for qid, rows in staged.items():
-        ranks = {row[1] for row in rows}
-        # Rows are still in file order, so a fault names the first line that breaks the rule.
-        if None in ranks and len(ranks) > 1:
-            line = next(row[2] for row in rows if (row[1] is None) != (rows[0][1] is None))
-            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=line)
-        if len(ranks) < len(rows) and None not in ranks:
-            seen: set[int] = set()
-            line = next(row[2] for row in rows if row[1] in seen or seen.add(row[1]))
-            raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=line)
-        # Ranks are distinct or all None, so (-score, rank) or (-score, line) decides.
-        rows.sort()
-        run[qid] = [
-            tuple.__new__(LocalizationCandidate, (qid, video, interval, -negated, rank or position))
-            for position, (negated, rank, _, video, interval) in enumerate(rows, start=1)
-        ]
-    return run
+    for _, candidates, ranks in questions.values():
+        candidates.sort(key=itemgetter(4))  # by rank or line; both sorts are stable, so these break score ties
+        candidates.sort(key=itemgetter(3), reverse=True)  # by descending score
+        if ranks is None:
+            candidates[:] = [candidate._replace(rank=position) for position, candidate in enumerate(candidates, 1)]
+    return {qid: candidates for qid, candidates, _ in questions.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +470,10 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
             if not isinstance(raw, dict):
                 raise FormatError("each step must be a JSON object", source=source, line=lineno)
             caption = raw.get("caption")
-            caption = caption.strip() if isinstance(caption, str) else ""
+            caption = caption.strip() if type(caption) is str else None
             if not caption:
-                raise FormatError(
-                    f"step {number} of segment {segment_id!r} has an empty caption",
-                    source=source,
-                    line=lineno,
-                )
+                problem = "needs a string 'caption'" if caption is None else "has an empty caption"
+                raise FormatError(f"step {number} of segment {segment_id!r} {problem}", source=source, line=lineno)
             words = len(caption.split())
             if words > STEP_CAPTION_WORD_LIMIT:
                 warnings.warn(

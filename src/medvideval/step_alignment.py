@@ -191,7 +191,7 @@ def _align_segments(
         if segment_id not in gold_map:
             warnings.warn(
                 ToolkitWarning(f"predicted segment {segment_id!r} has no ground truth; ignoring it"),
-                stacklevel=3,  # the caller of evaluate_steps or matched_caption_pairs
+                stacklevel=3,  # the caller of evaluate_steps, evaluate_captions or matched_caption_pairs
             )
     aligned = []
     for segment_id in sorted(gold_map):
@@ -313,8 +313,11 @@ def evaluate_captions(
 
     Each matched caption is tokenized once and every metric scores those tokens.
     """
-    matched = matched_caption_pairs(pred_map, gold_map, params)
-    pairs = [(tokenize(pair.predicted), tokenize(pair.reference)) for pair in matched]
+    pairs = [
+        (tokenize(pred.steps[p_idx].caption), tokenize(gold.steps[g_idx].caption))
+        for pred, gold, result in _align_segments(pred_map, gold_map, params)
+        for p_idx, g_idx, _ in result.pairs
+    ]
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
     bleu = bleu_scores_tokens(pairs, BLEU_ORDERS)

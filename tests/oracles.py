@@ -333,10 +333,11 @@ def bm25_rank_oracle(
 
 
 # --- run parsers ----------------------------------------------------------------
-# The retrieval parser checks each line in full, duplicates included, before
-# the next.  The localization parser checks each record, then each question's
-# ranks once every record is read, as parse_localization_run does.  The package
-# is imported inside each parser, so that this module loads without it on the path.
+# Both parsers check each line in full, before the next: a retrieval line's
+# repeated video or rank, and a localization record's repeated rank or rank
+# presence unlike its question's first record, included.  So of several faults
+# the first in file order is reported.  The package is imported inside each
+# parser, so that this module loads without it on the path.
 
 
 def _reference_lines(text: str):
@@ -384,7 +385,9 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
         _timestamp_field,
     )
 
-    staged: dict = {}
+    by_question: dict = {}
+    seen_ranks: set = set()
+    has_ranks: dict = {}
     for lineno, line in _reference_lines(text):
         stripped = line.strip()
         if not stripped:
@@ -407,27 +410,21 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
             if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
                 raise FormatError(f"rank must be a positive integer, got {raw!r}", source=source, line=lineno)
             rank = raw
-        staged.setdefault(qid, []).append((lineno, video, interval, score, rank))
+        if has_ranks.setdefault(qid, rank is not None) != (rank is not None):
+            raise FormatError(f"question {qid!r} mixes records with and without ranks", source=source, line=lineno)
+        if rank is not None:
+            if (qid, rank) in seen_ranks:
+                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=lineno)
+            seen_ranks.add((qid, rank))
+        by_question.setdefault(qid, []).append(LocalizationCandidate(qid, video, interval, score, rank))
 
-    result: dict = {}
-    for qid, rows in staged.items():
-        ranks = {row[4] for row in rows}
-        if None in ranks:
-            if len(ranks) > 1:
-                first_break = next(row[0] for row in rows if (row[4] is None) != (rows[0][4] is None))
-                raise FormatError(
-                    f"question {qid!r} mixes records with and without ranks", source=source, line=first_break
-                )
-            rows.sort(key=lambda row: -row[3])  # stable, so file order breaks score ties
-            candidates = [
-                LocalizationCandidate(qid, video, interval, score, rank)
-                for rank, (_, video, interval, score, _) in enumerate(rows, start=1)
-            ]
-        else:
-            if len(ranks) != len(rows):
-                first_repeat = next(row[0] for k, row in enumerate(rows) if row[4] in {r[4] for r in rows[:k]})
-                raise FormatError(f"duplicate rank for question {qid!r}", source=source, line=first_repeat)
-            candidates = [LocalizationCandidate(qid, *row[1:]) for row in rows]
+    for qid, candidates in by_question.items():
+        if has_ranks[qid]:
             candidates.sort(key=lambda c: (-c.score, c.rank))
-        result[qid] = candidates
-    return result
+        else:
+            candidates.sort(key=lambda c: -c.score)  # stable, so file order breaks score ties
+            candidates[:] = [
+                LocalizationCandidate(qid, c.video, c.interval, c.score, rank)
+                for rank, c in enumerate(candidates, start=1)
+            ]
+    return by_question

@@ -902,11 +902,14 @@ def test_seconds_past_the_bound_exit_2_naming_the_field(tmp_path, capsys, name, 
          "1: 'steps' must be a list"),
         (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"], '{"segment": "s1", "steps": ["wrap"]}',
          "1: each step must be a JSON object"),
+        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"],
+         '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
+         "1: step 1 of segment 's1' needs a string 'caption'"),
         (["index", "--out", "{dir}"], '{"video": "v1", "title": 1}', "1: 'title' and 'subtitle' must be strings"),
         (["search", "{dir}"], "q1 wrap the wrist\nq1 tie the elbow\n", "2: duplicate question id 'q1'"),
     ],
-    ids=["qrels-duplicate-video", "steps-not-a-list", "step-not-an-object", "corpus-non-string-title",
-         "queries-duplicate-id"],
+    ids=["qrels-duplicate-video", "steps-not-a-list", "step-not-an-object", "step-non-string-caption",
+         "corpus-non-string-title", "queries-duplicate-id"],
 )
 def test_malformed_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, text, message):
     save_index(build_index([]), tmp_path)  # search loads an index before it reads the queries

@@ -88,7 +88,7 @@ def retrieval_run_text(n: int) -> str:
     return "".join(f"q{i % QUESTIONS} Q0 v{i} {i // QUESTIONS + 1} {1.0 / (i + 1)!r} sys\n" for i in range(n))
 
 
-def localization_run_text(n: int) -> str:
+def localization_run_text(n: int, ranked: bool = True) -> str:
     return jsonl(
         {
             "question": f"q{i % QUESTIONS}",
@@ -96,7 +96,7 @@ def localization_run_text(n: int) -> str:
             "start": timestamp(i % 50),
             "end": timestamp(i % 50 + 30),
             "score": 1.0 / (i + 1),
-            "rank": i // QUESTIONS + 1,
+            **({"rank": i // QUESTIONS + 1} if ranked else {}),
         }
         for i in range(n)
     )
@@ -198,6 +198,7 @@ def retrieval_runs(n: int, count: int):
 CASES = {
     "parse_retrieval_run": lambda n: (parse_retrieval_run, retrieval_run_text(n)),
     "parse_localization_run": lambda n: (parse_localization_run, localization_run_text(n)),
+    "parse_localization_run-unranked": lambda n: (parse_localization_run, localization_run_text(n, ranked=False)),
     "parse_qrels": lambda n: (parse_qrels, grades_text(n), answers_text(n)),
     "parse_steps": lambda n: (parse_steps, steps_text(n)),
     "parse_corpus": lambda n: (parse_corpus, corpus_text(n)),

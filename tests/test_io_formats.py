@@ -275,6 +275,42 @@ class TestLocalizationRunParsing:
             parse_localization_run(text, source="loc.jsonl")
         assert str(raised.value) == f"loc.jsonl:2: {message}"
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # A repeated rank before a malformed record: the repeat comes first in the file.
+            (
+                [_loc_record(video="a", rank=1), _loc_record(video="b", rank=1), _loc_record(video="c", rank=2, score="x")],
+                "loc.jsonl:2: duplicate rank for question 'Q1'",
+            ),
+            (
+                [_loc_record(video="a", rank=1), _loc_record(video="b"), _loc_record(video="c", rank=2, score="x")],
+                "loc.jsonl:2: question 'Q1' mixes records with and without ranks",
+            ),
+            # Interleaved questions: Q2's repeat on line 3 comes before Q1's on line 4.
+            (
+                [
+                    _loc_record(question="Q1", rank=1),
+                    _loc_record(question="Q2", rank=1),
+                    _loc_record(question="Q2", video="b", rank=1),
+                    _loc_record(question="Q1", video="b", rank=1),
+                ],
+                "loc.jsonl:3: duplicate rank for question 'Q2'",
+            ),
+            # A malformed record before a later repeated rank: the malformed record comes first.
+            (
+                [_loc_record(video="a", rank=1), _loc_record(video="b", rank=2, score="x"), _loc_record(video="c", rank=1)],
+                "loc.jsonl:2: record needs a number 'score'",
+            ),
+        ],
+        ids=["duplicate-rank-before-bad-score", "missing-rank-before-bad-score", "interleaved-questions",
+             "bad-score-before-duplicate-rank"],
+    )
+    def test_the_first_fault_in_file_order_is_reported(self, records, message):
+        with pytest.raises(FormatError) as raised:
+            parse_localization_run("\n".join(records), source="loc.jsonl")
+        assert str(raised.value) == message
+
     def test_integer_score_and_timestamps_are_read_as_floats(self):
         (candidate,) = parse_localization_run(_loc_record(start=150, end=190, score=3))["Q1"]
         assert candidate.score == 3.0 and type(candidate.score) is float
@@ -292,7 +328,8 @@ def test_all_records_of_a_question_share_one_question_string():
     localization = parse_localization_run(
         "\n".join(_loc_record(question="q1", video=video, rank=rank) for rank, video in enumerate("abc", start=1))
     )
-    for entries in (retrieval["q1"], localization["q1"]):
+    unranked = parse_localization_run("\n".join(_loc_record(question="q1", video=video) for video in "abc"))
+    for entries in (retrieval["q1"], localization["q1"], unranked["q1"]):
         assert len(entries) == 3
         assert all(entry.question is entries[0].question for entry in entries)
 

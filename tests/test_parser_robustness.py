@@ -4,9 +4,9 @@ One test takes each golden input file in turn, damages one of its lines (or
 its bytes) with the inputs that have crashed parsers before, and runs a
 subcommand that reads it.  Exit 2 must name the damaged file.  The run parsers must also
 return what the reference parsers of ``oracles`` return, or raise the same
-error, on the damaged files with more faults added.  Both retrieval parsers
-check each line in full before the next; both localization parsers check
-each record, then each question's ranks once every record is read.
+error, on the damaged files with more faults added.  Every run parser checks
+each line in full before the next, so of several faults the first in file
+order is reported.
 """
 
 import contextlib
@@ -198,7 +198,11 @@ def test_retrieval_run_parser_matches_the_reference(text):
     assert outcome(parse_retrieval_run, text) == outcome(reference_parse_retrieval_run, text)
 
 
+# The unranked run is the ranked one with every "rank" key dropped, so each
+# question is ranked from its scores.
 @settings(max_examples=400)
-@given(text=faulted(ORGANISER / "localization.jsonl", flat=False))
-def test_localization_run_parser_matches_the_reference(text):
+@pytest.mark.parametrize("golden", ["localization.jsonl", "localization_unranked.jsonl"], ids=["ranked", "unranked"])
+@given(data=st.data())
+def test_localization_run_parser_matches_the_reference(golden, data):
+    text = data.draw(faulted(ORGANISER / golden, flat=False), label="text")
     assert outcome(parse_localization_run, text) == outcome(reference_parse_localization_run, text)

@@ -396,6 +396,12 @@ def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):
 
 def test_caption_without_tokens_scores_only_its_overlap():
     # A blank caption (possible only for library-built steps) is scored like a
-    # punctuation-only one: ROUGE-L 0, so the score is alpha times the IoU.
+    # punctuation-only one: ROUGE-L 0, so the score is alpha times the IoU,
+    # and once matched it scores 0 in every caption metric.
     gold = step("wrap the wrist", 0, 10)
     assert alignment_score(step("", 0, 5), gold) == alignment_score(step("...", 0, 5), gold) == 0.25
+    blank, dots = (
+        evaluate_captions({"s": StepSequence("s", [step(caption, 0, 10)])}, {"s": StepSequence("s", [gold])})
+        for caption in ("", "...")
+    )
+    assert blank == dots and blank.pair_count == 1
