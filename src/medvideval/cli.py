@@ -68,6 +68,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """A path argument, never empty: ``--out ''`` would mean stdout and an empty input path names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"expected a path, got {text!r}")
+    return text
+
+
 def _number(text: str) -> float:
     """``float(text)``, with ``-0`` read as ``0.0`` so that equal values give equal reports."""
     return float(text) + 0.0
@@ -104,13 +111,13 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["tsv", "structured"], default="tsv", help="report format")
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    parser.add_argument("--out", type=_path, metavar="PATH", help="write output here instead of stdout")
     _add_threads_flag(parser)
 
 
 def _add_judged_run_flags(parser: argparse.ArgumentParser, run_help: str, *, cutoffs: bool) -> None:
-    parser.add_argument("--run", required=True, metavar="PATH", help=run_help)
-    parser.add_argument("--qrels", required=True, nargs="+", metavar="PATH", help="grade file, then the optional answer sidecar")
+    parser.add_argument("--run", required=True, type=_path, metavar="PATH", help=run_help)
+    parser.add_argument("--qrels", required=True, nargs="+", type=_path, metavar="PATH", help="grade file, then the optional answer sidecar")
     if cutoffs:
         parser.add_argument("--k", type=_int_list, default=_listed(DEFAULT_K_VALUES), help="retrieval cutoffs (default %(default)s)")
 
@@ -123,8 +130,8 @@ def _add_iou_flags(parser: argparse.ArgumentParser, *, lam: float, depths: bool)
 
 
 def _add_step_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pred", required=True, metavar="PATH", help="predicted step file (JSON lines)")
-    parser.add_argument("--gold", required=True, metavar="PATH", help="ground-truth step file (JSON lines)")
+    parser.add_argument("--pred", required=True, type=_path, metavar="PATH", help="predicted step file (JSON lines)")
+    parser.add_argument("--gold", required=True, type=_path, metavar="PATH", help="ground-truth step file (JSON lines)")
     parser.add_argument("--theta", type=_number, default=_ALIGNMENT.theta, help="alignment score threshold (default %(default)g)")
     parser.add_argument("--alpha", type=_number, default=_ALIGNMENT.alpha, help="temporal overlap weight (default %(default)g)")
     parser.add_argument("--beta", type=_number, default=_ALIGNMENT.beta, help="caption ROUGE-L weight (default %(default)g)")
@@ -167,24 +174,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval_captions)
 
     p = sub.add_parser("pool", help="build an assessment pool from one or more runs")
-    p.add_argument("--run", required=True, nargs="+", metavar="PATH", help="run files to pool")
+    p.add_argument("--run", required=True, nargs="+", type=_path, metavar="PATH", help="run files to pool")
     p.add_argument("--seed", type=int, default=PoolSpec().seed, help="seed for the inclusion draws (default %(default)s)")
-    p.add_argument("--out", metavar="PATH", help="write the pool here instead of stdout")
+    p.add_argument("--out", type=_path, metavar="PATH", help="write the pool here instead of stdout")
     p.set_defaults(handler=_cmd_pool)
 
     p = sub.add_parser("index", help="build and persist a BM25 index over a subtitle corpus")
-    p.add_argument("corpus", metavar="CORPUS", help="corpus file (JSON lines)")
-    p.add_argument("--out", required=True, metavar="DIR", help="directory for the index")
+    p.add_argument("corpus", type=_path, metavar="CORPUS", help="corpus file (JSON lines)")
+    p.add_argument("--out", required=True, type=_path, metavar="DIR", help="directory for the index")
     p.add_argument("--no-title", action="store_true", help="index subtitles only, ignoring titles")
     p.set_defaults(handler=_cmd_index)
 
     p = sub.add_parser("search", help="run queries against a persisted index, emitting a run file")
-    p.add_argument("index_dir", metavar="INDEX_DIR", help="directory written by the index command")
-    p.add_argument("queries", metavar="QUERIES", help="query file: qid followed by query text")
+    p.add_argument("index_dir", type=_path, metavar="INDEX_DIR", help="directory written by the index command")
+    p.add_argument("queries", type=_path, metavar="QUERIES", help="query file: qid followed by query text")
     p.add_argument("--k", type=_int_list, default=[10], help="results per query (default 10)")
     p.add_argument("--k1", type=_number, default=_BM25.k1, help="BM25 k1 (default %(default)g)")
     p.add_argument("--b", type=_number, default=_BM25.b, help="BM25 b (default %(default)g)")
-    p.add_argument("--out", metavar="PATH", help="write the run here instead of stdout")
+    p.add_argument("--out", type=_path, metavar="PATH", help="write the run here instead of stdout")
     _add_threads_flag(p)
     p.set_defaults(handler=_cmd_search)
 

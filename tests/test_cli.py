@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medvideval import cli
-from medvideval.bm25 import build_index, save_index
 from medvideval.cli import build_parser
 from medvideval.cli import run_cli as main
 from medvideval.io_formats import MetricReport, parse_retrieval_run, write_report
@@ -192,24 +191,14 @@ class TestEvalRetrieval:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_malformed_line_exits_2_with_position(self, files, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        lines = [f"Q1 Q0 v{i} {i} {10 - i} sysA" for i in range(1, 7)] + ["Q9 Q0 broken"]
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["eval-retrieval", "--run", str(bad), "--qrels", files["qrels.txt"]])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert ":7" in err
-        assert "bad.txt" in err
-
     def test_missing_file_exits_2(self, files, capsys):
-        code = main(["eval-retrieval", "--run", "no-such-file", "--qrels", files["qrels.txt"]])
-        assert code == 2
-        assert "no-such-file" in capsys.readouterr().err
+        assert main(["eval-retrieval", "--run", "no-such-file", "--qrels", files["qrels.txt"]]) == 2
+        assert capsys.readouterr() == ("", "error: no-such-file: No such file or directory\n")
 
     def test_unknown_flag_exits_2(self, files, capsys):
-        code = main(["eval-retrieval", "--run", files["run.txt"], "--bogus"])
-        assert code == 2
+        assert main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--bogus"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --bogus\n"), err
 
 
 class TestEvalLocalization:
@@ -264,20 +253,6 @@ class TestEvalLocalization:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["params"]["lambda"] == 3.0
-
-    def test_three_qrels_paths_rejected(self, files, capsys):
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-                files["qrels.txt"],
-            ]
-        )
-        assert code == 2
 
 
 class TestEvalVcval:
@@ -441,11 +416,9 @@ class TestIndexAndSearch:
         assert main(["index", SMOKE_CORPUS, "--out", str(without_title), "--no-title"]) == 0
         assert (with_title / "bm25.idx").read_bytes() != (without_title / "bm25.idx").read_bytes()
 
-    def test_search_requires_single_k(self, tmp_path, capsys):
-        index_dir = tmp_path / "idx"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        code = main(["search", str(index_dir), SMOKE_QUERIES, "--k", "5,10"])
-        assert code == 2
+    def test_search_requires_single_k(self, fixture_inputs, tmp_path, capsys):
+        assert main([*_command_argv(fixture_inputs, tmp_path / "out")["search"], "--k", "5,10"]) == 2
+        assert capsys.readouterr() == ("", "error: search takes a single --k cutoff\n")
 
     def test_smoke_run_matches_golden_bytes(self, tmp_path, capsys):
         index_dir = tmp_path / "idx"
@@ -453,17 +426,6 @@ class TestIndexAndSearch:
         assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
         assert main(["search", str(index_dir), SMOKE_QUERIES, "--k", "10", "--out", str(run_path)]) == 0
         assert run_path.read_bytes() == SMOKE_GOLDEN_RUN.read_bytes()
-
-    @pytest.mark.parametrize("flag", ["--k1", "--b"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309", "1e308"])
-    def test_non_finite_or_huge_bm25_parameter_exits_2(self, tmp_path, flag, value, capsys):
-        index_dir = tmp_path / "idx"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        capsys.readouterr()
-        assert main(["search", str(index_dir), SMOKE_QUERIES, f"{flag}={value}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {flag[2:]} must be")
 
     def test_whitespace_video_id_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -495,9 +457,6 @@ class TestIndexAndSearch:
 
 @pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 class TestThreads:
-    def test_threads_flag_accepted(self, fixture_inputs, tmp_path):
-        assert main([*_command_argv(fixture_inputs, tmp_path / "out")["eval-localization"], "--threads", "2"]) == 0
-
     def test_thread_count_does_not_change_output(self, fixture_inputs, tmp_path):
         for command in ("eval-localization", "search"):
             outputs = []
@@ -546,13 +505,34 @@ def test_help_exits_zero():
             for command in ("eval-localization", "eval-vcval")
             for flag, value in [("--mu", "1.5"), ("--lambda", "-1")]
         ],
+        *[("search", flag, value) for flag in ("--k1", "--b") for value in ("inf", "-inf", "nan", "1e309", "1e308")],
     ],
 )
 def test_non_finite_or_out_of_range_scoring_flag_exits_2(fixture_inputs, command, flag, value, tmp_path, capsys):
-    code = main([*_command_argv(fixture_inputs, tmp_path / "out")[command], flag, value])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
+    assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag[2:]} must be"), err
+
+
+# Every path argument of each subcommand; a positional is named by its metavar.
+_PATH_ARGUMENTS = {
+    **{command: ["--run", "--qrels", "--out"] for command in ("eval-retrieval", "eval-localization", "eval-vcval")},
+    **{command: ["--pred", "--gold", "--out"] for command in ("eval-steps", "eval-captions")},
+    "pool": ["--run", "--out"],
+    "index": ["CORPUS", "--out"],
+    "search": ["INDEX_DIR", "QUERIES", "--out"],
+}
+_POSITIONS = {"CORPUS": 1, "INDEX_DIR": 1, "QUERIES": 2}  # in the command lines of _command_argv
+
+
+@pytest.mark.parametrize("command, argument", [(c, a) for c, arguments in _PATH_ARGUMENTS.items() for a in arguments])
+def test_empty_path_argument_exits_2_naming_it(fixture_inputs, command, argument, tmp_path, capsys):
+    argv = _command_argv(fixture_inputs, tmp_path / "out")[command]
+    argv[_POSITIONS.get(argument) or argv.index(argument) + 1] = ""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f": error: argument {argument}: expected a path, got ''\n"), err
+    assert not list(tmp_path.iterdir())
 
 
 # Each golden file under tests/data/*/expected/ is checked by one case here,
@@ -783,33 +763,6 @@ def test_bad_numeric_flag_exits_2_naming_it(fixture_inputs, command, flag, data)
     assert f"argument --{flag}:" in message or message.startswith(f"error: {flag} "), message
 
 
-def _organiser_line_replaced(tmp_path, name, lineno, old, new):
-    """A copy of an organiser fixture file with one edit on one (1-based) line."""
-    lines = (ORGANISER / name).read_text(encoding="utf-8").split("\n")
-    assert old in lines[lineno - 1]
-    lines[lineno - 1] = lines[lineno - 1].replace(old, new) if old else new
-    target = tmp_path / name
-    target.write_text("\n".join(lines), encoding="utf-8")
-    return str(target)
-
-
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ('"start": "01:35"', '"start": 1' + "0" * 400, "'start' must be a non-negative finite number"),
-        ('"score": 0.9,', '"score": 1' + "0" * 400 + ",", "'score' must be finite"),
-        ("", "[" * 3000, "malformed JSON record: nested too deeply"),
-        ('"start": "01:35"', '"start": "1' + "0" * 400 + ':00"', "is too large"),
-    ],
-    ids=["huge-start", "huge-score", "deep-nesting", "huge-minutes"],
-)
-def test_huge_numbers_and_deep_nesting_exit_2_naming_the_line(tmp_path, capsys, old, new, message):
-    run = _organiser_line_replaced(tmp_path, "localization.jsonl", 2, old, new)
-    assert main(["eval-localization", "--run", run, *ORGANISER_QRELS]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {run}:2: ") and message in err, err
-
-
 def test_caption_with_a_raw_line_separator_is_one_line(tmp_path, capsys):
     text = (STEPS / "pred.jsonl").read_text(encoding="utf-8").replace("Put on gloves", "Put on\u2028gloves")
     pred = tmp_path / "pred.jsonl"
@@ -837,87 +790,15 @@ def test_byte_order_mark_is_not_data(tmp_path, capsys):
 
 def test_byte_order_mark_at_a_line_start_is_not_data(tmp_path, capsys):
     # ``cat a.run b.run`` of BOM-prefixed files leaves a BOM before a line mid-file.
-    run = _organiser_line_replaced(tmp_path, "retrieval.run", 4, "q1 ", "\ufeffq1 ")
+    lines = (ORGANISER / "retrieval.run").read_text(encoding="utf-8").split("\n")
+    lines[3] = "\ufeff" + lines[3]
+    run = tmp_path / "retrieval.run"
+    run.write_text("\n".join(lines), encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["eval-retrieval", "--run", run, *ORGANISER_QRELS]) == 0
+        assert main(["eval-retrieval", "--run", str(run), *ORGANISER_QRELS]) == 0
     assert capsys.readouterr().out == (ORGANISER / "expected" / "retrieval.tsv").read_text(encoding="utf-8")
     assert [str(w.message) for w in caught] == ["run question 'qx' has no judgments; ignoring it"]
-
-
-@pytest.mark.parametrize(
-    "name, lineno, old, what",
-    [
-        ("retrieval.run", 3, " 2 13.5 ", "rank"),
-        ("qrels.txt", 3, " 2", "grade"),
-        ("retrieval.run", 3, " 13.5 ", "score must be finite"),
-        ("retrieval.run", 3, " 2 ", "rank must be an integer"),
-    ],
-)
-def test_integer_past_the_digit_limit_names_the_field_briefly(tmp_path, capsys, name, lineno, old, what):
-    # A rank or grade of 5,000 digits, a score of 5,000 digits (infinite as a
-    # float) and a rank of 5,000 letters: each message quotes 40 characters.
-    if what == "score must be finite":
-        new, message = " " + "9" * 5000 + " ", f"{what}, got '{'9' * 40}'... (5,000 characters)"
-    elif what == "rank must be an integer":
-        new, message = " " + "x" * 5000 + " ", f"{what}, got '{'x' * 40}'... (5,000 characters)"
-    else:
-        new, message = old.replace("2", "9" * 5000, 1), f"{what} has too many digits"
-    path = _organiser_line_replaced(tmp_path, name, lineno, old, new)
-    run = path if name == "retrieval.run" else str(ORGANISER / "retrieval.run")
-    qrels = path if name == "qrels.txt" else str(ORGANISER / "qrels.txt")
-    assert main(["eval-retrieval", "--run", run, "--qrels", qrels]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:{lineno}: {message}"), err[:200]
-    assert len(err) < 200
-
-
-@pytest.mark.parametrize(
-    "name, old, new, flags, field",
-    [
-        # Widening [0, 1e300] by the largest float overflowed to an internal error.  Flags are
-        # checked before any file is read, so the largest accepted lambda keeps the fault in the file.
-        ("localization.jsonl", '"end": "02:05"', '"end": 1e300', ["--lambda", "1e100"], "'end' must be"),
-        # The union of two [0, 1e308] intervals overflowed, so an exact match scored IoU 0.
-        ("answers.jsonl", '"start": "01:30", "end": "02:00"', '"start": 0, "end": 1e308', [], "'end' must be"),
-        ("localization.jsonl", '"end": "02:05"', '"end": "' + "9" * 400 + '"', [], "(field 'end')"),
-    ],
-    ids=["lambda-overflow", "union-overflow", "400-digit-end"],
-)
-def test_seconds_past_the_bound_exit_2_naming_the_field(tmp_path, capsys, name, old, new, flags, field):
-    path = _organiser_line_replaced(tmp_path, name, 2, old, new)
-    run = path if name == "localization.jsonl" else str(ORGANISER / "localization.jsonl")
-    answers = path if name == "answers.jsonl" else str(ORGANISER / "answers.jsonl")
-    assert main(["eval-localization", "--run", run, "--qrels", str(ORGANISER / "qrels.txt"), answers, *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:2: ") and field in err, err
-
-
-@pytest.mark.parametrize(
-    "argv, text, message",
-    [
-        (["eval-retrieval", "--run", str(ORGANISER / "retrieval.run"), "--qrels"], "q1 0 v1 1\nq1 0 v1 2\n",
-         "2: duplicate judgment for video 'v1'"),
-        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"], '{"segment": "s1", "steps": {}}',
-         "1: 'steps' must be a list"),
-        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"], '{"segment": "s1", "steps": ["wrap"]}',
-         "1: each step must be a JSON object"),
-        (["eval-steps", "--gold", str(STEPS / "gold.jsonl"), "--pred"],
-         '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
-         "1: step 1 of segment 's1' needs a string 'caption'"),
-        (["index", "--out", "{dir}"], '{"video": "v1", "title": 1}', "1: 'title' and 'subtitle' must be strings"),
-        (["search", "{dir}"], "q1 wrap the wrist\nq1 tie the elbow\n", "2: duplicate question id 'q1'"),
-    ],
-    ids=["qrels-duplicate-video", "steps-not-a-list", "step-not-an-object", "step-non-string-caption",
-         "corpus-non-string-title", "queries-duplicate-id"],
-)
-def test_malformed_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, text, message):
-    save_index(build_index([]), tmp_path)  # search loads an index before it reads the queries
-    path = tmp_path / "input"
-    path.write_text(text, encoding="utf-8")
-    argv = [str(tmp_path) if arg == "{dir}" else arg for arg in argv]
-    assert main([*argv, str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
 
 @pytest.mark.parametrize(
@@ -977,6 +858,7 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
         (["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--alpha", "inf"], "alpha"),
         (["search", "{missing}", "{missing}", "--k1", "0"], "k1"),
         (["eval-retrieval", "--run", "{missing}", *ORGANISER_QRELS, str(ORGANISER / "qrels.txt")], "--qrels"),
+        (["eval-localization", "--run", "{missing}", *ORGANISER_QRELS, "{missing}"], "--qrels"),
         (["eval-vcval", "--run", "{missing}", *ORGANISER_QRELS, "{missing}"], "--qrels"),
     ],
     ids=[
@@ -987,6 +869,7 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
         "eval-captions",
         "search",
         "eval-retrieval-qrels",
+        "eval-localization-qrels",
         "eval-vcval-qrels",
     ],
 )

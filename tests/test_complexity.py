@@ -10,7 +10,9 @@ show a ratio near 16, but the iterations of a loop of plain arithmetic and
 indexing show not at all.  The posting loop of BM25 search is such a loop, so
 search is counted by the line events of ``sys.settrace`` instead.  Work done
 inside one C call (a sort, a set lookup) is at most one event, so it is not
-covered here.
+covered here.  The one super-linear path is the step alignment within one
+segment, which scores predicted × gold steps: four times the steps of one
+segment cost at most about sixteen times the work.
 """
 
 import json
@@ -33,7 +35,7 @@ from medvideval.io_formats import (
 from medvideval.pooling import build_pool
 from medvideval.retrieval_metrics import evaluate_rankings, retrieval_report
 from medvideval.segment_metrics import IoUParams, evaluate_localization
-from medvideval.step_alignment import evaluate_captions, evaluate_steps
+from medvideval.step_alignment import AlignmentParams, evaluate_captions, evaluate_steps
 
 SIZE = 200  # records at the smaller size; the larger has four times as many
 MAX_RATIO = 4.5
@@ -234,3 +236,22 @@ def test_four_times_the_documents_cost_bm25_search_at_most_about_four_times_the_
 
     small, large = events(SIZE), events(4 * SIZE)
     assert large / small <= MAX_RATIO, (small, large)
+
+
+# All steps span [0, 100] and no two captions share a word, so each cell scores
+# 0.5 under a bound of 1.0.  Each scan walks every gold step left: at theta 0.4
+# it matches the first, at 0.9 it matches none after ROUGE-L on every cell, and
+# at 1.01 it matches none with no ROUGE-L at all.
+@pytest.mark.parametrize("theta", [0.4, 0.9, 1.01])
+@pytest.mark.parametrize("evaluate", [evaluate_steps, evaluate_captions])
+def test_four_times_the_steps_of_one_segment_cost_at_most_about_sixteen_times_the_work(evaluate, theta):
+    def events(n: int) -> int:
+        pred, gold = (
+            parse_steps(jsonl([{"segment": "s", "steps": [{"caption": f"{word}{i}", "start": 0, "end": 100} for i in range(n)]}]))
+            for word in ("press", "wrap")
+        )
+        params = AlignmentParams(theta=theta)
+        return profile_events(lambda: evaluate(pred, gold, params))
+
+    small, large = events(SIZE // 4), events(SIZE)
+    assert large / small <= 16 * 1.1, (small, large)

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from decimal import Decimal
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,10 @@ class TestRetrievalRunParsing:
         [
             ("q1 Q0 v1 0 2.0 t", "<run>:1: rank must be >= 1, got '0'"),
             ("q1 Q0 v1 1.5 2.0 t", "<run>:1: rank must be an integer, got '1.5'"),
+            # Tokens of 5,000 characters: each message stays short.
+            ("q1 Q0 v1 " + "9" * 5000 + " 2.0 t", "<run>:1: rank has too many digits (5,000 characters)"),
+            ("q1 Q0 v1 1 " + "9" * 5000 + " t", f"<run>:1: score must be finite, got '{'9' * 40}'... (5,000 characters)"),
+            ("q1 Q0 v1 " + "x" * 5000 + " 2.0 t", f"<run>:1: rank must be an integer, got '{'x' * 40}'... (5,000 characters)"),
             ("q1 Q0 v1 1 nan t", "<run>:1: score must be finite, got 'nan'"),
             ("q1 Q0 v1 1 inf t", "<run>:1: score must be finite, got 'inf'"),
             ("q1 Q0 v1 1 2.0", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 5"),
@@ -105,6 +110,9 @@ class TestRetrievalRunParsing:
         ids=[
             "rank-0",
             "rank-1.5",
+            "rank-5000-digits",
+            "score-5000-digits",
+            "rank-5000-letters",
             "score-nan",
             "score-inf",
             "5-fields",
@@ -254,6 +262,7 @@ class TestLocalizationRunParsing:
             ({"start": True}, "record needs a timestamp 'start'"),
             ({"start": -1}, "'start' must be a non-negative finite number of seconds, at most 1e+100"),
             ({"end": 10**400}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+            ({"end": 1e300}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
             ({"start": "61:60"}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
             # "02:50" is read on line 1 too, so line 2 finds it already converted.
             ({"start": "02:50", "end": "01:00"}, "interval end 60.0 precedes start 170.0"),
@@ -429,6 +438,31 @@ class TestQueryParsing:
     def test_missing_text_rejected(self):
         with pytest.raises(FormatError):
             parse_queries("Q1")
+
+
+# The parsers without a fault table above: each fault keeps its message and line.
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_qrels, "q1 0 v1 " + "9" * 5000, "<qrels>:1: grade has too many digits (5,000 characters)"),
+        (parse_qrels, "q1 0 v1 1\nq1 0 v1 2\n", "<qrels>:2: duplicate judgment for video 'v1'"),
+        # The union of two [0, 1e308] answers would overflow to infinity.
+        (partial(parse_qrels, "q1 0 v1 1"), '{"question": "q1", "video": "v1", "start": 0, "end": 1e308}',
+         "<answers>:1: 'end' must be a non-negative finite number of seconds, at most 1e+100"),
+        (parse_steps, '{"segment": "s1", "steps": {}}', "<steps>:1: 'steps' must be a list"),
+        (parse_steps, '{"segment": "s1", "steps": ["wrap"]}', "<steps>:1: each step must be a JSON object"),
+        (parse_steps, '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
+         "<steps>:1: step 1 of segment 's1' needs a string 'caption'"),
+        (parse_corpus, '{"video": "v1", "title": 1}', "<corpus>:1: 'title' and 'subtitle' must be strings"),
+        (parse_queries, "q1 wrap the wrist\nq1 tie the elbow\n", "<queries>:2: duplicate question id 'q1'"),
+    ],
+    ids=["grade-5000-digits", "duplicate-judgment", "answer-end-1e308", "steps-not-a-list", "step-not-an-object",
+         "step-non-string-caption", "corpus-non-string-title", "duplicate-query-id"],
+)
+def test_each_fault_of_the_other_parsers_keeps_its_message_and_line(parse, text, message):
+    with pytest.raises(FormatError) as raised:
+        parse(text)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 One test takes each golden input file in turn, damages one of its lines (or
 its bytes) with the inputs that have crashed parsers before, and runs a
-subcommand that reads it.  Exit 2 must name the damaged file.  The run parsers must also
-return what the reference parsers of ``oracles`` return, or raise the same
-error, on the damaged files with more faults added.  Every run parser checks
-each line in full before the next, so of several faults the first in file
-order is reported.
+subcommand that reads it.  Exit 2 must print one line that names the damaged
+file; each fault's exact message is pinned in the parser tables of
+``test_io_formats``.  The run parsers must also return what the reference
+parsers of ``oracles`` return, or raise the same error, on the damaged files
+with more faults added.  Every run parser checks each line in full before the
+next, so of several faults the first in file order is reported.
 """
 
 import contextlib
@@ -123,7 +124,7 @@ def test_damaged_golden_file_exits_0_or_2_naming_it(workdir, golden, argv, data)
     code, err = run_quietly([arg.replace("{mutated}", str(target)).replace("{workdir}", str(workdir)) for arg in argv])
     assert code in (0, 2), err
     if code == 2:
-        assert err.startswith(f"error: {target}"), err
+        assert err.startswith(f"error: {target}") and err.splitlines(keepends=True) == [err], err
 
 
 # --- run parsers against the reference parsers of oracles -----------------------
