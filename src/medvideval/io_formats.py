@@ -26,6 +26,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
@@ -609,15 +610,24 @@ def write_atomically(path: str | os.PathLike, *chunks: bytes) -> None:
 
     The bytes go to a temporary file in the same directory that then replaces
     ``path``; if anything fails, the temporary file is removed and an existing
-    ``path`` is left as it was.  An OS failure is a FormatError naming ``path``.
+    ``path`` is left as it was.  An OS failure is a FormatError naming ``path``,
+    and so is a ``path`` that is a FIFO, device or socket, which the rename
+    would replace rather than write through.
     """
     directory, name = os.path.split(os.fspath(path).rstrip(os.sep))  # "dir/name/" names "dir/name", as in pathlib
+    target = os.path.join(directory, name)
+    try:
+        kind = stat.S_IFMT(os.stat(target).st_mode)
+    except OSError:  # no file yet, or a fault that the write reports
+        kind = stat.S_IFREG
+    if kind not in (stat.S_IFREG, stat.S_IFDIR):  # a directory fails the rename below with its own message
+        raise FormatError("not a regular file", source=str(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk)
-        os.replace(temporary, os.path.join(directory, name))
+        os.replace(temporary, target)
     except BaseException as exc:
         try:
             os.remove(temporary)

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,19 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commands import ORGANISER, SMOKE, STEPS, TESTS, command_argv, track_inputs
 from medvideval import cli
 from medvideval.cli import build_parser
 from medvideval.cli import run_cli as main
 from medvideval.io_formats import MetricReport, parse_retrieval_run, write_report
 
-SMOKE_CORPUS = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "corpus.jsonl")
-SMOKE_QUERIES = str(Path(__file__).resolve().parents[1] / "data" / "smoke" / "queries.txt")
-SMOKE_GOLDEN_RUN = Path(__file__).resolve().parent / "data" / "smoke_bm25_k10.run"
-ORGANISER = Path(__file__).resolve().parent / "data" / "organiser"
+SMOKE_CORPUS = str(SMOKE / "corpus.jsonl")
+SMOKE_QUERIES = str(SMOKE / "queries.txt")
+SMOKE_GOLDEN_RUN = TESTS / "data" / "smoke_bm25_k10.run"
 ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
-STEPS = Path(__file__).resolve().parent / "data" / "steps"
 STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
-REPO = Path(__file__).resolve().parents[1]
+REPO = TESTS.parent
 
 RUN_TEXT = """\
 Q1 Q0 v1 1 9.5 sysA
@@ -84,75 +82,19 @@ def files(tmp_path):
     return paths
 
 
-# ---------------------------------------------------------------------------
-# One command line for each subcommand
-# ---------------------------------------------------------------------------
-
-# Each fixture the commands read, and the JSON key whose ids a copy renames;
-# None marks a flat file, whose lines start with the renamed id.
-TRACK_FIXTURES = {
-    "retrieval.run": (ORGANISER / "retrieval.run", None),
-    "qrels.txt": (ORGANISER / "qrels.txt", None),
-    "answers.jsonl": (ORGANISER / "answers.jsonl", "question"),
-    "localization.jsonl": (ORGANISER / "localization.jsonl", "question"),
-    "pred.jsonl": (STEPS / "pred.jsonl", "segment"),
-    "gold.jsonl": (STEPS / "gold.jsonl", "segment"),
-    "corpus.jsonl": (Path(SMOKE_CORPUS), "video"),
-    "queries.txt": (Path(SMOKE_QUERIES), None),
-}
-
-
-def _track_inputs(directory: Path, copies: int) -> Path:
-    """The fixtures ``copies`` times over in ``directory``, each copy after the first under renamed ids.
-
-    Also a BM25 index of the corpus, and ``bad.run``: the retrieval run with a
-    malformed last line, so that its parse fails only after every valid line.
-    """
-    directory.mkdir()
-    for name, (fixture, key) in TRACK_FIXTURES.items():
-        text = fixture.read_text(encoding="utf-8")
-        pattern = r"(?m)^(?=[^#\s])" if key is None else f'(?<="{key}": ")'
-        copied = "".join([text] + [re.sub(pattern, f"c{copy}-", text) for copy in range(1, copies)])
-        (directory / name).write_text(copied, encoding="utf-8")
-    run = (directory / "retrieval.run").read_text(encoding="utf-8")
-    (directory / "bad.run").write_text(run + "q1 Q0 broken\n", encoding="utf-8")
-    assert main(["index", str(directory / "corpus.jsonl"), "--out", str(directory / "idx")]) == 0
-    return directory
-
-
-def _command_argv(directory: Path, out: Path) -> dict[str, list[str]]:
-    """Every subcommand, plus one that exits 2 on a malformed run, on the inputs of ``_track_inputs``.
-
-    Each test that runs one subcommand on valid inputs takes its command line
-    from here, so a flag added to every subcommand is one edit.
-    """
-    d = {name: str(directory / name) for name in [*TRACK_FIXTURES, "bad.run", "idx"]}
-    qrels = ["--qrels", d["qrels.txt"], d["answers.jsonl"]]
-    steps = ["--pred", d["pred.jsonl"], "--gold", d["gold.jsonl"]]
-    structured = ["--format", "structured"]
-    argv = {
-        "eval-retrieval": ["eval-retrieval", "--run", d["retrieval.run"], *qrels],
-        "eval-localization": ["eval-localization", "--run", d["localization.jsonl"], *qrels],
-        "eval-vcval": ["eval-vcval", "--run", d["localization.jsonl"], *qrels, *structured],
-        "eval-steps": ["eval-steps", *steps],
-        "eval-captions": ["eval-captions", *steps, *structured],
-        "pool": ["pool", "--run", d["retrieval.run"]],
-        "index": ["index", d["corpus.jsonl"]],
-        "search": ["search", d["idx"], d["queries.txt"], "--k", "10"],
-        "malformed-run": ["eval-retrieval", "--run", d["bad.run"], *qrels],
-    }
-    return {command: [*args, "--out", str(out)] for command, args in argv.items()}
-
-
 @pytest.fixture(scope="module")
 def fixture_inputs(tmp_path_factory):
-    """The committed fixtures, once over, as ``_command_argv`` reads them."""
-    return _track_inputs(tmp_path_factory.mktemp("fixtures") / "in", 1)
+    """The committed fixtures, once over, as ``command_argv`` reads them."""
+    return track_inputs(tmp_path_factory.mktemp("fixtures") / "in", 1)
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    [subparsers] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
 
 
 def test_every_subcommand_has_a_command_line():
-    [subparsers] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
-    assert set(_command_argv(Path(), Path())) - {"malformed-run"} == set(subparsers.choices)
+    assert set(command_argv(Path(), Path())) - {"malformed-run"} == set(_subcommands())
 
 
 class TestEvalRetrieval:
@@ -416,10 +358,6 @@ class TestIndexAndSearch:
         assert main(["index", SMOKE_CORPUS, "--out", str(without_title), "--no-title"]) == 0
         assert (with_title / "bm25.idx").read_bytes() != (without_title / "bm25.idx").read_bytes()
 
-    def test_search_requires_single_k(self, fixture_inputs, tmp_path, capsys):
-        assert main([*_command_argv(fixture_inputs, tmp_path / "out")["search"], "--k", "5,10"]) == 2
-        assert capsys.readouterr() == ("", "error: search takes a single --k cutoff\n")
-
     def test_smoke_run_matches_golden_bytes(self, tmp_path, capsys):
         index_dir = tmp_path / "idx"
         run_path = tmp_path / "run.txt"
@@ -462,17 +400,9 @@ class TestThreads:
             outputs = []
             for threads in (["--threads", "1"], ["--threads", "2"], []):
                 out_path = tmp_path / f"{command}-{len(outputs)}.out"
-                assert main([*_command_argv(fixture_inputs, out_path)[command], *threads]) == 0
+                assert main([*command_argv(fixture_inputs, tmp_path)[command], *threads, "--out", str(out_path)]) == 0
                 outputs.append(out_path.read_bytes())
             assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
-
-    @pytest.mark.parametrize(
-        "command",
-        ["eval-retrieval", "eval-localization", "eval-vcval", "eval-steps", "eval-captions", "search"],
-    )
-    def test_zero_threads_exits_2(self, fixture_inputs, command, tmp_path, capsys):
-        assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], "--threads", "0"]) == 2
-        assert "--threads" in capsys.readouterr().err
 
 
 def _python_m(argv):
@@ -481,58 +411,96 @@ def _python_m(argv):
     return subprocess.run([sys.executable, "-m", "medvideval", *argv], capture_output=True, text=True, cwd=REPO, env=env)
 
 
-def test_module_entry_point(files):
-    result = _python_m(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]])
-    assert result.returncode == 0
-    assert "MAP" in result.stdout
+@pytest.mark.parametrize("flags", [[], ["--theta=nan"]], ids=["valid", "bad-flag"])
+def test_module_entry_point(flags):
+    result = _python_m(["eval-steps", *STEPS_FILES, *flags])
+    if flags:
+        [line] = result.stderr.splitlines()
+        assert (result.returncode, result.stdout, line[:21]) == (2, "", "error: theta must be ")
+    else:
+        assert result.returncode == 0
+        assert result.stdout == (STEPS / "expected" / "steps.tsv").read_text(encoding="utf-8")
 
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [
-        *[("eval-steps", flag, value) for flag in ("--theta", "--alpha", "--lambda") for value in ("nan", "inf")],
-        ("eval-steps", "--beta", "nan"),
-        *[("eval-steps", "--mu", value) for value in ("nan", "5", "-1", "0")],
-        ("eval-captions", "--theta", "nan"),
-        ("eval-captions", "--alpha", "inf"),
-        *[(command, "--lambda", value) for command in ("eval-localization", "eval-vcval") for value in ("nan", "inf")],
-        *[
-            (command, flag, value)
-            for command in ("eval-localization", "eval-vcval")
-            for flag, value in [("--mu", "1.5"), ("--lambda", "-1")]
-        ],
-        *[("search", flag, value) for flag in ("--k1", "--b") for value in ("inf", "-inf", "nan", "1e309", "1e308")],
+_LOCALIZATION = ("eval-localization", "eval-vcval")
+_JUDGED = ("eval-retrieval", *_LOCALIZATION)
+_STEPS = ("eval-steps", "eval-captions")
+_SCORED = (*_JUDGED, *_STEPS)
+
+# Every bad command line, as (subcommand, argument, values, message).  A
+# positional's row replaces its value; a flag's row appends --flag=value, so
+# that "-inf" is read as a value, or the flag and its values spaced when there
+# are several.  The message is stderr's last line after "error: ", or after
+# argparse's "medvideval COMMAND: error: " when it starts with "argument "; a
+# message ending in "…" is a prefix of that line.  Every fault is found before
+# any input is read.
+BAD_COMMAND_LINES = [
+    *[("eval-steps", flag, [value], f"{flag[2:]} must be …") for flag in ("--theta", "--alpha", "--lambda") for value in ("nan", "inf")],
+    ("eval-steps", "--beta", ["nan"], "beta must be …"),
+    *[("eval-steps", "--mu", [value], "mu must be …") for value in ("nan", "5", "-1", "0")],
+    ("eval-captions", "--theta", ["nan"], "theta must be …"),
+    ("eval-captions", "--alpha", ["inf"], "alpha must be …"),
+    *[(command, "--lambda", [value], "lambda must be …") for command in _LOCALIZATION for value in ("nan", "inf", "-1")],
+    *[(command, "--mu", ["1.5"], "mu must be …") for command in _LOCALIZATION],
+    *[("search", flag, [value], f"{flag[2:]} must be …") for flag in ("--k1", "--b") for value in ("inf", "-inf", "nan", "1e309", "1e308")],
+    ("search", "--k1", ["0"], "k1 must be …"),
+    ("search", "--k", ["5,10"], "search takes a single --k cutoff"),
+    *[(command, "--mu", ["0.3,0.30000001"], "mu values 0.3 and 0.30000001 share the column IoU=0.3") for command in (*_LOCALIZATION, "eval-steps")],
+    *[(command, "--qrels", ["a", "b", "c"], "--qrels takes a grade file plus at most one answer sidecar") for command in _JUDGED],
+    *[(command, "--threads", ["0"], "argument --threads: expected a positive integer, got '0'") for command in (*_SCORED, "search")],
+    *[(command, "--format", ["xml"], "argument --format: invalid choice: 'xml' …") for command in _SCORED],
+    ("pool", "--seed", ["x"], "argument --seed: invalid int value: 'x'"),
+    *[
+        (command, argument, [""], f"argument {argument}: expected a path, got ''")
+        for names, paths in [(_JUDGED, "--run --qrels"), (_STEPS, "--pred --gold"), (("pool",), "--run"), (("index",), "CORPUS"), (("search",), "INDEX_DIR QUERIES")]
+        for command in names
+        for argument in [*paths.split(), "--out"]
     ],
+]
+
+
+@pytest.mark.parametrize("inputs", ["present", "missing"])
+@pytest.mark.parametrize(
+    "command, argument, values, message",
+    BAD_COMMAND_LINES,
+    ids=[f"{command} {argument}={' '.join(values)}" for command, argument, values, _ in BAD_COMMAND_LINES],
 )
-def test_non_finite_or_out_of_range_scoring_flag_exits_2(fixture_inputs, command, flag, value, tmp_path, capsys):
-    assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], f"{flag}={value}"]) == 2
+def test_bad_command_line_exits_2_naming_the_fault(fixture_inputs, inputs, command, argument, values, message, tmp_path, capsys):
+    # With every input path in a directory that does not exist, the same
+    # message shows that the fault is found before any input is read.
+    argv = command_argv(fixture_inputs if inputs == "present" else tmp_path / "missing", tmp_path)[command]
+    if argument.startswith("--"):
+        argv += [f"{argument}={values[0]}"] if len(values) == 1 else [argument, *values]
+    else:
+        positionals = [action.metavar for action in _subcommands()[command]._actions if not action.option_strings]
+        argv[1 + positionals.index(argument)] = values[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {flag[2:]} must be"), err
-
-
-# Every path argument of each subcommand; a positional is named by its metavar.
-_PATH_ARGUMENTS = {
-    **{command: ["--run", "--qrels", "--out"] for command in ("eval-retrieval", "eval-localization", "eval-vcval")},
-    **{command: ["--pred", "--gold", "--out"] for command in ("eval-steps", "eval-captions")},
-    "pool": ["--run", "--out"],
-    "index": ["CORPUS", "--out"],
-    "search": ["INDEX_DIR", "QUERIES", "--out"],
-}
-_POSITIONS = {"CORPUS": 1, "INDEX_DIR": 1, "QUERIES": 2}  # in the command lines of _command_argv
-
-
-@pytest.mark.parametrize("command, argument", [(c, a) for c, arguments in _PATH_ARGUMENTS.items() for a in arguments])
-def test_empty_path_argument_exits_2_naming_it(fixture_inputs, command, argument, tmp_path, capsys):
-    argv = _command_argv(fixture_inputs, tmp_path / "out")[command]
-    argv[_POSITIONS.get(argument) or argv.index(argument) + 1] = ""
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith(f": error: argument {argument}: expected a path, got ''\n"), err
+    *usage, last = err.splitlines()
+    by_argparse = message.startswith("argument ")
+    expected = f"medvideval {command}: " * by_argparse + f"error: {message}"
+    assert (code, out, caught, bool(usage)) == (2, "", [], by_argparse), err
+    assert last == expected or expected.endswith("…") and last.startswith(expected[:-1]), err
+    assert not usage or usage[0].startswith(f"usage: medvideval {command} "), err
     assert not list(tmp_path.iterdir())
+
+
+def test_every_argument_that_takes_a_value_has_a_bad_command_line():
+    covered = {(command, argument) for command, argument, _, _ in BAD_COMMAND_LINES}
+    covered |= {(command, f"--{flag}") for command, flags in _SCORING_FLAGS.items() for flag in flags}
+    arguments = {
+        (command, action.option_strings[0] if action.option_strings else action.metavar)
+        for command, parser in _subcommands().items()
+        for action in parser._actions
+        if action.nargs != 0
+    }
+    assert arguments - covered == set()
 
 
 # Each golden file under tests/data/*/expected/ is checked by one case here,
@@ -641,6 +609,19 @@ def test_failed_index_directory_names_the_out_path(tmp_path, capsys, target, rea
     assert (tmp_path / "blocker").read_bytes() == b"not a directory\n"
 
 
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
+@pytest.mark.parametrize("command, target", [("eval-retrieval", "eval-retrieval"), ("index", "index/bm25.idx")], ids=["report", "index"])
+def test_out_naming_a_fifo_exits_2_and_leaves_it(fixture_inputs, tmp_path, capsys, command, target):
+    # The rename would replace the FIFO with a regular file; it is never opened, so nothing blocks.
+    fifo = tmp_path / target
+    fifo.parent.mkdir(exist_ok=True)
+    os.mkfifo(fifo)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(command_argv(fixture_inputs, tmp_path)[command]) == 2
+    assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+    assert sorted(tmp_path.rglob("*")) == before and fifo.is_fifo()
+
+
 def test_unexpected_exception_exits_1_with_one_line(files, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("scorer bug")
@@ -689,14 +670,6 @@ def test_negative_zero_flag_gives_the_zero_report(command, flag, fmt):
     zero = report("0")
     assert report("-0") == zero
     assert "-0.0" not in zero
-
-
-@pytest.mark.parametrize("command", ["eval-localization", "eval-vcval", "eval-steps"])
-def test_thresholds_sharing_a_column_label_exit_2(fixture_inputs, command, tmp_path, capsys):
-    assert main([*_command_argv(fixture_inputs, tmp_path / "out")[command], "--mu", "0.3,0.30000001"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: mu values 0.3 and 0.30000001 share the column IoU=0.3")
 
 
 def test_eval_steps_lists_thresholds_sorted(capsys):
@@ -753,7 +726,7 @@ _SCORING_FLAGS = {
 @given(data=st.data())
 def test_bad_numeric_flag_exits_2_naming_it(fixture_inputs, command, flag, data):
     value = data.draw(_BAD_FLAG_VALUES[flag], label="value")
-    argv = _command_argv(fixture_inputs, fixture_inputs / "out")[command]  # each value exits before writing
+    argv = command_argv(fixture_inputs, fixture_inputs / "out")[command]  # each value exits before writing
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, f"--{flag}={value}"])
@@ -848,40 +821,6 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
     assert result.stdout == "[]\n"
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["eval-localization", "--run", "{missing}", *ORGANISER_QRELS, "--lambda", "nan"], "lambda"),
-        (["eval-vcval", "--run", str(ORGANISER / "localization.jsonl"), "--qrels", "{missing}", "--mu", "1.5"], "mu"),
-        (["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--theta", "nan"], "theta"),
-        (["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--mu", "5"], "mu"),
-        (["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "{missing}", "--alpha", "inf"], "alpha"),
-        (["search", "{missing}", "{missing}", "--k1", "0"], "k1"),
-        (["eval-retrieval", "--run", "{missing}", *ORGANISER_QRELS, str(ORGANISER / "qrels.txt")], "--qrels"),
-        (["eval-localization", "--run", "{missing}", *ORGANISER_QRELS, "{missing}"], "--qrels"),
-        (["eval-vcval", "--run", "{missing}", *ORGANISER_QRELS, "{missing}"], "--qrels"),
-    ],
-    ids=[
-        "eval-localization",
-        "eval-vcval",
-        "eval-steps",
-        "eval-steps-mu",
-        "eval-captions",
-        "search",
-        "eval-retrieval-qrels",
-        "eval-localization-qrels",
-        "eval-vcval-qrels",
-    ],
-)
-def test_bad_flag_is_reported_before_any_input_is_read(tmp_path, argv, flag):
-    # The step files would warn about a long caption if they were parsed.
-    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
-    result = _python_m(argv)
-    assert result.returncode == 2
-    assert result.stderr.startswith(f"error: {flag} "), result.stderr
-    assert "warning:" not in result.stderr
-
-
 def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):
     caption = " ".join(f"word{i}" for i in range(1200))
     steps = tmp_path / "steps.jsonl"
@@ -930,18 +869,18 @@ def _cyclic_garbage_after(action) -> int:
 
 
 @pytest.fixture(scope="module", params=[1, 50], ids=["fixtures", "fixtures-x50"])
-def track_inputs(request, tmp_path_factory):
-    return _track_inputs(tmp_path_factory.mktemp("track") / "in", request.param)
+def scaled_inputs(request, tmp_path_factory):
+    return track_inputs(tmp_path_factory.mktemp("track") / "in", request.param)
 
 
-@pytest.mark.parametrize("command", list(_command_argv(Path(), Path())))
-def test_no_command_leaves_cyclic_garbage(track_inputs, command, tmp_path, capsys):
+@pytest.mark.parametrize("command", list(command_argv(Path(), Path())))
+def test_no_command_leaves_cyclic_garbage(scaled_inputs, command, tmp_path, capsys):
     # The console script turns the collector off, which is only safe while no
     # command builds reference cycles.  What a command does leave is a fixed
     # set, whatever the input size: argparse's own cycles, and for a structured
     # report those of json's pure-Python indenting encoder, which makes its
     # nested functions refer to each other on every call.
-    argv = _command_argv(track_inputs, tmp_path / "out")[command]
+    argv = command_argv(scaled_inputs, tmp_path)[command]
 
     def fixed_part():
         build_parser()

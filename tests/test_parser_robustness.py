@@ -22,15 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commands import ORGANISER, TRACK_FIXTURES, command_argv, track_inputs
 from medvideval.cli import run_cli as main
 from medvideval.core import FormatError
 from medvideval.io_formats import parse_localization_run, parse_retrieval_run
 from oracles import reference_parse_localization_run, reference_parse_retrieval_run
-
-TESTS = Path(__file__).resolve().parent
-ORGANISER = TESTS / "data" / "organiser"
-STEPS = TESTS / "data" / "steps"
-SMOKE = TESTS.parent / "data" / "smoke"
 
 HUGE_AND_NON_FINITE = [
     "1" + "0" * 400,  # an integer no float can hold
@@ -83,10 +79,8 @@ def mutated(draw, golden: Path) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("robustness")
-    assert run_quietly(["index", str(SMOKE / "corpus.jsonl"), "--out", str(root / "idx")])[0] == 0
-    return root
+def inputs(tmp_path_factory):
+    return track_inputs(tmp_path_factory.mktemp("robustness") / "in", 1)
 
 
 def run_quietly(argv):
@@ -97,31 +91,21 @@ def run_quietly(argv):
     return code, err.getvalue()
 
 
-QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
-
-
-# Each golden input file and a command line that reads it, with {mutated} where
-# the damaged copy goes and {workdir} for the directory of the module's index.
+# Each golden input file, by its name in TRACK_FIXTURES, and the subcommand
+# whose command line reads it.
 @pytest.mark.parametrize(
-    "golden, argv",
-    [
-        (ORGANISER / "retrieval.run", ["eval-retrieval", "--run", "{mutated}", *QRELS]),
-        (ORGANISER / "qrels.txt", ["eval-retrieval", "--run", str(ORGANISER / "retrieval.run"), "--qrels", "{mutated}"]),
-        (ORGANISER / "answers.jsonl", ["eval-localization", "--run", str(ORGANISER / "localization.jsonl"),
-                                       "--qrels", str(ORGANISER / "qrels.txt"), "{mutated}"]),
-        (ORGANISER / "localization.jsonl", ["eval-vcval", "--run", "{mutated}", *QRELS]),
-        (STEPS / "pred.jsonl", ["eval-steps", "--pred", "{mutated}", "--gold", str(STEPS / "gold.jsonl")]),
-        (STEPS / "gold.jsonl", ["eval-steps", "--pred", str(STEPS / "pred.jsonl"), "--gold", "{mutated}"]),
-        (SMOKE / "corpus.jsonl", ["index", "{mutated}", "--out", "{workdir}/mutated-idx"]),
-        (SMOKE / "queries.txt", ["search", "{workdir}/idx", "{mutated}", "--k", "3"]),
-    ],
+    "name, command",
+    [("retrieval.run", "eval-retrieval"), ("qrels.txt", "eval-retrieval"), ("answers.jsonl", "eval-localization"),
+     ("localization.jsonl", "eval-vcval"), ("pred.jsonl", "eval-steps"), ("gold.jsonl", "eval-steps"),
+     ("corpus.jsonl", "index"), ("queries.txt", "search")],
     ids=["retrieval-run", "qrels", "answer-sidecar", "localization-run", "pred-steps", "gold-steps", "corpus", "queries"],
 )
 @given(data=st.data())
-def test_damaged_golden_file_exits_0_or_2_naming_it(workdir, golden, argv, data):
-    target = workdir / "mutated"
-    target.write_bytes(data.draw(mutated(golden), label="damaged"))
-    code, err = run_quietly([arg.replace("{mutated}", str(target)).replace("{workdir}", str(workdir)) for arg in argv])
+def test_damaged_golden_file_exits_0_or_2_naming_it(inputs, name, command, data):
+    target = inputs.parent / "damaged"
+    target.write_bytes(data.draw(mutated(TRACK_FIXTURES[name][0]), label="damaged"))
+    argv = command_argv(inputs, inputs.parent)[command]
+    code, err = run_quietly([str(target) if arg == str(inputs / name) else arg for arg in argv])
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith(f"error: {target}") and err.splitlines(keepends=True) == [err], err
