@@ -217,14 +217,25 @@ def _number_field(obj: Mapping[str, object], key: str, source: str, line: int) -
     return number
 
 
-def _timestamp_field(obj: Mapping[str, object], key: str, source: str, line: int) -> float:
-    """A timestamp in [0, MAX_SECONDS]: either an MM:SS / decimal string or a JSON number."""
+def _timestamp_field(
+    obj: Mapping[str, object], key: str, source: str, line: int, converted: dict[str, float]
+) -> float:
+    """A timestamp in [0, MAX_SECONDS]: either an MM:SS / decimal string or a JSON number.
+
+    ``converted`` is the calling parser's map from each string that already
+    parsed in its input to its seconds.  ``MM:SS`` has whole-second
+    resolution, so thousands of records repeat a few hundred strings, and
+    each is parsed once.  A string that fails is never stored.
+    """
     value = obj.get(key)
     if type(value) is str:
-        try:
-            return parse_timestamp(value)
-        except FormatError as exc:
-            raise FormatError(f"{exc.reason} (field {key!r})", source=source, line=line) from None
+        seconds = converted.get(value)
+        if seconds is None:
+            try:
+                seconds = converted[value] = parse_timestamp(value)
+            except FormatError as exc:
+                raise FormatError(f"{exc.reason} (field {key!r})", source=source, line=line) from None
+        return seconds
     if type(value) is int:
         seconds = _as_float(value)
     elif type(value) is float:
@@ -268,6 +279,7 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
     """
     # question -> (the question's first qid string, its entries, their videos, their ranks)
     questions: dict[QuestionId, tuple[QuestionId, list[RetrievalRunEntry], set[VideoId], set[int]]] = {}
+    rank_of: dict[str, int] = {}  # each rank token that already parsed; ranks run 1..depth for every question
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
@@ -279,7 +291,9 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
                 line=lineno,
             )
         qid, _, video, rank_token, score_token, tag = fields
-        rank = _parse_int(rank_token, "rank", source, lineno)
+        rank = rank_of.get(rank_token)
+        if rank is None:
+            rank = rank_of[rank_token] = _parse_int(rank_token, "rank", source, lineno)
         score = _parse_score(score_token, source, lineno)
         question = questions.get(qid)
         if question is None:
@@ -373,9 +387,10 @@ def parse_qrels(
         per_question = judged[qid]
         if video in per_question:
             raise FormatError(f"duplicate judgment for video {video!r}", source=grades_source, line=lineno)
-        per_question[video] = JudgedVideo(qid, video, _GRADES[grade])
+        per_question[video] = tuple.__new__(JudgedVideo, (qid, video, _GRADES[grade], []))
 
     if answers is not None:
+        converted: dict[str, float] = {}
         for lineno, obj in _jsonl_records(answers, answers_source):
             qid = _str_field(obj, "question", answers_source, lineno)
             video = _str_field(obj, "video", answers_source, lineno)
@@ -392,8 +407,8 @@ def parse_qrels(
                     source=answers_source,
                     line=lineno,
                 )
-            start = _timestamp_field(obj, "start", answers_source, lineno)
-            end = _timestamp_field(obj, "end", answers_source, lineno)
+            start = _timestamp_field(obj, "start", answers_source, lineno, converted)
+            end = _timestamp_field(obj, "end", answers_source, lineno, converted)
             record.answers.append(_interval(start, end, answers_source, lineno))
 
     return {qid: list(videos.values()) for qid, videos in judged.items()}
@@ -415,11 +430,12 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     """
     # question -> (the question's first qid string, its candidates, their ranks or None if it is unranked)
     questions: dict[QuestionId, tuple[QuestionId, list[LocalizationCandidate], set[int] | None]] = {}
+    converted: dict[str, float] = {}
     for lineno, obj in _jsonl_records(text, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
-        start = _timestamp_field(obj, "start", source, lineno)
-        end = _timestamp_field(obj, "end", source, lineno)
+        start = _timestamp_field(obj, "start", source, lineno, converted)
+        end = _timestamp_field(obj, "end", source, lineno, converted)
         interval = _interval(start, end, source, lineno)
         score = _number_field(obj, "score", source, lineno)
         ranked = "rank" in obj
@@ -459,6 +475,7 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
     with a StepLintWarning.
     """
     sequences: dict[str, StepSequence] = {}
+    converted: dict[str, float] = {}
     for lineno, obj in _jsonl_records(text, source):
         segment_id = _str_field(obj, "segment", source, lineno)
         if segment_id in sequences:
@@ -484,8 +501,8 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
                     ),
                     stacklevel=2,
                 )
-            start = _timestamp_field(raw, "start", source, lineno)
-            end = _timestamp_field(raw, "end", source, lineno)
+            start = _timestamp_field(raw, "start", source, lineno, converted)
+            end = _timestamp_field(raw, "end", source, lineno, converted)
             steps.append(Step(caption, _interval(start, end, source, lineno)))
         steps.sort(key=lambda step: step.interval.start)  # stable: source order breaks ties
         sequences[segment_id] = StepSequence(segment_id, steps)

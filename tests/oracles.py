@@ -397,8 +397,9 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
             raise FormatError("expected a JSON object", source=source, line=lineno)
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
-        start = _timestamp_field(obj, "start", source, lineno)
-        end = _timestamp_field(obj, "end", source, lineno)
+        # A fresh map for each field: this reference converts every timestamp, with no memo.
+        start = _timestamp_field(obj, "start", source, lineno, {})
+        end = _timestamp_field(obj, "end", source, lineno, {})
         try:
             interval = TimeInterval(start, end)
         except ValueError as exc:

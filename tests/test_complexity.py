@@ -13,6 +13,9 @@ inside one C call (a sort, a set lookup) is at most one event, so it is not
 covered here.  The one super-linear path is the step alignment within one
 segment, which scores predicted × gold steps: four times the steps of one
 segment cost at most about sixteen times the work.
+
+The parsers convert each distinct timestamp string and rank token once per
+call; the last tests count those conversions, again with no clock.
 """
 
 import json
@@ -20,6 +23,7 @@ import sys
 
 import pytest
 
+from medvideval import io_formats
 from medvideval.bm25 import build_index, run_from_searches
 from medvideval.io_formats import (
     RetrievalRunEntry,
@@ -99,6 +103,21 @@ def localization_run_text(n: int, ranked: bool = True) -> str:
             "end": timestamp(i % 50 + 30),
             "score": 1.0 / (i + 1),
             **({"rank": i // QUESTIONS + 1} if ranked else {}),
+        }
+        for i in range(n)
+    )
+
+
+def distinct_timestamps_run_text(n: int) -> str:
+    """A ranked localization run whose timestamp strings all differ, so no conversion is saved."""
+    return jsonl(
+        {
+            "question": f"q{i % QUESTIONS}",
+            "video": f"v{i}",
+            "start": f"{i}.25",
+            "end": f"{i}.75",
+            "score": 1.0,
+            "rank": i // QUESTIONS + 1,
         }
         for i in range(n)
     )
@@ -201,6 +220,7 @@ CASES = {
     "parse_retrieval_run": lambda n: (parse_retrieval_run, retrieval_run_text(n)),
     "parse_localization_run": lambda n: (parse_localization_run, localization_run_text(n)),
     "parse_localization_run-unranked": lambda n: (parse_localization_run, localization_run_text(n, ranked=False)),
+    "parse_localization_run-distinct-timestamps": lambda n: (parse_localization_run, distinct_timestamps_run_text(n)),
     "parse_qrels": lambda n: (parse_qrels, grades_text(n), answers_text(n)),
     "parse_steps": lambda n: (parse_steps, steps_text(n)),
     "parse_corpus": lambda n: (parse_corpus, corpus_text(n)),
@@ -255,3 +275,60 @@ def test_four_times_the_steps_of_one_segment_cost_at_most_about_sixteen_times_th
 
     small, large = events(SIZE // 4), events(SIZE)
     assert large / small <= 16 * 1.1, (small, large)
+
+
+def counted(monkeypatch, name: str) -> list[str]:
+    """The tokens that each later call of ``io_formats.<name>`` converts, in call order."""
+    convert = getattr(io_formats, name)
+    tokens: list[str] = []
+
+    def counting(token, *arguments, **keywords):
+        tokens.append(token)
+        return convert(token, *arguments, **keywords)
+
+    monkeypatch.setattr(io_formats, name, counting)
+    return tokens
+
+
+STAMPS = ("00:00", "00:10", "00:30")  # each record starts at one of the first two and ends at the third
+
+
+def interval(i: int) -> dict[str, str]:
+    return {"start": STAMPS[i % 2], "end": STAMPS[2]}
+
+
+# 2,000 records over the three strings of STAMPS, for each parser that reads timestamps.
+TIMESTAMP_INPUTS = {
+    "parse_localization_run": lambda: (
+        parse_localization_run,
+        jsonl({"question": f"q{i % QUESTIONS}", "video": f"v{i}", **interval(i), "score": 1.0} for i in range(2000)),
+    ),
+    "parse_qrels": lambda: (
+        parse_qrels,
+        "".join(f"q0 0 v{i} 1\n" for i in range(2000)),
+        jsonl({"question": "q0", "video": f"v{i}", **interval(i)} for i in range(2000)),
+    ),
+    "parse_steps": lambda: (
+        parse_steps,
+        jsonl({"segment": f"s{i}", "steps": [{"caption": "wrap the wrist", **interval(i)}]} for i in range(2000)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TIMESTAMP_INPUTS)
+def test_each_timestamp_string_is_converted_once_per_call(monkeypatch, name):
+    parse, *arguments = TIMESTAMP_INPUTS[name]()
+    tokens = counted(monkeypatch, "parse_timestamp")
+    parse(*arguments)
+    assert sorted(tokens) == sorted(STAMPS)
+    parse(*arguments)  # nothing is kept from the first call
+    assert sorted(tokens) == sorted(2 * STAMPS)
+
+
+def test_each_rank_token_is_converted_once_per_call(monkeypatch):
+    text = "".join(f"q{i // 10} Q0 v{i} {i % 10 + 1} 0.5 sys\n" for i in range(3000))
+    tokens = counted(monkeypatch, "_parse_int")
+    parse_retrieval_run(text)
+    assert sorted(tokens, key=int) == [str(rank) for rank in range(1, 11)]
+    parse_retrieval_run(text)  # nothing is kept from the first call
+    assert len(tokens) == 20

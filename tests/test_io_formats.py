@@ -106,6 +106,8 @@ class TestRetrievalRunParsing:
             ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 1 1.0 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
             # A malformed line before a later duplicate: the malformed line comes first in the file.
             ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 x 1.0 t\nq1 Q0 v1 3 0.5 t", "<run>:2: rank must be an integer, got 'x'"),
+            # A bad rank token that repeats is reported where it first appears.
+            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 0 1.0 t\nq1 Q0 v3 2 0.5 t\nq1 Q0 v4 0 0.4 t", "<run>:2: rank must be >= 1, got '0'"),
         ],
         ids=[
             "rank-0",
@@ -122,6 +124,7 @@ class TestRetrievalRunParsing:
             "duplicate-rank",
             "duplicate-video-and-rank",
             "bad-line-before-duplicate",
+            "repeated-bad-rank",
         ],
     )
     def test_each_fault_keeps_its_message_and_line(self, text, message):
@@ -311,9 +314,27 @@ class TestLocalizationRunParsing:
                 [_loc_record(video="a", rank=1), _loc_record(video="b", rank=2, score="x"), _loc_record(video="c", rank=1)],
                 "loc.jsonl:2: record needs a number 'score'",
             ),
+            # A malformed timestamp string that repeats is reported where it first appears.
+            (
+                [
+                    _loc_record(video="a", rank=1, start="00:10"),
+                    _loc_record(video="b", rank=2, start="1:5"),
+                    _loc_record(video="c", rank=3, start="00:10"),
+                    _loc_record(video="d", rank=4, start="1:5"),
+                ],
+                "loc.jsonl:2: malformed timestamp '1:5'; expected MM:SS or plain seconds (field 'start')",
+            ),
+            # Timestamp strings read on line 1 do not spare line 2 its other checks.
+            (
+                [
+                    _loc_record(video="a", rank=1, start="02:50", end="03:10"),
+                    _loc_record(video="b", rank=2, start="02:50", end="03:10", score="x"),
+                ],
+                "loc.jsonl:2: record needs a number 'score'",
+            ),
         ],
         ids=["duplicate-rank-before-bad-score", "missing-rank-before-bad-score", "interleaved-questions",
-             "bad-score-before-duplicate-rank"],
+             "bad-score-before-duplicate-rank", "repeated-bad-timestamp", "bad-score-after-read-timestamps"],
     )
     def test_the_first_fault_in_file_order_is_reported(self, records, message):
         with pytest.raises(FormatError) as raised:
@@ -449,6 +470,16 @@ class TestQueryParsing:
         # The union of two [0, 1e308] answers would overflow to infinity.
         (partial(parse_qrels, "q1 0 v1 1"), '{"question": "q1", "video": "v1", "start": 0, "end": 1e308}',
          "<answers>:1: 'end' must be a non-negative finite number of seconds, at most 1e+100"),
+        # In an answer sidecar and a step file, a malformed timestamp string on line 2 that repeats on line 4
+        # is reported at line 2.
+        (partial(parse_qrels, "q1 0 v1 1\nq1 0 v2 1\nq1 0 v3 1\nq1 0 v4 1"),
+         "".join(f'{{"question": "q1", "video": "v{i}", "start": "00:10", "end": "{end}"}}\n'
+                 for i, end in enumerate(["00:20", "0:2", "00:20", "0:2"], start=1)),
+         "<answers>:2: malformed timestamp '0:2'; expected MM:SS or plain seconds (field 'end')"),
+        (parse_steps,
+         "".join(f'{{"segment": "s{i}", "steps": [{{"caption": "wrap", "start": "00:05", "end": "{end}"}}]}}\n'
+                 for i, end in enumerate(["00:12", "00:61", "00:12", "00:61"], start=1)),
+         "<steps>:2: seconds field must be 00-59 in timestamp '00:61' (field 'end')"),
         (parse_steps, '{"segment": "s1", "steps": {}}', "<steps>:1: 'steps' must be a list"),
         (parse_steps, '{"segment": "s1", "steps": ["wrap"]}', "<steps>:1: each step must be a JSON object"),
         (parse_steps, '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
@@ -456,7 +487,8 @@ class TestQueryParsing:
         (parse_corpus, '{"video": "v1", "title": 1}', "<corpus>:1: 'title' and 'subtitle' must be strings"),
         (parse_queries, "q1 wrap the wrist\nq1 tie the elbow\n", "<queries>:2: duplicate question id 'q1'"),
     ],
-    ids=["grade-5000-digits", "duplicate-judgment", "answer-end-1e308", "steps-not-a-list", "step-not-an-object",
+    ids=["grade-5000-digits", "duplicate-judgment", "answer-end-1e308", "answers-repeated-bad-timestamp",
+         "steps-repeated-bad-timestamp", "steps-not-a-list", "step-not-an-object",
          "step-non-string-caption", "corpus-non-string-title", "duplicate-query-id"],
 )
 def test_each_fault_of_the_other_parsers_keeps_its_message_and_line(parse, text, message):
@@ -820,6 +852,15 @@ def test_container_defaults_are_not_shared(make, field):
     first, second = getattr(make(), field), getattr(make(), field)
     assert first == second and not first
     assert first is not second
+
+
+def test_each_judged_video_from_parse_qrels_has_its_own_answers_list():
+    qrels = parse_qrels(
+        "q1 0 v1 2\nq1 0 v2 1\nq1 0 v3 0\nq2 0 v1 2\n", '{"question": "q1", "video": "v1", "start": 0, "end": 5}'
+    )
+    records = [record for records in qrels.values() for record in records]
+    assert [record.answers for record in records] == [[TimeInterval(0, 5)], [], [], []]
+    assert len({id(record.answers) for record in records}) == len(records)
 
 
 def test_parameter_records_take_keywords_and_check_values():
