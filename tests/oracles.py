@@ -10,6 +10,10 @@ the two-row dynamic program that the bit-parallel LCS replaced.
 replaced, scoring every cell through ``alignment_score``.  The
 reference parsers at the end are the run parsers that the current ones
 replaced, and they share the per-field checks of ``medvideval.io_formats``.
+
+The instance generators at the end draw each family's random instances as
+plain values, once for every test that compares a family with its oracles;
+``to_production`` turns a localization instance into the package's records.
 """
 
 from __future__ import annotations
@@ -429,3 +433,94 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
                 for rank, c in enumerate(candidates, start=1)
             ]
     return by_question
+
+
+# --- instance generators ----------------------------------------------------------
+# Each draws plain values from a ``random.Random``.
+
+
+def random_instance(rng):
+    """One question's ranking and grades: 1-8 judged videos graded 0-2, and a
+    ranking of up to 8 distinct videos, judged or not."""
+    pool_size = rng.randint(1, 8)
+    videos = [f"v{i}" for i in range(pool_size)]
+    grades = {video: rng.randint(0, 2) for video in videos}
+    depth = rng.randint(0, 8)
+    universe = videos + [f"u{i}" for i in range(4)]
+    ranking = rng.sample(universe, min(depth, len(universe)))
+    return ranking, grades
+
+
+def random_localization_fixture(rng, questions=4, depth=8):
+    """A localization run ``{qid: [(video, (start, end), rank)]}`` and its
+    judgments ``{qid: [(video, grade, [(start, end)])]}``, in whole seconds.
+
+    Each question judges four videos; only a positive one has answers, and up
+    to ``depth`` candidates fall in those videos or in an unjudged one.
+    """
+    run = {}
+    qrels = {}
+    for q in range(questions):
+        qid = f"Q{q}"
+        videos = [f"v{q}_{i}" for i in range(4)]
+        pool = []
+        for video in videos:
+            grade = rng.randint(0, 2)
+            answers = []
+            if grade >= 1:
+                for _ in range(rng.randint(0, 2)):
+                    start = rng.randint(0, 40)
+                    answers.append((start, start + rng.randint(0, 20)))
+            pool.append((video, grade, answers))
+        qrels[qid] = pool
+        candidates = []
+        for rank in range(1, rng.randint(0, depth) + 1):
+            video = rng.choice(videos + ["unjudged"])
+            start = rng.randint(0, 40)
+            candidates.append((video, (start, start + rng.randint(0, 20)), rank))
+        run[qid] = candidates
+    return run, qrels
+
+
+def to_production(run, qrels):
+    """The run and judgments of ``random_localization_fixture`` as the package's
+    records; each candidate scores minus its rank."""
+    from medvideval.core import RelevanceGrade, TimeInterval
+    from medvideval.io_formats import JudgedVideo, LocalizationCandidate
+
+    prod_run = {
+        qid: [
+            LocalizationCandidate(qid, video, TimeInterval(*interval), float(-rank), rank)
+            for video, interval, rank in candidates
+        ]
+        for qid, candidates in run.items()
+    }
+    prod_qrels = {
+        qid: [
+            JudgedVideo(qid, video, RelevanceGrade(grade), [TimeInterval(*answer) for answer in answers])
+            for video, grade, answers in pool
+        ]
+        for qid, pool in qrels.items()
+    }
+    return prod_run, prod_qrels
+
+
+def to_oracle(run, qrels):
+    """The run and judgments of ``random_localization_fixture`` as the
+    localization oracles take them."""
+    oracle_run = {qid: [(video, interval) for video, interval, _ in candidates] for qid, candidates in run.items()}
+    oracle_qrels = {qid: {video: (grade, answers) for video, grade, answers in pool} for qid, pool in qrels.items()}
+    return oracle_run, oracle_qrels
+
+
+# Caption sides of punctuation alone, which tokenize to no tokens.
+PUNCTUATION_ONLY = ["...", "!!", "(-)", "--- ; ---"]
+
+
+def random_caption(rng, vocab):
+    """A caption's tokens and its text: 1-8 tokens from ``vocab``, or, about
+    one time in four, punctuation alone and no tokens."""
+    if rng.random() < 0.25:
+        return [], rng.choice(PUNCTUATION_ONLY)
+    tokens = rng.choices(vocab, k=rng.randint(1, 8))
+    return tokens, " ".join(tokens)

@@ -1,5 +1,4 @@
 import re
-import statistics
 
 import pytest
 from hypothesis import example, given
@@ -191,19 +190,6 @@ class TestInclusionDraw:
         assert base != inclusion_draw(0, "other", "Q1", 11)
         assert base != inclusion_draw(0, "sys", "Q2", 11)
         assert base != inclusion_draw(0, "sys", "Q1", 12)
-
-
-def test_mean_inclusions_near_expectation():
-    # quick version of the acceptance check: 1000 seeds, mean ~ 13
-    run = make_run()
-    counts = []
-    for seed in range(1000):
-        pool = build_pool([run], PoolSpec(seed=seed))
-        counts.append(sum(len(contributions) for contributions in pool.members["Q1"].values()))
-    mean = statistics.fmean(counts)
-    variance = 5 * 0.3 * 0.7 + 5 * 0.2 * 0.8 + 5 * 0.1 * 0.9
-    sigma = (variance / len(counts)) ** 0.5
-    assert abs(mean - 13.0) <= 4 * sigma
 
 
 def test_write_pool_lists_every_contribution_sorted():

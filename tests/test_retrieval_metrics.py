@@ -15,7 +15,7 @@ from medvideval.retrieval_metrics import (
     recall_at_k,
     retrieval_report,
 )
-from oracles import ap_oracle, ndcg_oracle, precision_oracle, recall_oracle
+from oracles import random_instance
 
 
 def judged(qid, grades):
@@ -123,34 +123,6 @@ class TestEvaluateRetrieval:
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
-
-
-def random_instance(rng):
-    pool_size = rng.randint(1, 8)
-    videos = [f"v{i}" for i in range(pool_size)]
-    grades = {video: rng.randint(0, 2) for video in videos}
-    depth = rng.randint(0, 8)
-    universe = videos + [f"u{i}" for i in range(4)]
-    ranking = rng.sample(universe, min(depth, len(universe)))
-    return ranking, grades
-
-
-def test_matches_oracles_on_random_instances():
-    rng = random.Random(1300)
-    for _ in range(300):
-        ranking, grades = random_instance(rng)
-        pool = judged("Q", grades)
-        relevant = {video for video, grade in grades.items() if grade >= 1}
-        k = rng.randint(1, 8)
-        # A ranking with repeats scores like its first-appearance order.
-        repeated = [video for video in ranking for _ in range(2)] + ranking[::-1]
-        for scored in (ranking, repeated):
-            assert average_precision(scored, pool) == pytest.approx(ap_oracle(ranking, relevant), abs=1e-9)
-            assert precision_at_k(scored, pool, k) == pytest.approx(
-                precision_oracle(ranking, relevant, k), abs=1e-9
-            )
-            assert recall_at_k(scored, pool, k) == pytest.approx(recall_oracle(ranking, relevant, k), abs=1e-9)
-            assert ndcg(scored, pool) == pytest.approx(ndcg_oracle(ranking, grades), abs=1e-9)
 
 
 def test_cross_consistency_of_precision_and_recall():

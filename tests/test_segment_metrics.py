@@ -22,7 +22,7 @@ from medvideval.segment_metrics import (
     temporal_iou,
     threshold_key,
 )
-from oracles import grid_iou, grid_relaxed_iou, mean_iou_oracle, recall_at_n_iou_oracle, reference_relaxed_iou
+from oracles import random_localization_fixture, reference_relaxed_iou, to_production
 
 
 class TestTemporalIoU:
@@ -144,89 +144,6 @@ class TestRecallAtNIoU:
             recall_at_n_iou({}, {"Q": []}, 1, 0.0)
         with pytest.raises(ValueError):
             recall_at_n_iou({}, {"Q": []}, 1, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# randomized fixtures shared by oracle and monotonicity checks
-# ---------------------------------------------------------------------------
-
-
-def random_localization_fixture(rng, questions=4, depth=8):
-    run = {}
-    qrels = {}
-    for q in range(questions):
-        qid = f"Q{q}"
-        videos = [f"v{q}_{i}" for i in range(4)]
-        pool = []
-        for video in videos:
-            grade = rng.randint(0, 2)
-            answers = []
-            if grade >= 1:
-                for _ in range(rng.randint(0, 2)):
-                    start = rng.randint(0, 40)
-                    answers.append((start, start + rng.randint(0, 20)))
-            pool.append((video, grade, answers))
-        qrels[qid] = [judged_video(qid, video, grade, answers) for video, grade, answers in pool]
-        candidates = []
-        for rank in range(1, rng.randint(0, depth) + 1):
-            video = rng.choice(videos + ["unjudged"])
-            start = rng.randint(0, 40)
-            candidates.append((video, (start, start + rng.randint(0, 20)), rank))
-        run[qid] = candidates
-    return run, qrels
-
-
-def to_production(run, qrels):
-    prod_run = {
-        qid: [
-            LocalizationCandidate(qid, video, TimeInterval(*interval), float(-rank), rank)
-            for video, interval, rank in candidates
-        ]
-        for qid, candidates in run.items()
-    }
-    return prod_run, qrels
-
-
-def to_oracle(run, qrels):
-    oracle_run = {
-        qid: [(video, interval) for video, interval, _ in candidates] for qid, candidates in run.items()
-    }
-    oracle_qrels = {
-        qid: {jv.video: (int(jv.grade), [(int(a.start), int(a.end)) for a in jv.answers]) for jv in pool}
-        for qid, pool in qrels.items()
-    }
-    return oracle_run, oracle_qrels
-
-
-def test_matches_grid_oracle_on_random_instances():
-    rng = random.Random(42)
-    for _ in range(150):
-        run, qrels = random_localization_fixture(rng)
-        prod_run, prod_qrels = to_production(run, qrels)
-        oracle_run, oracle_qrels = to_oracle(run, qrels)
-        n = rng.randint(1, 8)
-        mu = rng.choice([0.3, 0.5, 0.7])
-        lam = rng.choice([0, 3])
-        assert mean_iou(prod_run, prod_qrels, n, lam) == pytest.approx(
-            mean_iou_oracle(oracle_run, oracle_qrels, n, lam), abs=1e-9
-        )
-        assert recall_at_n_iou(prod_run, prod_qrels, n, mu, lam) == pytest.approx(
-            recall_at_n_iou_oracle(oracle_run, oracle_qrels, n, mu, lam), abs=1e-9
-        )
-
-
-def test_pairwise_iou_matches_grid_oracle():
-    rng = random.Random(9)
-    for _ in range(500):
-        a = sorted(rng.sample(range(0, 60), 2))
-        b = sorted(rng.sample(range(0, 60), 2))
-        assert temporal_iou(TimeInterval(*a), TimeInterval(*b)) == pytest.approx(
-            grid_iou(tuple(a), tuple(b)), abs=1e-9
-        )
-        lam = rng.randint(0, 5)
-        assert relaxed_iou(TimeInterval(*a), TimeInterval(*b), lam) == pytest.approx(
-            grid_relaxed_iou(tuple(a), tuple(b), lam), abs=1e-9
-        )
 
 
 @given(st.integers(min_value=0, max_value=100_000))

@@ -16,14 +16,7 @@ from medvideval.text_metrics import (
     token_masks,
     tokenize,
 )
-from oracles import (
-    bleu_oracle,
-    lcs_oracle,
-    meteor_alignment_oracle,
-    meteor_oracle,
-    reference_lcs_length,
-    rouge_l_oracle,
-)
+from oracles import PUNCTUATION_ONLY, lcs_oracle, reference_lcs_length
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=8)
 
@@ -147,20 +140,6 @@ class TestBleu:
         with pytest.raises(ValueError):
             bleu_n([CaptionPair("a", "a")], 5)
 
-    def test_matches_oracle_on_random_corpora(self):
-        rng = random.Random(77)
-        vocab = ["a", "b", "c", "d", "e"]
-        for _ in range(200):
-            pairs = []
-            tokens = []
-            for _ in range(rng.randint(1, 4)):
-                pred = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-                ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-                pairs.append(CaptionPair(" ".join(pred), " ".join(ref)))
-                tokens.append((pred, ref))
-            n = rng.randint(1, 4)
-            assert bleu_n(pairs, n) == pytest.approx(bleu_oracle(tokens, n), abs=1e-9)
-
     def test_perfect_score_iff_token_identical(self):
         rng = random.Random(31)
         vocab = ["a", "b", "c", "d"]
@@ -189,19 +168,6 @@ class TestMeteor:
     def test_crossed_tokens_worked_example(self):
         assert meteor(CaptionPair("b a", "a b")) == pytest.approx(0.5)
 
-    def test_matches_exhaustive_oracle(self):
-        from medvideval.text_metrics import _exact_alignment
-
-        rng = random.Random(4242)
-        # Six letters, then two: repeated tokens exercise the quota and skip rules.
-        for vocab in (["a", "b", "c", "d", "e", "f"], ["a", "b"]):
-            for _ in range(300):
-                pred = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-                ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-                assert _exact_alignment(pred, ref) == meteor_alignment_oracle(pred, ref)
-                produced = meteor(CaptionPair(" ".join(pred), " ".join(ref)))
-                assert produced == pytest.approx(meteor_oracle(pred, ref), abs=1e-9)
-
     @given(words.filter(bool), words.filter(bool))
     def test_bounded_and_formula_consistent(self, pred, ref):
         from medvideval.text_metrics import _exact_alignment
@@ -217,48 +183,6 @@ class TestMeteor:
             f_mean = 10 * precision * recall / (recall + 9 * precision)
             penalty = 0.5 * (chunks / matches) ** 3
             assert value == pytest.approx(f_mean * (1 - penalty))
-
-
-def test_rouge_matches_oracle_on_random_pairs():
-    rng = random.Random(11)
-    vocab = ["a", "b", "c", "d"]
-    for _ in range(200):
-        pred = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-        produced = rouge_l(CaptionPair(" ".join(pred), " ".join(ref)))
-        p, r, f = rouge_l_oracle(pred, ref)
-        assert (produced.precision, produced.recall, produced.f) == pytest.approx((p, r, f), abs=1e-9)
-
-
-# Sides made of punctuation alone tokenize to an empty list.
-PUNCTUATION_ONLY = ["...", "!!", "(-)", "--- ; ---"]
-
-
-def random_side(rng, vocab):
-    """A token list and its caption text; about one side in four has no tokens."""
-    if rng.random() < 0.25:
-        return [], rng.choice(PUNCTUATION_ONLY)
-    tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-    return tokens, " ".join(tokens)
-
-
-def test_meteor_matches_oracle_with_punctuation_only_sides():
-    rng = random.Random(4243)
-    vocab = ["a", "b", "c", "d", "e", "f"]
-    for _ in range(300):
-        (pred, pred_text), (ref, ref_text) = random_side(rng, vocab), random_side(rng, vocab)
-        assert meteor(CaptionPair(pred_text, ref_text)) == pytest.approx(meteor_oracle(pred, ref), abs=1e-9)
-
-
-def test_bleu_matches_oracle_with_punctuation_only_sides():
-    rng = random.Random(78)
-    vocab = ["a", "b", "c", "d", "e"]
-    for _ in range(300):
-        sides = [(random_side(rng, vocab), random_side(rng, vocab)) for _ in range(rng.randint(1, 4))]
-        pairs = [CaptionPair(pred_text, ref_text) for (_, pred_text), (_, ref_text) in sides]
-        tokens = [(pred, ref) for (pred, _), (ref, _) in sides]
-        n = rng.randint(1, 4)
-        assert bleu_n(pairs, n) == pytest.approx(bleu_oracle(tokens, n), abs=1e-9)
 
 
 # Punctuation alone (no tokens), or one to five tokens: often shorter than the BLEU order.
