@@ -15,71 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commands import ORGANISER, SMOKE, STEPS, TESTS, command_argv, track_inputs
+from commands import ORGANISER, STEPS, TESTS, command_argv, track_inputs
 from medvideval import cli
 from medvideval.cli import build_parser
 from medvideval.cli import run_cli as main
-from medvideval.io_formats import MetricReport, parse_retrieval_run, write_report
+from medvideval.io_formats import MetricReport, write_report
 
-SMOKE_CORPUS = str(SMOKE / "corpus.jsonl")
-SMOKE_QUERIES = str(SMOKE / "queries.txt")
-SMOKE_GOLDEN_RUN = TESTS / "data" / "smoke_bm25_k10.run"
 ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
 STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
 REPO = TESTS.parent
-
-RUN_TEXT = """\
-Q1 Q0 v1 1 9.5 sysA
-Q1 Q0 v2 2 8.0 sysA
-Q2 Q0 v3 1 7.0 sysA
-"""
-
-QRELS_TEXT = """\
-Q1 0 v1 2
-Q1 0 v2 0
-Q2 0 v3 1
-"""
-
-ANSWERS_TEXT = "\n".join(
-    [
-        json.dumps({"question": "Q1", "video": "v1", "start": "02:30", "end": "03:10"}),
-        json.dumps({"question": "Q2", "video": "v3", "start": 10, "end": 20}),
-    ]
-)
-
-LOC_RUN_TEXT = "\n".join(
-    [
-        json.dumps({"question": "Q1", "video": "v1", "start": 150, "end": 190, "score": 0.9}),
-        json.dumps({"question": "Q2", "video": "v3", "start": 10, "end": 15, "score": 0.7}),
-    ]
-)
-
-STEPS_TEXT = json.dumps(
-    {
-        "segment": "seg1",
-        "steps": [
-            {"caption": "Stabilize the arm with the board", "start": "00:05", "end": "00:12"},
-            {"caption": "Tie the elbow to the board", "start": "00:12", "end": "00:20"},
-        ],
-    }
-)
-
-
-@pytest.fixture
-def files(tmp_path):
-    paths = {}
-    for name, text in [
-        ("run.txt", RUN_TEXT),
-        ("qrels.txt", QRELS_TEXT),
-        ("answers.jsonl", ANSWERS_TEXT),
-        ("loc.jsonl", LOC_RUN_TEXT),
-        ("steps.jsonl", STEPS_TEXT),
-    ]:
-        target = tmp_path / name
-        target.write_text(text, encoding="utf-8")
-        paths[name] = str(target)
-    paths["dir"] = tmp_path
-    return paths
 
 
 @pytest.fixture(scope="module")
@@ -98,198 +42,44 @@ def test_every_subcommand_has_a_command_line():
 
 
 class TestEvalRetrieval:
-    def test_tabular_report(self, files, capsys):
-        code = main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]])
-        out = capsys.readouterr().out
-        assert code == 0
-        for key in ("MAP\t", "R@5\t", "R@10\t", "P@5\t", "P@10\t", "nDCG\t"):
-            assert key in out
-
-    def test_structured_report_parses(self, files, tmp_path):
-        out_path = tmp_path / "report.json"
-        code = main(
-            [
-                "eval-retrieval",
-                "--run",
-                files["run.txt"],
-                "--qrels",
-                files["qrels.txt"],
-                "--format",
-                "structured",
-                "--out",
-                str(out_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out_path.read_text(encoding="utf-8"))
-        assert report["report"] == "retrieval"
-        assert report["params"]["k"] == [5, 10]
-
-    def test_reports_are_byte_identical(self, files, tmp_path):
-        args = ["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]]
-        first = tmp_path / "a.tsv"
-        second = tmp_path / "b.tsv"
-        assert main(args + ["--out", str(first)]) == 0
-        assert main(args + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_missing_file_exits_2(self, files, capsys):
-        assert main(["eval-retrieval", "--run", "no-such-file", "--qrels", files["qrels.txt"]]) == 2
+    def test_missing_file_exits_2(self, fixture_inputs, tmp_path, capsys):
+        argv = command_argv(fixture_inputs, tmp_path)["eval-retrieval"]
+        argv[argv.index("--run") + 1] = "no-such-file"
+        assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: no-such-file: No such file or directory\n")
 
-    def test_unknown_flag_exits_2(self, files, capsys):
-        assert main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--bogus"]) == 2
+    def test_unknown_flag_exits_2(self, fixture_inputs, tmp_path, capsys):
+        assert main([*command_argv(fixture_inputs, tmp_path)["eval-retrieval"], "--bogus"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("error: unrecognized arguments: --bogus\n"), err
 
 
-class TestEvalLocalization:
-    def test_table_shape(self, files, capsys):
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        for key in ("n=1/IoU=0.3", "n=10/mIoU"):
-            assert key in out
-
-    def test_perfect_run_scores_100(self, files, capsys):
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-                "--format",
-                "structured",
-            ]
-        )
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["values"]["n=1"]["IoU=0.7"] == pytest.approx(50.0)  # Q2 interval is partial
-        assert report["params"]["lambda"] == 0.0
-
-    def test_lambda_flag(self, files, capsys):
-        code = main(
-            [
-                "eval-localization",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-                "--lambda",
-                "3",
-                "--format",
-                "structured",
-            ]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["params"]["lambda"] == 3.0
-
-
-class TestEvalVcval:
-    def test_combines_both_reports(self, files, capsys):
-        code = main(
-            [
-                "eval-vcval",
-                "--run",
-                files["loc.jsonl"],
-                "--qrels",
-                files["qrels.txt"],
-                files["answers.jsonl"],
-                "--format",
-                "structured",
-            ]
-        )
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["report"] == "vcval"
-        assert "MAP" in report["values"]["retrieval"]
-        assert "n=1" in report["values"]["localization"]
-
-
-class TestEvalSteps:
-    def test_theta_embedded(self, files, capsys):
-        code = main(
-            [
-                "eval-steps",
-                "--pred",
-                files["steps.jsonl"],
-                "--gold",
-                files["steps.jsonl"],
-                "--theta",
-                "0.4",
-                "--format",
-                "structured",
-            ]
-        )
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["params"]["theta"] == 0.4
-        assert report["params"]["lambda"] == 3.0
-        assert report["values"]["Precision"] == 100.0
-        assert report["values"]["mIoU"] == 100.0
-
-    def test_captions_report(self, files, capsys):
-        code = main(
-            [
-                "eval-captions",
-                "--pred",
-                files["steps.jsonl"],
-                "--gold",
-                files["steps.jsonl"],
-                "--format",
-                "structured",
-            ]
-        )
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["values"]["BLEU-2"] == 100.0
-        assert report["values"]["ROUGE-L"] == 100.0
+def _pool_argv(fixture_inputs, out, *runs):
+    """The pool command line of ``command_argv``, pooling ``runs`` in place of its one run."""
+    argv = command_argv(fixture_inputs, out)["pool"]
+    argv[argv.index("--run") + 1 : argv.index("--out")] = map(str, runs)
+    return argv
 
 
 class TestPoolCommand:
-    def test_pool_deterministic(self, files, tmp_path, capsys):
-        first = tmp_path / "pool_a.txt"
-        second = tmp_path / "pool_b.txt"
-        base = ["pool", "--run", files["run.txt"], "--seed", "7"]
-        assert main(base + ["--out", str(first)]) == 0
-        assert main(base + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-        assert "Q1 v1 sysA 1" in first.read_text(encoding="utf-8")
-
-    def test_runs_sharing_a_tag_on_a_question_exit_2(self, files, tmp_path, capsys):
-        copy = tmp_path / "copy.run"
-        copy.write_text(RUN_TEXT, encoding="utf-8")
-        out = tmp_path / "pool.txt"
-        assert main(["pool", "--run", files["run.txt"], str(copy), "--out", str(out)]) == 2
+    def test_runs_sharing_a_tag_on_a_question_exit_2(self, fixture_inputs, tmp_path, capsys):
+        run, copy = fixture_inputs / "retrieval.run", ORGANISER / "retrieval.run"
+        assert main(_pool_argv(fixture_inputs, tmp_path, run, copy)) == 2
         assert capsys.readouterr().err == (
-            f"error: run tag 'sysA' is used for question 'Q1' by both {files['run.txt']} and {copy}; "
+            f"error: run tag 'golden' is used for question 'q1' by both {run} and {copy}; "
             "pooled runs need distinct tags on a question they share\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "pool").exists()
 
-    def test_a_malformed_third_run_is_reported_before_a_tag_conflict(self, files, tmp_path, capsys):
-        # Runs 1 and 2 share tag sysA on Q1, but every run is parsed before any is pooled.
-        copy, broken = tmp_path / "copy.run", tmp_path / "broken.run"
-        copy.write_text(RUN_TEXT, encoding="utf-8")
-        broken.write_text("Q1 Q0 v1 1 9.5 sysB\nQ1 Q0 v2 2 8.0\n", encoding="utf-8")
-        out = tmp_path / "pool.txt"
-        assert main(["pool", "--run", files["run.txt"], str(copy), str(broken), "--out", str(out)]) == 2
+    def test_a_malformed_third_run_is_reported_before_a_tag_conflict(self, fixture_inputs, tmp_path, capsys):
+        # Runs 1 and 2 share tag golden on q1, but every run is parsed before any is pooled.
+        broken = fixture_inputs / "bad.run"
+        runs = [fixture_inputs / "retrieval.run", ORGANISER / "retrieval.run", broken]
+        assert main(_pool_argv(fixture_inputs, tmp_path, *runs)) == 2
         assert capsys.readouterr().err == (
-            f"error: {broken}:2: expected 6 fields (qid Q0 video rank score tag), got 5\n"
+            f"error: {broken}:25: expected 6 fields (qid Q0 video rank score tag), got 3\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "pool").exists()
 
     def test_memory_does_not_grow_with_the_number_of_runs(self, tmp_path):
         # Each run keeps only the ranks the schedule reaches, so pooling six
@@ -317,66 +107,48 @@ class TestPoolCommand:
         one, six = traced_peak(paths[:1]), traced_peak(paths)
         assert six < 1.5 * one, f"pooling 6 runs peaked at {six} bytes, 1 run at {one}"
 
-    def test_one_submission_split_over_files_pools_like_one_file(self, files, tmp_path, capsys):
-        halves = [tmp_path / "q1.run", tmp_path / "q2.run"]
-        lines = RUN_TEXT.splitlines(keepends=True)
-        halves[0].write_text("".join(lines[:2]), encoding="utf-8")
-        halves[1].write_text(lines[2], encoding="utf-8")
-        assert main(["pool", "--run", files["run.txt"], "--seed", "7"]) == 0
-        whole = capsys.readouterr().out
-        assert main(["pool", "--run", *map(str, halves), "--seed", "7"]) == 0
-        assert capsys.readouterr().out == whole
+    def test_one_submission_split_over_files_pools_like_one_file(self, fixture_inputs, tmp_path):
+        run = fixture_inputs / "retrieval.run"
+        lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+        split = next(number for number, line in enumerate(lines) if line.startswith("q2 "))
+        halves = [tmp_path / "q1.run", tmp_path / "rest.run"]
+        halves[0].write_text("".join(lines[:split]), encoding="utf-8")
+        halves[1].write_text("".join(lines[split:]), encoding="utf-8")
+        assert main([*_pool_argv(fixture_inputs, tmp_path, run), "--seed", "7"]) == 0
+        whole = (tmp_path / "pool").read_bytes()
+        assert main([*_pool_argv(fixture_inputs, tmp_path, *halves), "--seed", "7"]) == 0
+        assert (tmp_path / "pool").read_bytes() == whole
+
+
+def _search_argv(argv, index_dir):
+    """The search command line of ``argv``, a ``command_argv`` table, on the index in ``index_dir``."""
+    search = argv["search"]
+    search[1] = str(index_dir)
+    return search
 
 
 class TestIndexAndSearch:
-    def test_smoke_corpus_round_trip(self, tmp_path, capsys):
-        index_dir = tmp_path / "idx"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        run_path = tmp_path / "run.txt"
-        code = main(
-            [
-                "search",
-                str(index_dir),
-                SMOKE_QUERIES,
-                "--k",
-                "10",
-                "--out",
-                str(run_path),
-            ]
-        )
-        assert code == 0
-        run = parse_retrieval_run(run_path.read_text(encoding="utf-8"))
-        assert set(run) == {"Q1", "Q2", "Q3", "Q4", "Q5"}
-        assert all(len(entries) <= 10 for entries in run.values())
-        assert run["Q1"][0].video == "vid01"  # the nebulizer video tops its query
-        assert run["Q1"][0].tag == "bm25-baseline"
+    def test_smoke_run_matches_golden_bytes(self, fixture_inputs, tmp_path):
+        argv = command_argv(fixture_inputs, tmp_path)
+        assert main(argv["index"]) == 0
+        assert main(_search_argv(argv, tmp_path / "index")) == 0
+        assert (tmp_path / "search").read_bytes() == (TESTS / "data" / "smoke_bm25_k10.run").read_bytes()
 
-    def test_no_title_changes_ranking_inputs(self, tmp_path):
-        with_title = tmp_path / "with"
-        without_title = tmp_path / "without"
-        assert main(["index", SMOKE_CORPUS, "--out", str(with_title)]) == 0
-        assert main(["index", SMOKE_CORPUS, "--out", str(without_title), "--no-title"]) == 0
-        assert (with_title / "bm25.idx").read_bytes() != (without_title / "bm25.idx").read_bytes()
-
-    def test_smoke_run_matches_golden_bytes(self, tmp_path, capsys):
-        index_dir = tmp_path / "idx"
-        run_path = tmp_path / "run.txt"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        assert main(["search", str(index_dir), SMOKE_QUERIES, "--k", "10", "--out", str(run_path)]) == 0
-        assert run_path.read_bytes() == SMOKE_GOLDEN_RUN.read_bytes()
-
-    def test_whitespace_video_id_exits_2(self, tmp_path, capsys):
+    def test_whitespace_video_id_exits_2(self, fixture_inputs, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"video": "v 1", "subtitle": "press the wound"}) + "\n", encoding="utf-8")
-        assert main(["index", str(corpus), "--out", str(tmp_path / "idx")]) == 2
+        text = (fixture_inputs / "corpus.jsonl").read_text(encoding="utf-8")
+        corpus.write_text(text.replace('"vid01"', '"vid 01"', 1), encoding="utf-8")
+        argv = command_argv(fixture_inputs, tmp_path)["index"]
+        argv[1] = str(corpus)
+        assert main(argv) == 2
         assert f"{corpus}:1:" in capsys.readouterr().err
-        assert not (tmp_path / "idx").exists()
+        assert not (tmp_path / "index").exists()
 
     @pytest.mark.parametrize("damage", ["version-1", "corrupt", "truncated"])
-    def test_damaged_index_exits_2_naming_the_file(self, tmp_path, damage, capsys):
-        index_dir = tmp_path / "idx"
-        assert main(["index", SMOKE_CORPUS, "--out", str(index_dir)]) == 0
-        target = index_dir / "bm25.idx"
+    def test_damaged_index_exits_2_naming_the_file(self, fixture_inputs, tmp_path, damage, capsys):
+        argv = command_argv(fixture_inputs, tmp_path)
+        assert main(argv["index"]) == 0
+        target = tmp_path / "index" / "bm25.idx"
         data = bytearray(target.read_bytes())
         if damage == "version-1":
             data[0] = 1
@@ -386,7 +158,7 @@ class TestIndexAndSearch:
             del data[len(data) // 2 :]
         target.write_bytes(bytes(data))
         capsys.readouterr()
-        assert main(["search", str(index_dir), SMOKE_QUERIES]) == 2
+        assert main(_search_argv(argv, tmp_path / "index")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target}: ")
         if damage == "version-1":
@@ -566,31 +338,33 @@ def test_every_golden_file_has_a_case(fixture, cases):
     assert set(goldens) == {path.name for path in (fixture / "expected").iterdir()}
 
 
-def test_failed_out_write_keeps_the_previous_file(files, tmp_path, monkeypatch, capsys):
-    out_path = tmp_path / "report.tsv"
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
+def test_failed_out_write_keeps_the_previous_file(fixture_inputs, tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "eval-retrieval"
     out_path.write_bytes(b"previous report\n")
 
     def fail(source, target):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(os, "replace", fail)
-    code = main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--out", str(out_path)])
+    code = main(command_argv(fixture_inputs, tmp_path)["eval-retrieval"])
     assert code == 2
     assert "no space left" in capsys.readouterr().err
     assert out_path.read_bytes() == b"previous report\n"
     assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
 
 
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 @pytest.mark.parametrize(
     "target, reason",
     [("missing/report.tsv", "No such file or directory"), ("report.tsv", "Is a directory")],
     ids=["missing-parent", "directory-at-target"],
 )
-def test_failed_out_write_names_the_out_path(files, tmp_path, capsys, target, reason):
+def test_failed_out_write_names_the_out_path(fixture_inputs, tmp_path, capsys, target, reason):
     (tmp_path / "report.tsv").mkdir()
     out_path = tmp_path / target
     before = sorted(tmp_path.rglob("*"))
-    code = main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--out", str(out_path)])
+    code = main([*command_argv(fixture_inputs, tmp_path)["eval-retrieval"], "--out", str(out_path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {out_path}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
@@ -601,10 +375,10 @@ def test_failed_out_write_names_the_out_path(files, tmp_path, capsys, target, re
     [("blocker", "File exists"), ("blocker/sub", "Not a directory")],
     ids=["file-at-target", "file-as-parent"],
 )
-def test_failed_index_directory_names_the_out_path(tmp_path, capsys, target, reason):
+def test_failed_index_directory_names_the_out_path(fixture_inputs, tmp_path, capsys, target, reason):
     (tmp_path / "blocker").write_bytes(b"not a directory\n")
     out_dir = tmp_path / target
-    assert main(["index", SMOKE_CORPUS, "--out", str(out_dir)]) == 2
+    assert main([*command_argv(fixture_inputs, tmp_path)["index"], "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {out_dir}: {reason}\n"
     assert (tmp_path / "blocker").read_bytes() == b"not a directory\n"
 
@@ -622,12 +396,12 @@ def test_out_naming_a_fifo_exits_2_and_leaves_it(fixture_inputs, tmp_path, capsy
     assert sorted(tmp_path.rglob("*")) == before and fifo.is_fifo()
 
 
-def test_unexpected_exception_exits_1_with_one_line(files, monkeypatch, capsys):
+def test_unexpected_exception_exits_1_with_one_line(fixture_inputs, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("scorer bug")
 
     monkeypatch.setattr("medvideval.cli.evaluate_retrieval", fail)
-    assert main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"]]) == 1
+    assert main(command_argv(fixture_inputs, tmp_path)["eval-retrieval"]) == 1
     assert capsys.readouterr() == ("", "internal error: scorer bug\n")
 
 
@@ -922,11 +696,11 @@ def test_entry_point_turns_the_collector_off_and_freezes_start_up(monkeypatch, r
     assert frozen > 0
 
 
-def test_run_cli_keeps_the_collector_settings(files, restore_gc):
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
+def test_run_cli_keeps_the_collector_settings(fixture_inputs, tmp_path, restore_gc):
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         frozen = gc.get_freeze_count()
-        out = str(files["dir"] / "report.tsv")
-        assert main(["eval-retrieval", "--run", files["run.txt"], "--qrels", files["qrels.txt"], "--out", out]) == 0
+        assert main(command_argv(fixture_inputs, tmp_path)["eval-retrieval"]) == 0
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == frozen

@@ -3,7 +3,8 @@
 Each example writes a tiny track from the shared instance generators, with
 shuffled lines, runs a command through ``run_cli`` with random flags, and
 compares its structured report with the oracles, computed from the generated
-values and never from the parsers.  ``pool`` is compared with a recount of
+values and never from the parsers; the report's ``params`` must echo each
+drawn flag.  ``pool`` is compared with a recount of
 the inclusion draws, and ``index`` plus ``search`` with ``bm25_rank_oracle``.
 So a flag that never reaches its parameter, or a file read in the wrong role,
 fails here even where no golden file covers it.
@@ -33,12 +34,26 @@ def write_shuffled(path, lines, rng):
     return str(path)
 
 
-def structured_report(argv, out):
-    """The ``values`` of the structured report that ``argv`` writes to ``out``; warnings are ignored."""
+def structured_report(argv, out, params):
+    """The ``values`` of the structured report that ``argv`` writes to ``out``; warnings are ignored.
+
+    The report's ``params`` must echo ``params``, the flag values drawn; it may hold more keys.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run_cli([*argv, "--format", "structured", "--out", str(out)]) == 0
-    return json.loads(out.read_text(encoding="utf-8"))["values"]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert_echoes(report["params"], params)
+    return report["values"]
+
+
+def assert_echoes(got, want, label="params"):
+    """``got`` holds each key of ``want``, at every level, with its value."""
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert_echoes(got[key], value, f"{label}/{key}")
+        else:
+            assert got[key] == value, f"{label}/{key}: got {got[key]!r}, flag {value!r}"
 
 
 def assert_matches(got, want, label="values"):
@@ -105,11 +120,12 @@ def test_eval_retrieval_matches_the_ranking_oracles(tmp_path, seed):
         write_shuffled(tmp_path / "qrels.txt", qrels, rng),
         *k_flag,
     ]
-    assert_matches(structured_report(argv, tmp_path / "report.json"), retrieval_values(rankings, grades, ks))
+    assert_matches(structured_report(argv, tmp_path / "report.json", {"k": ks}), retrieval_values(rankings, grades, ks))
 
 
 def localization_track(tmp_path, rng):
-    """The input flags of a random localization track, the IoU table the oracles give for them, and the track.
+    """The input flags of a random localization track, the parameters they set, the IoU table the
+    oracles give for them, and the track.
 
     The run's last question is unjudged; ``--lambda`` is 0 or 3.
     """
@@ -158,27 +174,28 @@ def localization_track(tmp_path, rng):
         }
         for n in ns
     }
-    return inputs, table, oracle_run, qrels
+    return inputs, {"n": ns, "mu": sorted(mus), "lambda": lam}, table, oracle_run, qrels
 
 
 @reuses_tmp_path
 @given(seeds)
 def test_eval_localization_matches_the_iou_oracles(tmp_path, seed):
-    inputs, table, _, _ = localization_track(tmp_path, random.Random(seed))
-    assert_matches(structured_report(["eval-localization", *inputs], tmp_path / "localization.json"), table)
+    inputs, params, table, _, _ = localization_track(tmp_path, random.Random(seed))
+    assert_matches(structured_report(["eval-localization", *inputs], tmp_path / "localization.json", params), table)
 
 
 @reuses_tmp_path
 @given(seeds)
 def test_eval_vcval_matches_the_ranking_and_iou_oracles(tmp_path, seed):
     rng = random.Random(seed)
-    inputs, table, oracle_run, qrels = localization_track(tmp_path, rng)
+    inputs, params, table, oracle_run, qrels = localization_track(tmp_path, rng)
     ks, k_flag = random_depths(rng, "--k")
     # vcval ranks each question's videos in order of first appearance among its candidates.
     rankings = {qid: list(dict.fromkeys(video for video, _ in candidates)) for qid, candidates in oracle_run.items()}
     grades = {qid: {video: grade for video, grade, _ in pool} for qid, pool in qrels.items()}
+    echoed = {"retrieval": {"k": ks}, "localization": params}
     assert_matches(
-        structured_report(["eval-vcval", *inputs, *k_flag], tmp_path / "vcval.json"),
+        structured_report(["eval-vcval", *inputs, *k_flag], tmp_path / "vcval.json", echoed),
         {"retrieval": retrieval_values(rankings, grades, ks), "localization": table},
     )
 
@@ -278,7 +295,8 @@ def test_eval_steps_matches_the_alignment_and_iou_oracles(tmp_path, seed):
         "counts": {"tp": tp, "fp": fp, "fn": fn},
     }
     argv = ["eval-steps", *inputs, "--lambda", str(lam), "--mu", ",".join(map(str, mus))]
-    assert_matches(structured_report(argv, tmp_path / "steps.json"), want)
+    echoed = {**params, "lambda": lam, "mu": sorted(mus)}
+    assert_matches(structured_report(argv, tmp_path / "steps.json", echoed), want)
 
 
 @reuses_tmp_path
@@ -297,7 +315,7 @@ def test_eval_captions_matches_the_text_oracles(tmp_path, seed):
         "ROUGE-L": 100 * statistics.fmean(oracles.rouge_l_oracle(*pair)[2] for pair in pairs) if pairs else 0.0,
         "matched_pairs": len(pairs),
     }
-    assert_matches(structured_report(["eval-captions", *inputs], tmp_path / "captions.json"), want)
+    assert_matches(structured_report(["eval-captions", *inputs], tmp_path / "captions.json", params), want)
 
 
 # The track's pool schedule: the first 10 positions always, then 5 each at 0.3, 0.2 and 0.1.

@@ -1,14 +1,17 @@
+import ast
 import json
 import math
 import re
 import sys
 from decimal import Decimal
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medvideval import io_formats
 from medvideval.bm25 import Bm25Params
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval, plain_number
 from medvideval.io_formats import (
@@ -41,6 +44,39 @@ from medvideval.text_metrics import CaptionPair
 # ---------------------------------------------------------------------------
 
 
+# Each fault of parse_retrieval_run, by test id: its input and its exact message.
+RUN_FAULTS = {
+    "rank-0": ("q1 Q0 v1 0 2.0 t", "<run>:1: rank must be >= 1, got '0'"),
+    "rank--1": ("q1 Q0 v1 -1 2.0 t", "<run>:1: rank must be >= 1, got '-1'"),
+    "rank-1.5": ("q1 Q0 v1 1.5 2.0 t", "<run>:1: rank must be an integer, got '1.5'"),
+    # Tokens of 5,000 characters: each message stays short.
+    "rank-5000-digits": ("q1 Q0 v1 " + "9" * 5000 + " 2.0 t", "<run>:1: rank has too many digits (5,000 characters)"),
+    "score-5000-digits": ("q1 Q0 v1 1 " + "9" * 5000 + " t", f"<run>:1: score must be finite, got '{'9' * 40}'... (5,000 characters)"),
+    "rank-5000-letters": ("q1 Q0 v1 " + "x" * 5000 + " 2.0 t", f"<run>:1: rank must be an integer, got '{'x' * 40}'... (5,000 characters)"),
+    "score-x": ("q1 Q0 v1 1 x t", "<run>:1: score must be a number, got 'x'"),
+    "score-nan": ("q1 Q0 v1 1 nan t", "<run>:1: score must be finite, got 'nan'"),
+    "score-inf": ("q1 Q0 v1 1 inf t", "<run>:1: score must be finite, got 'inf'"),
+    "5-fields": ("q1 Q0 v1 1 2.0", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 5"),
+    "7-fields": ("q1 Q0 v1 1 2.0 t extra", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 7"),
+    # A bad line after a duplicate: the duplicate comes first in the file.
+    "bad-line-after-duplicate": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 2 1.0 t\nq1 Q0 v2 x 0.5 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
+    # Interleaved questions: q2's repeat on line 3 comes before q1's on line 4.
+    "interleaved-questions": (
+        "q1 Q0 v1 1 2.0 t\nq2 Q0 v1 1 2.0 t\nq2 Q0 v1 2 1.0 t\nq1 Q0 v1 2 1.0 t",
+        "<run>:3: duplicate video 'v1' for question 'q2'",
+    ),
+    "duplicate-rank": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 1 1.0 t", "<run>:2: duplicate rank 1 for question 'q1'"),
+    # A line that repeats both the video and the rank names the video.
+    "duplicate-video-and-rank": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 1 1.0 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
+    # A malformed line before a later duplicate: the malformed line comes first in the file.
+    "bad-line-before-duplicate": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 x 1.0 t\nq1 Q0 v1 3 0.5 t", "<run>:2: rank must be an integer, got 'x'"),
+    # A bad rank token that repeats is reported where it first appears.
+    "repeated-bad-rank": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 0 1.0 t\nq1 Q0 v3 2 0.5 t\nq1 Q0 v4 0 0.4 t", "<run>:2: rank must be >= 1, got '0'"),
+    # U+000C and U+2028 end a line for str.splitlines() but not here, so the bad rank is on line 2.
+    "line-ends-at-line-feed-only": ("q1 Q0 v1 1 2.0 t\x0c\u2028\nq1 Q0 v2 x 1.0 t\n", "<run>:2: rank must be an integer, got 'x'"),
+}
+
+
 class TestRetrievalRunParsing:
     def test_single_line(self):
         run = parse_retrieval_run("Q1 Q0 v42 1 9.3 sysA")
@@ -55,78 +91,12 @@ class TestRetrievalRunParsing:
         run = parse_retrieval_run(text)
         assert [e.video for e in run["Q1"]] == ["high", "tie", "low"]
 
-    def test_duplicate_video_rejected(self):
-        with pytest.raises(FormatError, match="duplicate video"):
-            parse_retrieval_run("Q1 Q0 v1 1 2.0 t\nQ1 Q0 v1 2 1.0 t")
-
-    def test_duplicate_rank_rejected(self):
-        with pytest.raises(FormatError, match="duplicate rank"):
-            parse_retrieval_run("Q1 Q0 v1 1 2.0 t\nQ1 Q0 v2 1 1.0 t")
-
     def test_thousand_entries_accepted(self):
         text = "\n".join(f"Q1 Q0 v{i} {i} {1000 - i} tag" for i in range(1, 1001))
         run = parse_retrieval_run(text)
         assert len(run["Q1"]) == 1000
 
-    def test_error_reports_line_number(self):
-        text = "Q1 Q0 v1 1 2.0 t\nQ1 Q0 v2 oops 1.0 t"
-        with pytest.raises(FormatError, match=":2"):
-            parse_retrieval_run(text, source="run.txt")
-
-    @pytest.mark.parametrize(
-        "line",
-        ["Q1 Q0 v1 1 2.0", "Q1 Q0 v1 0 2.0 t", "Q1 Q0 v1 -1 2.0 t", "Q1 Q0 v1 1 nan t", "Q1 Q0 v1 1 inf t"],
-    )
-    def test_rejects_bad_lines(self, line):
-        with pytest.raises(FormatError):
-            parse_retrieval_run(line)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("q1 Q0 v1 0 2.0 t", "<run>:1: rank must be >= 1, got '0'"),
-            ("q1 Q0 v1 1.5 2.0 t", "<run>:1: rank must be an integer, got '1.5'"),
-            # Tokens of 5,000 characters: each message stays short.
-            ("q1 Q0 v1 " + "9" * 5000 + " 2.0 t", "<run>:1: rank has too many digits (5,000 characters)"),
-            ("q1 Q0 v1 1 " + "9" * 5000 + " t", f"<run>:1: score must be finite, got '{'9' * 40}'... (5,000 characters)"),
-            ("q1 Q0 v1 " + "x" * 5000 + " 2.0 t", f"<run>:1: rank must be an integer, got '{'x' * 40}'... (5,000 characters)"),
-            ("q1 Q0 v1 1 nan t", "<run>:1: score must be finite, got 'nan'"),
-            ("q1 Q0 v1 1 inf t", "<run>:1: score must be finite, got 'inf'"),
-            ("q1 Q0 v1 1 2.0", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 5"),
-            ("q1 Q0 v1 1 2.0 t extra", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 7"),
-            # A bad line after a duplicate: the duplicate comes first in the file.
-            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 2 1.0 t\nq1 Q0 v2 x 0.5 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
-            # Interleaved questions: q2's repeat on line 3 comes before q1's on line 4.
-            (
-                "q1 Q0 v1 1 2.0 t\nq2 Q0 v1 1 2.0 t\nq2 Q0 v1 2 1.0 t\nq1 Q0 v1 2 1.0 t",
-                "<run>:3: duplicate video 'v1' for question 'q2'",
-            ),
-            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 1 1.0 t", "<run>:2: duplicate rank 1 for question 'q1'"),
-            # A line that repeats both the video and the rank names the video.
-            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v1 1 1.0 t", "<run>:2: duplicate video 'v1' for question 'q1'"),
-            # A malformed line before a later duplicate: the malformed line comes first in the file.
-            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 x 1.0 t\nq1 Q0 v1 3 0.5 t", "<run>:2: rank must be an integer, got 'x'"),
-            # A bad rank token that repeats is reported where it first appears.
-            ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 0 1.0 t\nq1 Q0 v3 2 0.5 t\nq1 Q0 v4 0 0.4 t", "<run>:2: rank must be >= 1, got '0'"),
-        ],
-        ids=[
-            "rank-0",
-            "rank-1.5",
-            "rank-5000-digits",
-            "score-5000-digits",
-            "rank-5000-letters",
-            "score-nan",
-            "score-inf",
-            "5-fields",
-            "7-fields",
-            "bad-line-after-duplicate",
-            "interleaved-questions",
-            "duplicate-rank",
-            "duplicate-video-and-rank",
-            "bad-line-before-duplicate",
-            "repeated-bad-rank",
-        ],
-    )
+    @pytest.mark.parametrize("text, message", RUN_FAULTS.values(), ids=RUN_FAULTS)
     def test_each_fault_keeps_its_message_and_line(self, text, message):
         with pytest.raises(FormatError) as raised:
             parse_retrieval_run(text)
@@ -155,11 +125,6 @@ class TestQrelsParsing:
         assert jv.grade is RelevanceGrade.DEFINITELY_RELEVANT
         assert jv.answers == [TimeInterval(150, 190)]
 
-    def test_interval_on_not_relevant_video_rejected(self):
-        answers = json.dumps({"question": "Q1", "video": "v42", "start": "02:30", "end": "03:10"})
-        with pytest.raises(FormatError, match="not-relevant"):
-            parse_qrels("Q1 0 v42 0", answers)
-
     def test_multiple_answers_accumulate(self):
         answers = "\n".join(
             json.dumps({"question": "Q1", "video": "v1", "start": s, "end": e})
@@ -167,20 +132,6 @@ class TestQrelsParsing:
         )
         qrels = parse_qrels("Q1 0 v1 1", answers)
         assert qrels["Q1"][0].answers == [TimeInterval(150, 190), TimeInterval(300, 330)]
-
-    def test_unknown_grade_rejected(self):
-        with pytest.raises(FormatError, match="grade"):
-            parse_qrels("Q1 0 v1 7")
-
-    def test_interval_for_unjudged_pair_rejected(self):
-        answers = json.dumps({"question": "Q1", "video": "ghost", "start": 0, "end": 1})
-        with pytest.raises(FormatError, match="unjudged"):
-            parse_qrels("Q1 0 v1 1", answers)
-
-    def test_malformed_timestamp_positioned(self):
-        answers = json.dumps({"question": "Q1", "video": "v1", "start": "junk", "end": 1})
-        with pytest.raises(FormatError, match=":1"):
-            parse_qrels("Q1 0 v1 1", answers, answers_source="a.jsonl")
 
     def test_grades_alone_are_enough(self):
         qrels = parse_qrels("Q1 0 v1 2\nQ1 0 v2 0")
@@ -198,16 +149,90 @@ def _loc_record(**overrides):
     return json.dumps(record)
 
 
+# Each fault of a localization record on line 2, as (its fields, its exact message after "loc.jsonl:2: ").
+LOCALIZATION_FAULTS = [
+    ({"score": True}, "record needs a number 'score'"),
+    ({"score": math.nan}, "'score' must be finite"),
+    ({"score": math.inf}, "'score' must be finite"),
+    ({"score": -math.inf}, "'score' must be finite"),
+    ({"score": 10**400}, "'score' must be finite"),
+    ({"score": "0.5"}, "record needs a number 'score'"),
+    ({"start": True}, "record needs a timestamp 'start'"),
+    ({"start": -1}, "'start' must be a non-negative finite number of seconds, at most 1e+100"),
+    ({"end": 10**400}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+    ({"end": 1e300}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+    ({"start": "61:60"}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
+    # "02:50" is read on line 1 too, so line 2 finds it already converted.
+    ({"start": "02:50", "end": "01:00"}, "interval end 60.0 precedes start 170.0"),
+    ({"rank": True}, "rank must be a positive integer, got True"),
+    ({"rank": 1.0}, "rank must be a positive integer, got 1.0"),
+    ({"rank": 0}, "rank must be a positive integer, got 0"),
+    ({"rank": None}, "rank must be a positive integer, got None"),
+    ({"question": " \t"}, "record needs a non-empty string 'question'"),
+    # Of several faults on one line, the first field in record order is named.
+    ({"video": "", "start": True, "score": True}, "record needs a non-empty string 'video'"),
+    ({"start": "61:60", "end": True, "rank": 0}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
+    ({"end": -1, "score": "0.5"}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
+    ({"start": 10**400}, "'start' must be a non-negative finite number of seconds, at most 1e+100"),
+    # A plain-seconds string of 400 digits reads as an infinite number of seconds.
+    ({"start": "9" * 400}, f"timestamp '{'9' * 40}'... (400 characters) is too large, over 1e+100 seconds (field 'start')"),
+    ({"end": "9" * 400}, f"timestamp '{'9' * 40}'... (400 characters) is too large, over 1e+100 seconds (field 'end')"),
+]
+
+
+# Records whose first fault in file order is not their only one, by test id, and that fault's exact message.
+LOCALIZATION_ORDER_FAULTS = {
+    # A repeated rank before a malformed record: the repeat comes first in the file.
+    "duplicate-rank-before-bad-score": (
+        [_loc_record(video="a", rank=1), _loc_record(video="b", rank=1), _loc_record(video="c", rank=2, score="x")],
+        "loc.jsonl:2: duplicate rank for question 'Q1'",
+    ),
+    "missing-rank-before-bad-score": (
+        [_loc_record(video="a", rank=1), _loc_record(video="b"), _loc_record(video="c", rank=2, score="x")],
+        "loc.jsonl:2: question 'Q1' mixes records with and without ranks",
+    ),
+    # Interleaved questions: Q2's repeat on line 3 comes before Q1's on line 4.
+    "interleaved-questions": (
+        [
+            _loc_record(question="Q1", rank=1),
+            _loc_record(question="Q2", rank=1),
+            _loc_record(question="Q2", video="b", rank=1),
+            _loc_record(question="Q1", video="b", rank=1),
+        ],
+        "loc.jsonl:3: duplicate rank for question 'Q2'",
+    ),
+    # A malformed record before a later repeated rank: the malformed record comes first.
+    "bad-score-before-duplicate-rank": (
+        [_loc_record(video="a", rank=1), _loc_record(video="b", rank=2, score="x"), _loc_record(video="c", rank=1)],
+        "loc.jsonl:2: record needs a number 'score'",
+    ),
+    # A malformed timestamp string that repeats is reported where it first appears.
+    "repeated-bad-timestamp": (
+        [
+            _loc_record(video="a", rank=1, start="00:10"),
+            _loc_record(video="b", rank=2, start="1:5"),
+            _loc_record(video="c", rank=3, start="00:10"),
+            _loc_record(video="d", rank=4, start="1:5"),
+        ],
+        "loc.jsonl:2: malformed timestamp '1:5'; expected MM:SS or plain seconds (field 'start')",
+    ),
+    # Timestamp strings read on line 1 do not spare line 2 its other checks.
+    "bad-score-after-read-timestamps": (
+        [
+            _loc_record(video="a", rank=1, start="02:50", end="03:10"),
+            _loc_record(video="b", rank=2, start="02:50", end="03:10", score="x"),
+        ],
+        "loc.jsonl:2: record needs a number 'score'",
+    ),
+}
+
+
 class TestLocalizationRunParsing:
     def test_basic_record(self):
         run = parse_localization_run(_loc_record())
         (candidate,) = run["Q1"]
         assert candidate.interval == TimeInterval(150, 190)
         assert candidate.rank == 1
-
-    def test_start_after_end_rejected(self):
-        with pytest.raises(FormatError, match="precedes"):
-            parse_localization_run(_loc_record(start=200, end=100))
 
     def test_mmss_fields_converted(self):
         run = parse_localization_run(_loc_record(start="02:30", end="03:10"))
@@ -219,11 +244,6 @@ class TestLocalizationRunParsing:
         )
         run = parse_localization_run(text)
         assert [(c.video, c.rank) for c in run["Q1"]] == [("b", 1), ("a", 2)]
-
-    def test_mixed_rank_presence_rejected(self):
-        text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b")])
-        with pytest.raises(FormatError, match=":2: .*mixes"):
-            parse_localization_run(text)
 
     def test_score_ties_ranked_in_file_order(self):
         text = "\n".join(
@@ -244,42 +264,11 @@ class TestLocalizationRunParsing:
         run = parse_localization_run(text)
         assert [(c.video, c.rank) for c in run["Q1"]] == [("b", 2), ("a", 3)]
 
-    def test_duplicate_explicit_rank_rejected(self):
-        text = "\n".join([_loc_record(video="a", rank=1), _loc_record(video="b", rank=1)])
-        with pytest.raises(FormatError, match=":2: duplicate rank"):
-            parse_localization_run(text)
-
     def test_malformed_json_positioned(self):
         with pytest.raises(FormatError, match="loc.jsonl:2"):
             parse_localization_run(_loc_record() + "\n{nope", source="loc.jsonl")
 
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"score": True}, "record needs a number 'score'"),
-            ({"score": math.nan}, "'score' must be finite"),
-            ({"score": math.inf}, "'score' must be finite"),
-            ({"score": -math.inf}, "'score' must be finite"),
-            ({"score": 10**400}, "'score' must be finite"),
-            ({"score": "0.5"}, "record needs a number 'score'"),
-            ({"start": True}, "record needs a timestamp 'start'"),
-            ({"start": -1}, "'start' must be a non-negative finite number of seconds, at most 1e+100"),
-            ({"end": 10**400}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
-            ({"end": 1e300}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
-            ({"start": "61:60"}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
-            # "02:50" is read on line 1 too, so line 2 finds it already converted.
-            ({"start": "02:50", "end": "01:00"}, "interval end 60.0 precedes start 170.0"),
-            ({"rank": True}, "rank must be a positive integer, got True"),
-            ({"rank": 1.0}, "rank must be a positive integer, got 1.0"),
-            ({"rank": 0}, "rank must be a positive integer, got 0"),
-            ({"rank": None}, "rank must be a positive integer, got None"),
-            ({"question": " \t"}, "record needs a non-empty string 'question'"),
-            # Of several faults on one line, the first field in record order is named.
-            ({"video": "", "start": True, "score": True}, "record needs a non-empty string 'video'"),
-            ({"start": "61:60", "end": True, "rank": 0}, "seconds field must be 00-59 in timestamp '61:60' (field 'start')"),
-            ({"end": -1, "score": "0.5"}, "'end' must be a non-negative finite number of seconds, at most 1e+100"),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, message", LOCALIZATION_FAULTS)
     def test_each_fault_keeps_its_message_and_line(self, overrides, message):
         first = _loc_record(start="02:50", end="03:10", rank=1)
         text = first + "\n" + _loc_record(**{"video": "v2", "rank": 2, **overrides})
@@ -287,55 +276,7 @@ class TestLocalizationRunParsing:
             parse_localization_run(text, source="loc.jsonl")
         assert str(raised.value) == f"loc.jsonl:2: {message}"
 
-    @pytest.mark.parametrize(
-        "records, message",
-        [
-            # A repeated rank before a malformed record: the repeat comes first in the file.
-            (
-                [_loc_record(video="a", rank=1), _loc_record(video="b", rank=1), _loc_record(video="c", rank=2, score="x")],
-                "loc.jsonl:2: duplicate rank for question 'Q1'",
-            ),
-            (
-                [_loc_record(video="a", rank=1), _loc_record(video="b"), _loc_record(video="c", rank=2, score="x")],
-                "loc.jsonl:2: question 'Q1' mixes records with and without ranks",
-            ),
-            # Interleaved questions: Q2's repeat on line 3 comes before Q1's on line 4.
-            (
-                [
-                    _loc_record(question="Q1", rank=1),
-                    _loc_record(question="Q2", rank=1),
-                    _loc_record(question="Q2", video="b", rank=1),
-                    _loc_record(question="Q1", video="b", rank=1),
-                ],
-                "loc.jsonl:3: duplicate rank for question 'Q2'",
-            ),
-            # A malformed record before a later repeated rank: the malformed record comes first.
-            (
-                [_loc_record(video="a", rank=1), _loc_record(video="b", rank=2, score="x"), _loc_record(video="c", rank=1)],
-                "loc.jsonl:2: record needs a number 'score'",
-            ),
-            # A malformed timestamp string that repeats is reported where it first appears.
-            (
-                [
-                    _loc_record(video="a", rank=1, start="00:10"),
-                    _loc_record(video="b", rank=2, start="1:5"),
-                    _loc_record(video="c", rank=3, start="00:10"),
-                    _loc_record(video="d", rank=4, start="1:5"),
-                ],
-                "loc.jsonl:2: malformed timestamp '1:5'; expected MM:SS or plain seconds (field 'start')",
-            ),
-            # Timestamp strings read on line 1 do not spare line 2 its other checks.
-            (
-                [
-                    _loc_record(video="a", rank=1, start="02:50", end="03:10"),
-                    _loc_record(video="b", rank=2, start="02:50", end="03:10", score="x"),
-                ],
-                "loc.jsonl:2: record needs a number 'score'",
-            ),
-        ],
-        ids=["duplicate-rank-before-bad-score", "missing-rank-before-bad-score", "interleaved-questions",
-             "bad-score-before-duplicate-rank", "repeated-bad-timestamp", "bad-score-after-read-timestamps"],
-    )
+    @pytest.mark.parametrize("records, message", LOCALIZATION_ORDER_FAULTS.values(), ids=LOCALIZATION_ORDER_FAULTS)
     def test_the_first_fault_in_file_order_is_reported(self, records, message):
         with pytest.raises(FormatError) as raised:
             parse_localization_run("\n".join(records), source="loc.jsonl")
@@ -409,15 +350,6 @@ class TestStepParsing:
             parsed = parse_steps(record)
         assert len(parsed["seg1"].steps) == 1
 
-    def test_empty_caption_rejected(self):
-        record = _steps_record(steps=[{"caption": "   ", "start": 0, "end": 5}])
-        with pytest.raises(FormatError, match="empty caption"):
-            parse_steps(record)
-
-    def test_duplicate_segment_rejected(self):
-        with pytest.raises(FormatError, match="duplicate segment"):
-            parse_steps(_steps_record() + "\n" + _steps_record())
-
     def test_empty_step_list_allowed(self):
         parsed = parse_steps(_steps_record(steps=[]))
         assert parsed["seg1"].steps == []
@@ -438,63 +370,138 @@ class TestCorpusParsing:
         docs = parse_corpus(json.dumps({"video": "v1"}))
         assert docs[0].subtitle == ""
 
-    def test_duplicate_video_rejected(self):
-        text = "\n".join(json.dumps({"video": "v1"}) for _ in range(2))
-        with pytest.raises(FormatError, match="duplicate video"):
-            parse_corpus(text)
-
-    @pytest.mark.parametrize("video", ["v 1", "v\t1", "v\n1", "v\u00a01", "v\u20281"])
-    def test_whitespace_in_video_id_rejected(self, video):
-        text = json.dumps({"video": "v0"}) + "\n" + json.dumps({"video": video})
-        with pytest.raises(FormatError, match="whitespace") as info:
-            parse_corpus(text, source="corpus.jsonl")
-        assert str(info.value).startswith("corpus.jsonl:2:")
-
 
 class TestQueryParsing:
     def test_query_text_joined(self):
         queries = parse_queries("Q1 how to   use a nebulizer\n# c\nQ2 second")
         assert queries == {"Q1": "how to use a nebulizer", "Q2": "second"}
 
-    def test_missing_text_rejected(self):
-        with pytest.raises(FormatError):
-            parse_queries("Q1")
+
+# The faults of the parsers without a table above, by test id: the parser, its input and the exact message.
+OTHER_PARSER_FAULTS = {
+    "qrels-3-fields": (parse_qrels, "Q1 0 v1", "<qrels>:1: expected 4 fields (qid iter video grade), got 3"),
+    "grade-7": (parse_qrels, "Q1 0 v1 7", "<qrels>:1: grade must be 0, 1, or 2, got '7'"),
+    "grade-5000-digits": (parse_qrels, "q1 0 v1 " + "9" * 5000, "<qrels>:1: grade has too many digits (5,000 characters)"),
+    "duplicate-judgment": (parse_qrels, "q1 0 v1 1\nq1 0 v1 2\n", "<qrels>:2: duplicate judgment for video 'v1'"),
+    "answer-for-unjudged-pair": (
+        partial(parse_qrels, "Q1 0 v1 1"),
+        '{"question": "Q1", "video": "ghost", "start": 0, "end": 1}',
+        "<answers>:1: answer interval references unjudged pair ('Q1', 'ghost')",
+    ),
+    "answer-on-not-relevant-video": (
+        partial(parse_qrels, "Q1 0 v42 0"),
+        '{"question": "Q1", "video": "v42", "start": "02:30", "end": "03:10"}',
+        "<answers>:1: answer interval attached to not-relevant video 'v42' for 'Q1'",
+    ),
+    # The union of two [0, 1e308] answers would overflow to infinity.
+    "answer-end-1e308": (
+        partial(parse_qrels, "q1 0 v1 1"),
+        '{"question": "q1", "video": "v1", "start": 0, "end": 1e308}',
+        "<answers>:1: 'end' must be a non-negative finite number of seconds, at most 1e+100",
+    ),
+    # In an answer sidecar and a step file, a malformed timestamp string on line 2 that repeats on line 4
+    # is reported at line 2.
+    "answers-repeated-bad-timestamp": (
+        partial(parse_qrels, "q1 0 v1 1\nq1 0 v2 1\nq1 0 v3 1\nq1 0 v4 1"),
+        "".join(f'{{"question": "q1", "video": "v{i}", "start": "00:10", "end": "{end}"}}\n'
+                for i, end in enumerate(["00:20", "0:2", "00:20", "0:2"], start=1)),
+        "<answers>:2: malformed timestamp '0:2'; expected MM:SS or plain seconds (field 'end')",
+    ),
+    "steps-repeated-bad-timestamp": (
+        parse_steps,
+        "".join(f'{{"segment": "s{i}", "steps": [{{"caption": "wrap", "start": "00:05", "end": "{end}"}}]}}\n'
+                for i, end in enumerate(["00:12", "00:61", "00:12", "00:61"], start=1)),
+        "<steps>:2: seconds field must be 00-59 in timestamp '00:61' (field 'end')",
+    ),
+    "steps-huge-minute-field": (
+        parse_steps,
+        '{"segment": "s", "steps": [{"caption": "a", "start": "1' + "0" * 400 + ':00", "end": 1}]}',
+        f"<steps>:1: timestamp '1{'0' * 39}'... (404 characters) is too large, over 1e+100 seconds (field 'start')",
+    ),
+    "duplicate-segment": (parse_steps, '{"segment": "s1", "steps": []}\n{"segment": "s1", "steps": []}', "<steps>:2: duplicate segment 's1'"),
+    "steps-not-a-list": (parse_steps, '{"segment": "s1", "steps": {}}', "<steps>:1: 'steps' must be a list"),
+    "step-not-an-object": (parse_steps, '{"segment": "s1", "steps": ["wrap"]}', "<steps>:1: each step must be a JSON object"),
+    "step-non-string-caption": (
+        parse_steps,
+        '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
+        "<steps>:1: step 1 of segment 's1' needs a string 'caption'",
+    ),
+    "step-empty-caption": (
+        parse_steps,
+        '{"segment": "seg1", "steps": [{"caption": "   ", "start": 0, "end": 5}]}',
+        "<steps>:1: step 1 of segment 'seg1' has an empty caption",
+    ),
+    "corpus-not-an-object": (parse_corpus, '["v1"]', "<corpus>:1: expected a JSON object"),
+    "corpus-nested-too-deeply": (parse_corpus, '{"video": "v"}\n' + "[" * 3000 + "\n", "<corpus>:2: malformed JSON record: nested too deeply"),
+    "duplicate-video-id": (parse_corpus, '{"video": "v1"}\n{"video": "v1"}', "<corpus>:2: duplicate video id 'v1'"),
+    # Each space character in a video id, after a valid first line.
+    "video-id-with-space": (parse_corpus, '{"video": "v0"}\n{"video": "v 1"}', "<corpus>:2: video id must not contain whitespace, got 'v 1'"),
+    "video-id-with-tab": (parse_corpus, '{"video": "v0"}\n{"video": "v\\t1"}', "<corpus>:2: video id must not contain whitespace, got 'v\\t1'"),
+    "video-id-with-line-feed": (parse_corpus, '{"video": "v0"}\n{"video": "v\\n1"}', "<corpus>:2: video id must not contain whitespace, got 'v\\n1'"),
+    "video-id-with-no-break-space": (
+        parse_corpus, '{"video": "v0"}\n{"video": "v\\u00a01"}', "<corpus>:2: video id must not contain whitespace, got 'v\\xa01'"
+    ),
+    "video-id-with-line-separator": (
+        parse_corpus, '{"video": "v0"}\n{"video": "v\\u20281"}', "<corpus>:2: video id must not contain whitespace, got 'v\\u20281'"
+    ),
+    "corpus-non-string-title": (parse_corpus, '{"video": "v1", "title": 1}', "<corpus>:1: 'title' and 'subtitle' must be strings"),
+    "query-without-text": (parse_queries, "Q1", "<queries>:1: expected a question id followed by query text"),
+    "duplicate-query-id": (parse_queries, "q1 wrap the wrist\nq1 tie the elbow\n", "<queries>:2: duplicate question id 'q1'"),
+}
 
 
-# The parsers without a fault table above: each fault keeps its message and line.
-@pytest.mark.parametrize(
-    "parse, text, message",
-    [
-        (parse_qrels, "q1 0 v1 " + "9" * 5000, "<qrels>:1: grade has too many digits (5,000 characters)"),
-        (parse_qrels, "q1 0 v1 1\nq1 0 v1 2\n", "<qrels>:2: duplicate judgment for video 'v1'"),
-        # The union of two [0, 1e308] answers would overflow to infinity.
-        (partial(parse_qrels, "q1 0 v1 1"), '{"question": "q1", "video": "v1", "start": 0, "end": 1e308}',
-         "<answers>:1: 'end' must be a non-negative finite number of seconds, at most 1e+100"),
-        # In an answer sidecar and a step file, a malformed timestamp string on line 2 that repeats on line 4
-        # is reported at line 2.
-        (partial(parse_qrels, "q1 0 v1 1\nq1 0 v2 1\nq1 0 v3 1\nq1 0 v4 1"),
-         "".join(f'{{"question": "q1", "video": "v{i}", "start": "00:10", "end": "{end}"}}\n'
-                 for i, end in enumerate(["00:20", "0:2", "00:20", "0:2"], start=1)),
-         "<answers>:2: malformed timestamp '0:2'; expected MM:SS or plain seconds (field 'end')"),
-        (parse_steps,
-         "".join(f'{{"segment": "s{i}", "steps": [{{"caption": "wrap", "start": "00:05", "end": "{end}"}}]}}\n'
-                 for i, end in enumerate(["00:12", "00:61", "00:12", "00:61"], start=1)),
-         "<steps>:2: seconds field must be 00-59 in timestamp '00:61' (field 'end')"),
-        (parse_steps, '{"segment": "s1", "steps": {}}', "<steps>:1: 'steps' must be a list"),
-        (parse_steps, '{"segment": "s1", "steps": ["wrap"]}', "<steps>:1: each step must be a JSON object"),
-        (parse_steps, '{"segment": "s1", "steps": [{"caption": 5, "start": 0, "end": 1}]}',
-         "<steps>:1: step 1 of segment 's1' needs a string 'caption'"),
-        (parse_corpus, '{"video": "v1", "title": 1}', "<corpus>:1: 'title' and 'subtitle' must be strings"),
-        (parse_queries, "q1 wrap the wrist\nq1 tie the elbow\n", "<queries>:2: duplicate question id 'q1'"),
-    ],
-    ids=["grade-5000-digits", "duplicate-judgment", "answer-end-1e308", "answers-repeated-bad-timestamp",
-         "steps-repeated-bad-timestamp", "steps-not-a-list", "step-not-an-object",
-         "step-non-string-caption", "corpus-non-string-title", "duplicate-query-id"],
-)
+@pytest.mark.parametrize("parse, text, message", OTHER_PARSER_FAULTS.values(), ids=OTHER_PARSER_FAULTS)
 def test_each_fault_of_the_other_parsers_keeps_its_message_and_line(parse, text, message):
     with pytest.raises(FormatError) as raised:
         parse(text)
     assert str(raised.value) == message
+
+
+def _raised_messages() -> dict[str, str]:
+    """Each message that a function of io_formats raises a FormatError with: its source text, and a regex with
+    each placeholder a wildcard.
+
+    A message held in a variable stands for each string assigned to it in the
+    function.  read_text and write_atomically report file-system errors, which
+    the CLI tests pin.
+    """
+    messages = {}
+    for function in ast.parse(Path(io_formats.__file__).read_text(encoding="utf-8")).body:
+        if not isinstance(function, ast.FunctionDef) or function.name in ("read_text", "write_atomically"):
+            continue
+        nodes = list(ast.walk(function))
+        for node in nodes:
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and ast.unparse(node.exc.func) == "FormatError"):
+                continue
+            message = node.exc.args[0]
+            values = [message]
+            if isinstance(message, ast.Name):
+                values = [assign.value for assign in nodes if isinstance(assign, ast.Assign) and ast.unparse(assign.targets[0]) == message.id]
+            for value in values:
+                parts = value.values if isinstance(value, ast.JoinedStr) else [value]
+                assert all(isinstance(part, (ast.Constant, ast.FormattedValue)) for part in parts), ast.unparse(value)
+                pattern = "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".*" for part in parts)
+                messages[ast.unparse(value)] = pattern
+    return messages
+
+
+RAISED_MESSAGES = _raised_messages()
+TABLE_ROWS = [
+    *(message for _, message in RUN_FAULTS.values()),
+    *(f"loc.jsonl:2: {message}" for _, message in LOCALIZATION_FAULTS),
+    *(message for _, message in LOCALIZATION_ORDER_FAULTS.values()),
+    *(message for _, _, message in OTHER_PARSER_FAULTS.values()),
+]
+
+
+def test_the_source_walk_finds_raised_messages():
+    assert RAISED_MESSAGES
+
+
+# One case per raised message, so a failure names the raise that no table row pins.
+@pytest.mark.parametrize("pattern", RAISED_MESSAGES.values(), ids=RAISED_MESSAGES)
+def test_every_raised_parser_fault_has_a_table_row(pattern):
+    assert any(re.fullmatch(rf"\S+:\d+: {pattern}", row) for row in TABLE_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -905,37 +912,14 @@ class TestLinesAndHostileValues:
         # U+0085, U+2028 and form feed end a line for str.splitlines() but not here.
         steps = parse_steps('{"segment": "s", "steps": [{"caption": "a\x85b\u2028c", "start": 0, "end": 1}]}\n')
         assert steps["s"].steps[0].caption == "a\x85b\u2028c"
-        with pytest.raises(FormatError, match=r"^<run>:2: rank must be an integer"):
-            parse_retrieval_run("q1 Q0 v1 1 2.0 t\x0c\u2028\nq1 Q0 v2 x 1.0 t\n")
 
     def test_carriage_returns_are_stripped_with_the_line(self):
         assert parse_queries("q1 first query\r\nq2 second\r\n") == {"q1": "first query", "q2": "second"}
-
-    @pytest.mark.parametrize("key", ["start", "end", "score"])
-    def test_integer_too_large_for_a_float_is_a_format_error(self, key):
-        record = {"question": "q", "video": "v", "start": 1, "end": 2, "score": 0.5}
-        text = json.dumps(record).replace(f'"{key}": {record[key]}', f'"{key}": 1{"0" * 400}')
-        with pytest.raises(FormatError, match=rf"^<localization-run>:1: '{key}' must be"):
-            parse_localization_run(text)
-
-    @pytest.mark.parametrize("key", ["start", "end"])
-    def test_timestamp_too_long_for_a_float_is_a_format_error(self, key):
-        # A plain-seconds string of 400 digits reads as an infinite number of seconds.
-        with pytest.raises(FormatError, match=rf"^<localization-run>:1: timestamp .* is too large.*\(field '{key}'\)$"):
-            parse_localization_run(_loc_record(**{key: "9" * 400}))
 
     def test_integer_past_the_digit_limit_is_a_format_error(self):
         text = '{"question": "q", "video": "v", "start": 1, "end": 2, "score": ' + "9" * 5000 + "}"
         with pytest.raises(FormatError, match=r"^<localization-run>:1: "):
             parse_localization_run(text)
-
-    def test_huge_minute_field_is_a_format_error(self):
-        with pytest.raises(FormatError, match=r"^<steps>:1: timestamp .* is too large"):
-            parse_steps('{"segment": "s", "steps": [{"caption": "a", "start": "1' + "0" * 400 + ':00", "end": 1}]}')
-
-    def test_deep_nesting_is_a_format_error(self):
-        with pytest.raises(FormatError, match=r"^<corpus>:2: malformed JSON record: nested too deeply"):
-            parse_corpus('{"video": "v"}\n' + "[" * 3000 + "\n")
 
 
 def test_read_text_drops_a_leading_byte_order_mark(tmp_path):

@@ -146,20 +146,6 @@ class TestRecallAtNIoU:
             recall_at_n_iou({}, {"Q": []}, 1, 1.5)
 
 
-@given(st.integers(min_value=0, max_value=100_000))
-def test_monotonic_in_depth_and_threshold(seed):
-    rng = random.Random(seed)
-    run, qrels = random_localization_fixture(rng, questions=3)
-    prod_run, prod_qrels = to_production(run, qrels)
-    values_by_n = [mean_iou(prod_run, prod_qrels, n) for n in (1, 3, 5, 10)]
-    assert values_by_n == sorted(values_by_n)
-    for n in (1, 3, 5, 10):
-        recalls = [recall_at_n_iou(prod_run, prod_qrels, n, mu) for mu in (0.3, 0.5, 0.7)]
-        assert recalls == sorted(recalls, reverse=True)
-    recall_by_n = [recall_at_n_iou(prod_run, prod_qrels, n, 0.5) for n in (1, 3, 5, 10)]
-    assert recall_by_n == sorted(recall_by_n)
-
-
 interval_values = st.integers(min_value=10, max_value=100)
 
 
