@@ -75,7 +75,14 @@ def alignment_score(pred_step: Step, gt_step: Step, params: AlignmentParams = Al
     return _cell(params, temporal_iou(pred_step.interval, gt_step.interval), caption.f)
 
 
-def _bounded_scanner(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams):
+def _bounded_scanner(
+    pred_steps: Sequence[Step],
+    gold_steps: Sequence[Step],
+    params: AlignmentParams,
+    pred_tokens: Sequence[list[str]],
+    gold_tokens: Sequence[list[str]],
+    caption_f: list[float],
+):
     """``scan(p_idx, start) -> (best score, best gold index)`` under the default score.
 
     It picks what the plain scan over ``alignment_score`` picks, computing
@@ -87,13 +94,12 @@ def _bounded_scanner(pred_steps: Sequence[Step], gold_steps: Sequence[Step], par
     the predicted step's end has IoU exactly 0.0 and bound beta, so once every
     remaining gold step does, the scan stops if beta cannot win either.
 
-    Each caption is tokenized once; each gold caption's LCS masks are built
-    when first needed.
+    ``pred_tokens`` and ``gold_tokens`` hold each step's caption tokens; each
+    gold caption's LCS masks are built when first needed.  Each scan stores
+    the ROUGE-L F of its best cell in ``caption_f[p_idx]``.
     """
     theta = params.theta
     beta = params.beta
-    pred_tokens = [tokenize(step.caption) for step in pred_steps]
-    gold_tokens = [tokenize(step.caption) for step in gold_steps]
     gold_masks: list[dict[str, int] | None] = [None] * len(gold_steps)
     # earliest_start[g]: the earliest start among gold_steps[g:], for unsorted library input.
     earliest_start = [math.inf] * (len(gold_steps) + 1)
@@ -104,6 +110,7 @@ def _bounded_scanner(pred_steps: Sequence[Step], gold_steps: Sequence[Step], par
         interval = pred_steps[p_idx].interval
         best_score = -1.0
         best_g = -1
+        best_f = 0.0
         for g_idx in range(start, len(gold_steps)):
             if earliest_start[g_idx] >= interval.end and (beta < theta or beta <= best_score):
                 break
@@ -114,10 +121,13 @@ def _bounded_scanner(pred_steps: Sequence[Step], gold_steps: Sequence[Step], par
             masks = gold_masks[g_idx]
             if masks is None:
                 masks = gold_masks[g_idx] = token_masks(gold_tokens[g_idx])
-            cell = _cell(params, overlap, rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], masks).f)
+            rouge_f = rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], masks).f
+            cell = _cell(params, overlap, rouge_f)
             if cell > best_score and cell >= theta:
                 best_score = cell
                 best_g = g_idx
+                best_f = rouge_f
+        caption_f[p_idx] = best_f
         return best_score, best_g
 
     return scan
@@ -139,6 +149,39 @@ def _plain_scanner(pred_steps: Sequence, gold_steps: Sequence, score_fn: Callabl
     return scan
 
 
+def _greedy(scan, pred_count: int, gold_count: int) -> AlignmentResult:
+    """The greedy alignment that ``scan`` drives: each predicted step, in order, takes its scan's best gold step."""
+    tp = 0
+    fp = 0
+    pairs: list[tuple[int, int, float]] = []
+    scan_start = 0
+    for p_idx in range(pred_count):
+        best_score, best_g = scan(p_idx, scan_start)
+        if best_g != -1:
+            tp += 1
+            pairs.append((p_idx, best_g, best_score))
+            scan_start = best_g + 1
+        else:
+            fp += 1
+    return AlignmentResult(tp, fp, gold_count - tp, pairs)
+
+
+class _TokenAlignment(namedtuple("_TokenAlignment", "result pred_tokens gold_tokens caption_f")):
+    """An alignment under the default score, each step's caption tokens, and
+    ``caption_f[p_idx]``, the ROUGE-L F of the cell that predicted step matched."""
+
+    __slots__ = ()
+
+
+def _align_tokens(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params: AlignmentParams) -> _TokenAlignment:
+    """The default-score alignment, tokenizing each caption once."""
+    pred_tokens = [tokenize(step.caption) for step in pred_steps]
+    gold_tokens = [tokenize(step.caption) for step in gold_steps]
+    caption_f = [0.0] * len(pred_steps)
+    scan = _bounded_scanner(pred_steps, gold_steps, params, pred_tokens, gold_tokens, caption_f)
+    return _TokenAlignment(_greedy(scan, len(pred_steps), len(gold_steps)), pred_tokens, gold_tokens, caption_f)
+
+
 def align_steps(
     pred: StepSequence | Sequence,
     gold: StepSequence | Sequence,
@@ -154,21 +197,9 @@ def align_steps(
     """
     pred_steps = _steps(pred)
     gold_steps = _steps(gold)
-    scan = (_bounded_scanner(pred_steps, gold_steps, params) if score_fn is None
-            else _plain_scanner(pred_steps, gold_steps, score_fn, params.theta))
-    tp = 0
-    fp = 0
-    pairs: list[tuple[int, int, float]] = []
-    scan_start = 0
-    for p_idx in range(len(pred_steps)):
-        best_score, best_g = scan(p_idx, scan_start)
-        if best_g != -1:
-            tp += 1
-            pairs.append((p_idx, best_g, best_score))
-            scan_start = best_g + 1
-        else:
-            fp += 1
-    return AlignmentResult(tp, fp, len(gold_steps) - tp, pairs)
+    if score_fn is None:
+        return _align_tokens(pred_steps, gold_steps, params).result
+    return _greedy(_plain_scanner(pred_steps, gold_steps, score_fn, params.theta), len(pred_steps), len(gold_steps))
 
 
 def step_prf(result: AlignmentResult) -> PRF:
@@ -180,7 +211,7 @@ def _align_segments(
     pred_map: Mapping[str, StepSequence],
     gold_map: Mapping[str, StepSequence],
     params: AlignmentParams,
-) -> list[tuple[StepSequence, StepSequence, AlignmentResult]]:
+) -> list[tuple[StepSequence, StepSequence, _TokenAlignment]]:
     """Align every gold segment in id order.
 
     A gold segment missing from the predictions aligns an empty prediction;
@@ -197,7 +228,7 @@ def _align_segments(
     for segment_id in sorted(gold_map):
         gold = gold_map[segment_id]
         pred = pred_map.get(segment_id, StepSequence(segment_id, []))
-        aligned.append((pred, gold, align_steps(pred, gold, params)))
+        aligned.append((pred, gold, _align_tokens(pred.steps, gold.steps, params)))
     return aligned
 
 
@@ -251,7 +282,7 @@ def evaluate_steps(
     Gold segments missing from the predictions count all their steps as
     misses; predicted segments without gold are ignored with a warning.
     """
-    aligned = _align_segments(pred_map, gold_map, params)
+    aligned = [(pred, gold, alignment.result) for pred, gold, alignment in _align_segments(pred_map, gold_map, params)]
     tp = sum(result.tp for _, _, result in aligned)
     fp = sum(result.fp for _, _, result in aligned)
     fn = sum(result.fn for _, _, result in aligned)
@@ -293,8 +324,8 @@ def matched_caption_pairs(
     """Caption pairs for every greedy match, in segment then pair order."""
     return [
         CaptionPair(pred.steps[p_idx].caption, gold.steps[g_idx].caption)
-        for pred, gold, result in _align_segments(pred_map, gold_map, params)
-        for p_idx, g_idx, _ in result.pairs
+        for pred, gold, alignment in _align_segments(pred_map, gold_map, params)
+        for p_idx, g_idx, _ in alignment.result.pairs
     ]
 
 
@@ -311,18 +342,20 @@ def evaluate_captions(
 ) -> CaptionScore:
     """BLEU / METEOR / ROUGE-L over matched pairs at the alignment threshold.
 
-    Each matched caption is tokenized once and every metric scores those tokens.
+    Every metric scores the token lists that the alignment built, and each
+    pair's ROUGE-L F is the one the alignment computed for its cell.
     """
-    pairs = [
-        (tokenize(pred.steps[p_idx].caption), tokenize(gold.steps[g_idx].caption))
-        for pred, gold, result in _align_segments(pred_map, gold_map, params)
-        for p_idx, g_idx, _ in result.pairs
-    ]
+    pairs = []
+    caption_f = []
+    for _, _, alignment in _align_segments(pred_map, gold_map, params):
+        for p_idx, g_idx, _ in alignment.result.pairs:
+            pairs.append((alignment.pred_tokens[p_idx], alignment.gold_tokens[g_idx]))
+            caption_f.append(alignment.caption_f[p_idx])
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
     bleu = bleu_scores_tokens(pairs, BLEU_ORDERS)
     meteor_mean = plain_sum(meteor_tokens(pred, ref) for pred, ref in pairs) / len(pairs)
-    rouge_mean = plain_sum(rouge_l_tokens(pred, ref).f for pred, ref in pairs) / len(pairs)
+    rouge_mean = plain_sum(caption_f) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)
 
 

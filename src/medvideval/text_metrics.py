@@ -97,9 +97,11 @@ def rouge_l(pair: CaptionPair) -> PRF:
     return rouge_l_tokens(tokenize(pair.predicted), tokenize(pair.reference))
 
 
-def _ngram_counts(tokens: Sequence[str], top: int) -> Counter:
-    """Count of every k-gram of ``tokens`` for k = 1..top; a k-gram's order is its length."""
-    return Counter(tuple(tokens[i : i + k]) for k in range(1, top + 1) for i in range(len(tokens) - k + 1))
+def _repeated_clipped_matches(pred_grams: list, ref_grams: list, shared: set) -> int:
+    """Clipped matches of two gram lists that each repeat a gram: each shared gram counts its fewer occurrences."""
+    pred_counts = Counter(pred_grams)
+    ref_counts = Counter(ref_grams)
+    return sum(min(pred_counts[gram], ref_counts[gram]) for gram in shared)
 
 
 def bleu_scores(pairs: Sequence[CaptionPair], orders: Sequence[int]) -> dict[int, float]:
@@ -115,6 +117,10 @@ def bleu_scores_tokens(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], ord
     largest order; the brevity penalty is exp(min(0, 1 - ref_len/pred_len)).
     A corpus precision of zero, or with no candidate k-grams, annihilates
     the geometric mean.
+
+    A pair's clipped matches of one order are its shared k-grams, from the
+    intersection of the two sides' sets, unless both sides repeat a k-gram;
+    only then are occurrences counted.
     """
     for n in orders:
         if not 1 <= n <= 4:
@@ -131,8 +137,19 @@ def bleu_scores_tokens(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], ord
         ref_len += len(ref)
         for order in range(1, min(top, len(pred)) + 1):
             candidates[order - 1] += len(pred) - order + 1
-        for gram, count in (_ngram_counts(pred, top) & _ngram_counts(ref, top)).items():
-            matched[len(gram) - 1] += count
+        pred_grams, ref_grams = pred, ref
+        for order in range(1, top + 1):
+            if order > 1:  # each k-gram is a (k-1)-gram paired with the token after it
+                pred_grams = list(zip(pred_grams, pred[order - 1 :]))
+                ref_grams = list(zip(ref_grams, ref[order - 1 :]))
+            pred_set = set(pred_grams)
+            shared = pred_set.intersection(ref_grams)
+            if not shared:  # a shared longer gram would start with a shared shorter one
+                break
+            if len(pred_set) < len(pred_grams) and len(set(ref_grams)) < len(ref_grams):
+                matched[order - 1] += _repeated_clipped_matches(pred_grams, ref_grams, shared)
+            else:  # one side holds each gram once, so each shared gram clips to one match
+                matched[order - 1] += len(shared)
     scores = {}
     for n in orders:
         pooled = list(zip(matched[:n], candidates[:n]))
@@ -153,9 +170,43 @@ def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]
     """(matches, chunks) of the best one-to-one exact-token alignment.
 
     Maximizes the number of matched tokens, then minimizes the number of
-    chunks (maximal runs that are contiguous in both sides).  Exhaustive
-    depth-first search with branch-and-bound pruning; caption-sized inputs
-    resolve immediately because chunk continuation is tried first.
+    chunks (maximal runs that are contiguous in both sides).  When no shared
+    token repeats, that alignment is forced; otherwise it is searched for.
+    """
+    forced = _forced_alignment(pred, ref)
+    return _searched_alignment(pred, ref) if forced is None else forced
+
+
+def _forced_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int] | None:
+    """(matches, chunks) when every token that both sides share occurs once on each side, else None.
+
+    Then the one maximum alignment matches each shared token to its one
+    position, and one pass over ``pred`` counts its chunks.
+    """
+    position: dict[str, int] = {}  # each token's position in ref, or -1 when ref repeats it
+    for j, token in enumerate(ref):
+        position[token] = -1 if token in position else j
+    matched: set[str] = set()
+    chunks = 0
+    follows = -1  # the ref position that would continue the current chunk
+    for token in pred:
+        j = position.get(token, -2)  # -2: not in ref, so the next match starts a chunk
+        if j == -1 or token in matched:
+            return None
+        if j >= 0:
+            matched.add(token)
+            if j != follows:
+                chunks += 1
+        follows = j + 1
+    return len(matched), chunks
+
+
+def _searched_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
+    """(matches, chunks) of ``_exact_alignment`` by exhaustive search.
+
+    Depth-first search with branch-and-bound pruning; caption-sized inputs
+    resolve immediately because chunk continuation is tried first.  Its
+    worst case is exponential in the repeated shared tokens.
     """
     mask = token_masks(ref)
     # later[i]: occurrences of pred[i] after position i, counted only for

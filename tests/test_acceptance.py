@@ -22,11 +22,13 @@ import json
 import random
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
 import oracles
 from commands import SMOKE
+from medvideval import text_metrics
 from medvideval.bm25 import build_index, search
 from medvideval.cli import run_cli as main
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval
@@ -151,29 +153,65 @@ def _localization_instances(failures):
         )
 
 
+# Each branch of the caption metrics, with the least number of the 1,000
+# instances that must take it (seed 404 gives 567, 433 and 566), so the
+# oracles check both sides of each branch.
+TEXT_PATHS = {
+    "_forced_alignment": 400,  # METEOR's one pass: no shared token repeats
+    "_searched_alignment": 300,  # METEOR's exact search
+    "_repeated_clipped_matches": 400,  # BLEU's occurrence count: both sides repeat a gram
+}
+
+
 def _text_instances(failures):
     rng = random.Random(404)
-    for _ in range(INSTANCES):
-        # Six letters or two: repeated tokens exercise METEOR's quota and skip rules.
-        vocab = rng.choice(["abcdef", "ab"])
-        sides = [
-            (oracles.random_caption(rng, vocab), oracles.random_caption(rng, vocab)) for _ in range(rng.randint(1, 4))
-        ]
-        corpus = [CaptionPair(pred_text, ref_text) for (_, pred_text), (_, ref_text) in sides]
-        corpus_tokens = [(pred, ref) for (pred, _), (ref, _) in sides]
-        pair, (pred, ref) = corpus[0], corpus_tokens[0]
-        if lcs_length(pred, ref) != oracles.lcs_oracle(pred, ref):
-            failures.append(f"LCS mismatch on {pred} / {ref}")
-        produced = rouge_l(pair)
-        p, r, f = oracles.rouge_l_oracle(pred, ref)
-        _check(failures, "ROUGE-L P", produced.precision, p)
-        _check(failures, "ROUGE-L R", produced.recall, r)
-        _check(failures, "ROUGE-L F", produced.f, f)
-        if _exact_alignment(pred, ref) != oracles.meteor_alignment_oracle(pred, ref):
-            failures.append(f"METEOR alignment mismatch on {pred} / {ref}")
-        _check(failures, "METEOR", meteor(pair), oracles.meteor_oracle(pred, ref))
-        order = rng.randint(1, 4)
-        _check(failures, "BLEU-n", bleu_n(corpus, order), oracles.bleu_oracle(corpus_tokens, order))
+    ran: set = set()  # the paths that the current instance ran
+    instances: Counter = Counter()
+
+    def spy(name):
+        path = getattr(text_metrics, name)
+
+        def counting(*args):
+            result = path(*args)
+            if result is not None:  # the forced pass returns None when it does not apply
+                ran.add(name)
+            return result
+
+        return counting
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in TEXT_PATHS:
+            patch.setattr(text_metrics, name, spy(name))
+        for _ in range(INSTANCES):
+            ran.clear()
+            _text_instance(rng, failures)
+            instances.update(ran)
+    for name, least in TEXT_PATHS.items():
+        if instances[name] < least:
+            failures.append(f"{name} ran on {instances[name]} instances, fewer than {least}")
+
+
+def _text_instance(rng, failures):
+    # Six letters or two: repeated tokens exercise METEOR's quota and skip rules.
+    vocab = rng.choice(["abcdef", "ab"])
+    sides = [
+        (oracles.random_caption(rng, vocab), oracles.random_caption(rng, vocab)) for _ in range(rng.randint(1, 4))
+    ]
+    corpus = [CaptionPair(pred_text, ref_text) for (_, pred_text), (_, ref_text) in sides]
+    corpus_tokens = [(pred, ref) for (pred, _), (ref, _) in sides]
+    pair, (pred, ref) = corpus[0], corpus_tokens[0]
+    if lcs_length(pred, ref) != oracles.lcs_oracle(pred, ref):
+        failures.append(f"LCS mismatch on {pred} / {ref}")
+    produced = rouge_l(pair)
+    p, r, f = oracles.rouge_l_oracle(pred, ref)
+    _check(failures, "ROUGE-L P", produced.precision, p)
+    _check(failures, "ROUGE-L R", produced.recall, r)
+    _check(failures, "ROUGE-L F", produced.f, f)
+    if _exact_alignment(pred, ref) != oracles.meteor_alignment_oracle(pred, ref):
+        failures.append(f"METEOR alignment mismatch on {pred} / {ref}")
+    _check(failures, "METEOR", meteor(pair), oracles.meteor_oracle(pred, ref))
+    order = rng.randint(1, 4)
+    _check(failures, "BLEU-n", bleu_n(corpus, order), oracles.bleu_oracle(corpus_tokens, order))
 
 
 def _bm25_instances(failures):

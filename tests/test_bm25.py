@@ -189,23 +189,6 @@ class TestPersistence:
         loaded = load_index(tmp_path)
         assert search(loaded, "the mouthpiece", 2) == search(index, "the mouthpiece", 2)
 
-    def test_version_byte_checked(self, tmp_path):
-        index = build_index(docs("a b"))
-        target = save_index(index, tmp_path)
-        payload = bytearray(target.read_bytes())
-        payload[0] = 99
-        target.write_bytes(bytes(payload))
-        with pytest.raises(FormatError, match="version"):
-            load_index(tmp_path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        index = build_index(docs("a b", "c d"))
-        target = save_index(index, tmp_path)
-        payload = target.read_bytes()
-        target.write_bytes(payload[: len(payload) // 2])
-        with pytest.raises(FormatError, match="truncated|inconsistent"):
-            load_index(tmp_path)
-
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_index(tmp_path / "nowhere")
@@ -273,6 +256,53 @@ VALID_PARTS = dict(
 )
 
 
+def _changed(**change) -> bytes:
+    """The index file of VALID_PARTS with the given parts or ``_v2_file`` options changed."""
+    return _v2_file(**{**VALID_PARTS, **change})
+
+
+_VALID_FILE = _changed()
+
+# Each fault of load_index, by test id: a corrupted index file and its exact message.
+INDEX_FAULTS = {
+    "empty-file": (b"", "empty index file"),
+    "version-1": (b"\x01" + _VALID_FILE[1:], "unsupported index format version 1 (expected 2); rebuild the index"),
+    "version-99": (b"\x63" + _VALID_FILE[1:], "unsupported index format version 99 (expected 2); rebuild the index"),
+    # The header is five bytes, the version byte and the checksum; the counts follow.
+    **{f"first-{size}-bytes": (_VALID_FILE[:size], "truncated index file") for size in (1, 3, 5, 20)},
+    "first-half": (_VALID_FILE[: len(_VALID_FILE) // 2], "truncated index file"),
+    "trailing-byte": (_changed(tail=b"\0"), "trailing bytes after index payload"),
+    "flipped-payload-byte": (_VALID_FILE[:-1] + bytes([_VALID_FILE[-1] ^ 0x01]), "index checksum mismatch (file is corrupt)"),
+    "invalid-utf8-video": (_changed(videos=["v\udcff", "v2"]), "corrupt document table: invalid start byte"),
+    "empty-video": (_changed(videos=["", "v1"]), "document table holds an empty or whitespace-bearing entry"),
+    "video-with-space": (_changed(videos=["v 1", "v2"]), "document table holds an empty or whitespace-bearing entry"),
+    "video-with-line-feed": (_changed(videos=["v1\nv3", "v2"]), "document table holds 3 entries, header says 2"),
+    "term-with-line-feed": (_changed(terms=["alpha\ngamma", "beta"]), "term table holds 3 entries, header says 2"),
+    "videos-descending": (_changed(videos=["v2", "v1"]), "document table is not strictly ascending"),
+    "video-repeated": (_changed(videos=["v1", "v1"]), "document table is not strictly ascending"),
+    "terms-descending": (_changed(terms=["beta", "alpha"]), "term table is not strictly ascending"),
+    "term-repeated": (_changed(terms=["alpha", "alpha"]), "term table is not strictly ascending"),
+    **{
+        f"offsets-{'-'.join(map(str, offsets))}": (_changed(offsets=offsets), "term offsets are not monotone up to the posting count")
+        for offsets in ([0, 3, 2], [0, 1, 2], [1, 2, 3])
+    },
+    "unknown-document": (_changed(doc_ids=[0, 2, 0]), "posting references an unknown document"),
+    "zero-term-frequency": (_changed(tfs=[1, 0, 1]), "posting with zero term frequency"),
+    **{
+        f"average-{average}": (_changed(average=average), "index statistics inconsistent with document lengths")
+        for average in (2.0, math.nan)
+    },
+}
+
+
+@pytest.mark.parametrize("data, message", INDEX_FAULTS.values(), ids=INDEX_FAULTS)
+def test_each_index_fault_keeps_its_message(tmp_path, data, message):
+    (tmp_path / "bm25.idx").write_bytes(data)
+    with pytest.raises(FormatError) as raised:
+        load_index(tmp_path)
+    assert str(raised.value) == f"{tmp_path / 'bm25.idx'}: {message}"
+
+
 class TestFormatV2:
     def write(self, tmp_path, data):
         (tmp_path / "bm25.idx").write_bytes(data)
@@ -287,59 +317,6 @@ class TestFormatV2:
     def test_save_index_writes_the_documented_layout(self, tmp_path):
         index = build_index(docs("alpha beta", "alpha"))
         assert save_index(index, tmp_path).read_bytes() == _v2_file(**VALID_PARTS)
-
-    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
-        target = save_index(build_index(docs("attach the mouthpiece", "rinse the ear canal")), tmp_path)
-        payload = bytearray(target.read_bytes())
-        payload[-1] ^= 0x01
-        target.write_bytes(bytes(payload))
-        with pytest.raises(FormatError, match="checksum"):
-            load_index(tmp_path)
-
-    def test_version_1_file_named(self, tmp_path):
-        data = bytearray(_v2_file(**VALID_PARTS))
-        data[0] = 1
-        with pytest.raises(FormatError, match="version 1"):
-            load_index(self.write(tmp_path, bytes(data)))
-
-    def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="empty"):
-            load_index(self.write(tmp_path, b""))
-
-    @pytest.mark.parametrize("size", [1, 3, 5, 20])
-    def test_short_header_rejected(self, tmp_path, size):
-        with pytest.raises(FormatError, match="truncated"):
-            load_index(self.write(tmp_path, _v2_file(**VALID_PARTS)[:size]))
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="trailing"):
-            load_index(self.write(tmp_path, _v2_file(**VALID_PARTS, tail=b"\0")))
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"doc_ids": [0, 2, 0]}, "unknown document"),
-            ({"videos": ["v2", "v1"]}, "ascending"),
-            ({"videos": ["v1", "v1"]}, "ascending"),
-            ({"videos": ["", "v1"]}, "empty or whitespace"),
-            ({"videos": ["v 1", "v2"]}, "empty or whitespace"),
-            ({"terms": ["alpha", "alpha"]}, "ascending"),
-            ({"offsets": [0, 3, 2]}, "offsets"),
-            ({"offsets": [0, 1, 2]}, "offsets"),
-            ({"offsets": [1, 2, 3]}, "offsets"),
-            ({"tfs": [1, 0, 1]}, "zero term frequency"),
-            ({"average": 2.0}, "inconsistent"),
-            ({"average": math.nan}, "inconsistent"),
-            ({"videos": ["v1\nv3", "v2"]}, "document table holds 3 entries, header says 2"),
-            ({"terms": ["alpha\ngamma", "beta"]}, "term table holds 3"),
-            ({"videos": ["v\udcff", "v2"]}, "corrupt document table"),
-            ({"terms": ["beta", "alpha"]}, "term table is not strictly ascending"),
-        ],
-    )
-    def test_inconsistent_structure_rejected(self, tmp_path, change, message):
-        data = _v2_file(**{**VALID_PARTS, **change})
-        with pytest.raises(FormatError, match=message):
-            load_index(self.write(tmp_path, data))
 
     def test_save_over_existing_index_leaves_one_file(self, tmp_path):
         save_index(build_index(docs("a b")), tmp_path)

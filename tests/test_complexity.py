@@ -10,9 +10,17 @@ show a ratio near 16, but the iterations of a loop of plain arithmetic and
 indexing show not at all.  The posting loop of BM25 search is such a loop, so
 search is counted by the line events of ``sys.settrace`` instead.  Work done
 inside one C call (a sort, a set lookup) is at most one event, so it is not
-covered here.  The one super-linear path is the step alignment within one
-segment, which scores predicted × gold steps: four times the steps of one
-segment cost at most about sixteen times the work.
+covered here, nor is the arithmetic on one big int.
+
+Three paths are super-linear.  Step alignment within one segment scores
+predicted × gold steps: four times the steps of one segment cost at most
+about sixteen times the work.  METEOR's exact search is exponential in the
+shared tokens that repeat, and nothing bounds it yet; a caption pair whose
+shared tokens each occur once per side skips the search and is aligned in
+one linear pass, pinned here.  ROUGE-L is quadratic in caption length: its
+bit-parallel LCS makes one big-int step per token, on ints as wide as the
+reference, so its quadratic part is the big-int arithmetic these events do
+not see.
 
 The parsers convert each distinct timestamp string and rank token once per
 call; the last tests count those conversions, again with no clock.
@@ -40,6 +48,7 @@ from medvideval.pooling import build_pool
 from medvideval.retrieval_metrics import evaluate_rankings, retrieval_report
 from medvideval.segment_metrics import IoUParams, evaluate_localization
 from medvideval.step_alignment import AlignmentParams, evaluate_captions, evaluate_steps
+from medvideval.text_metrics import meteor_tokens
 
 SIZE = 200  # records at the smaller size; the larger has four times as many
 MAX_RATIO = 4.5
@@ -156,6 +165,17 @@ def steps_text(n: int) -> str:
     )
 
 
+def forced_caption_pair(n: int) -> tuple[list[str], list[str]]:
+    """Two token lists of ``n`` tokens whose METEOR alignment is forced: no token repeats on either side.
+
+    The reference holds the prediction's blocks of four in reverse block
+    order, with every fifth token replaced, so the alignment has many chunks.
+    """
+    pred = [f"w{i}" for i in range(n)]
+    ref = [f"r{i}" if i % 5 == 4 else pred[i] for block in range(n - 4, -1, -4) for i in range(block, block + 4)]
+    return pred, ref
+
+
 def corpus_text(n: int) -> str:
     return jsonl({"video": f"v{i}", "title": f"video {i}", "subtitle": "wash and dry the hands"} for i in range(n))
 
@@ -232,6 +252,7 @@ CASES = {
     "build_index": lambda n: (build_index, parse_corpus(corpus_text(n))),
     "evaluate_steps": lambda n: (evaluate_steps, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
     "evaluate_captions": lambda n: (evaluate_captions, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
+    "meteor-forced": lambda n: (meteor_tokens, *forced_caption_pair(n)),
     "write_report-tsv": lambda n: (write_report, report(n), "tsv"),
     "write_report-structured": lambda n: (write_report, report(n), "structured"),
 }

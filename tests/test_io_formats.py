@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medvideval import io_formats
+from medvideval import bm25, core, io_formats
 from medvideval.bm25 import Bm25Params
 from medvideval.core import FormatError, RelevanceGrade, TimeInterval, plain_number
 from medvideval.io_formats import (
@@ -38,6 +38,7 @@ from medvideval.pooling import PoolBand, PoolSpec
 from medvideval.segment_metrics import IoUParams
 from medvideval.step_alignment import AlignmentParams, AlignmentResult
 from medvideval.text_metrics import CaptionPair
+from test_bm25 import INDEX_FAULTS
 
 # ---------------------------------------------------------------------------
 # retrieval runs
@@ -457,51 +458,74 @@ def test_each_fault_of_the_other_parsers_keeps_its_message_and_line(parse, text,
     assert str(raised.value) == message
 
 
-def _raised_messages() -> dict[str, str]:
-    """Each message that a function of io_formats raises a FormatError with: its source text, and a regex with
+def _raised_messages(module, skip=(), reasons=None) -> dict[str, str]:
+    """Each message that a function of ``module`` raises a FormatError with: its source text, and a regex with
     each placeholder a wildcard.
 
     A message held in a variable stands for each string assigned to it in the
-    function.  read_text and write_atomically report file-system errors, which
-    the CLI tests pin.
+    function.  An ``exc.reason`` placeholder re-raises a caught FormatError's
+    message: with ``reasons``, a {source: regex} map of the messages it can
+    catch, it stands for each of them.  An OS error's own text
+    (``str(exc.strerror or exc)``) and the functions in ``skip`` are left out;
+    the CLI tests pin file-system errors.
     """
     messages = {}
-    for function in ast.parse(Path(io_formats.__file__).read_text(encoding="utf-8")).body:
-        if not isinstance(function, ast.FunctionDef) or function.name in ("read_text", "write_atomically"):
+    for function in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if not isinstance(function, ast.FunctionDef) or function.name in skip:
             continue
         nodes = list(ast.walk(function))
         for node in nodes:
             if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and ast.unparse(node.exc.func) == "FormatError"):
                 continue
             message = node.exc.args[0]
+            if ast.unparse(message) == "str(exc.strerror or exc)":
+                continue
             values = [message]
             if isinstance(message, ast.Name):
                 values = [assign.value for assign in nodes if isinstance(assign, ast.Assign) and ast.unparse(assign.targets[0]) == message.id]
             for value in values:
                 parts = value.values if isinstance(value, ast.JoinedStr) else [value]
                 assert all(isinstance(part, (ast.Constant, ast.FormattedValue)) for part in parts), ast.unparse(value)
-                pattern = "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".*" for part in parts)
-                messages[ast.unparse(value)] = pattern
+                source = ast.unparse(value)
+                caught = [isinstance(part, ast.FormattedValue) and ast.unparse(part.value) == "exc.reason" for part in parts]
+                fillings = reasons.items() if reasons is not None and any(caught) else [(None, ".*")]
+                for reason, filling in fillings:
+                    pattern = "".join(
+                        filling if is_caught else re.escape(part.value) if isinstance(part, ast.Constant) else ".*"
+                        for part, is_caught in zip(parts, caught)
+                    )
+                    messages[source if reason is None else f"{source} <- {reason}"] = pattern
     return messages
 
 
-RAISED_MESSAGES = _raised_messages()
+# The messages of parse_timestamp reach the parsers through _timestamp_field, which appends the field name.
+TIMESTAMP_MESSAGES = _raised_messages(core)
+PARSER_MESSAGES = _raised_messages(io_formats, skip=("read_text", "write_atomically"), reasons=TIMESTAMP_MESSAGES)
+INDEX_MESSAGES = _raised_messages(bm25)
+# Each raised message, as a regex over a whole table row: a parser row starts with its source and line.
+RAISED_MESSAGES = {
+    **{source: rf"\S+:\d+: {pattern}" for source, pattern in PARSER_MESSAGES.items()},
+    **INDEX_MESSAGES,
+}
 TABLE_ROWS = [
     *(message for _, message in RUN_FAULTS.values()),
     *(f"loc.jsonl:2: {message}" for _, message in LOCALIZATION_FAULTS),
     *(message for _, message in LOCALIZATION_ORDER_FAULTS.values()),
     *(message for _, _, message in OTHER_PARSER_FAULTS.values()),
+    *(message for _, message in INDEX_FAULTS.values()),
 ]
 
 
 def test_the_source_walk_finds_raised_messages():
-    assert RAISED_MESSAGES
+    assert len(TIMESTAMP_MESSAGES) == 3
+    assert sum(" <- " in source for source in PARSER_MESSAGES) == len(TIMESTAMP_MESSAGES)
+    assert INDEX_MESSAGES
 
 
 # One case per raised message, so a failure names the raise that no table row pins.
 @pytest.mark.parametrize("pattern", RAISED_MESSAGES.values(), ids=RAISED_MESSAGES)
 def test_every_raised_parser_fault_has_a_table_row(pattern):
-    assert any(re.fullmatch(rf"\S+:\d+: {pattern}", row) for row in TABLE_ROWS)
+    assert any(re.fullmatch(pattern, row) for row in TABLE_ROWS)
 
 
 # ---------------------------------------------------------------------------

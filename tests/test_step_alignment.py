@@ -362,11 +362,14 @@ def test_fixture_caption_bleu_equals_bleu_n_of_the_matched_pairs(params):
         assert score.bleu[order] == bleu_n(pairs, order)
 
 
-def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):
+@pytest.mark.parametrize("evaluate", [evaluate_steps, evaluate_captions])
+def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch, evaluate):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pred = parse_steps((STEP_FIXTURE / "pred.jsonl").read_text(encoding="utf-8"))
         gold = parse_steps((STEP_FIXTURE / "gold.jsonl").read_text(encoding="utf-8"))
+    # Four steps with one caption, all matched: each step's caption is still tokenized, once.
+    pred["dup"] = gold["dup"] = sequence("dup", step("wrap the wrist", 0, 5), step("wrap the wrist", 5, 10))
     tokenized = []
 
     def counting_tokenize(text):
@@ -376,7 +379,7 @@ def test_each_caption_is_tokenized_once_per_aligned_step(monkeypatch):
     monkeypatch.setattr(text_metrics, "tokenize", counting_tokenize)
     monkeypatch.setattr(step_alignment, "tokenize", counting_tokenize, raising=False)
     with pytest.warns(ToolkitWarning, match="'s6'"):
-        evaluate_steps(pred, gold)
+        evaluate(pred, gold)
     # Prediction-only segment s6 is not aligned, so its caption is never scored.
     aligned = [gold[segment_id] for segment_id in gold] + [pred[segment_id] for segment_id in gold if segment_id in pred]
     assert sorted(tokenized) == sorted(step.caption for seq in aligned for step in seq.steps)
