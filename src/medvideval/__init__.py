@@ -40,7 +40,6 @@ from .segment_metrics import (
     IoUParams,
     evaluate_localization,
     mean_iou,
-    question_iou,
     recall_at_n_iou,
     relaxed_iou,
     temporal_iou,
@@ -69,6 +68,6 @@ from .text_metrics import (
     tokenize,
 )
 from .pooling import Pool, PoolBand, PoolSpec, build_pool, run_prefix
-from .bm25 import Bm25Params, InvertedIndex, bm25_score, build_index, load_index, save_index, search
+from .bm25 import Bm25Params, InvertedIndex, build_index, load_index, save_index, search
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from itertools import compress
 from operator import attrgetter
 
@@ -63,11 +63,12 @@ class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length t
     ``t``'s postings are ``[offsets[t], offsets[t + 1])`` ('Q') of ``doc_ids``
     ('I', ascending within each term) and ``tfs`` ('I').
 
-    There is no ``__slots__ = ()``, so each index has a ``__dict__`` for its
-    norms cache; tuple equality compares the data and never that cache.
+    The index holds nothing beyond these fields.  ``search`` computes the
+    length norms on each call and ``run_from_searches`` once per batch, so a
+    batch of queries should go through the latter.
     """
 
-    _norms: tuple[Bm25Params, list[float]] | None = None
+    __slots__ = ()
 
     @property
     def doc_count(self) -> int:
@@ -81,19 +82,9 @@ class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length t
         return (self.offsets[t], self.offsets[t + 1])
 
     def length_norms(self, params: Bm25Params) -> list[float]:
-        """k1 * (1 - b + b * dl / avgdl) per document id.
-
-        The norms for the most recent (k1, b) are kept, so a batch of queries
-        computes them once.  The cache is replaced as one tuple, never
-        mutated, so concurrent searches stay correct.
-        """
-        cached = self._norms
-        if cached is not None and cached[0] == params:
-            return cached[1]
+        """k1 * (1 - b + b * dl / avgdl) per document id."""
         k1, b, average = params.k1, params.b, self.avg_doc_length
-        norms = [k1 * (1.0 - b + b * (length / average if average else 0.0)) for length in self.lengths]
-        self._norms = (params, norms)
-        return norms
+        return [k1 * (1.0 - b + b * (length / average if average else 0.0)) for length in self.lengths]
 
 
 def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True) -> InvertedIndex:
@@ -125,43 +116,38 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
 
 
 def _idf_from_df(doc_count: int, df: int) -> float:
+    """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def idf(index: InvertedIndex, term: str) -> float:
-    """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
-    start, end = index.span(term)
-    return _idf_from_df(index.doc_count, end - start)
+def _check_k(k: int) -> None:
+    if type(k) is bool or not isinstance(k, int):
+        raise ValueError(f"cutoff k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"cutoff k must be >= 1, got {k}")
 
 
-def bm25_score(
-    query_terms: Sequence[str],
-    video: VideoId,
-    index: InvertedIndex,
-    params: Bm25Params = Bm25Params(),
-) -> float:
-    """Sum of per-term BM25 contributions; terms absent from the video add 0."""
-    doc = bisect_left(index.videos, video)
-    if doc == index.doc_count or index.videos[doc] != video:
-        raise KeyError(f"video {video!r} is not in the index")
-    return _scores(index, query_terms, params)[doc]
-
-
-def _scores(index: InvertedIndex, query_terms: Iterable[str], params: Bm25Params) -> list[float]:
-    """BM25 score of every document id, each summing its query terms in order."""
-    norms = index.length_norms(params)
+def _ranked(
+    index: InvertedIndex, query: str, k: int, params: Bm25Params, norms: list[float]
+) -> list[tuple[VideoId, float]]:
+    """Top-k ``(video, score)`` pairs of one query, each score summing the query's terms in order."""
     scale = params.k1 + 1.0
     # One dense accumulator per query: list indexing beats dict get/set in the
     # posting loop, and allocating it is a single C-level fill.
     scores = [0.0] * index.doc_count
-    for term in query_terms:
+    for term in tokenize(query):
         start, end = index.span(term)
         if start == end:
             continue
         weight = _idf_from_df(index.doc_count, end - start)
         for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
             scores[doc] += weight * tf * scale / (tf + norms[doc])
-    return scores
+    # Every contribution is positive (tf >= 1, idf > 0), so the positively
+    # scoring documents are the non-zero entries, picked in ascending video-id
+    # order; the stable sort keeps that order among equal scores.
+    ranked = sorted(compress(range(index.doc_count), scores), key=scores.__getitem__, reverse=True)
+    videos = index.videos
+    return [(videos[doc], scores[doc]) for doc in ranked[:k]]
 
 
 def search(
@@ -171,17 +157,8 @@ def search(
     params: Bm25Params = Bm25Params(),
 ) -> list[tuple[VideoId, float]]:
     """Top-k positively scoring videos, ties broken by ascending video id; ``k`` is an ``int`` >= 1."""
-    if type(k) is bool or not isinstance(k, int):
-        raise ValueError(f"cutoff k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
-    scores = _scores(index, tokenize(query), params)
-    # Every contribution is positive (tf >= 1, idf > 0), so the positively
-    # scoring documents are the non-zero entries, picked in ascending video-id
-    # order; the stable sort keeps that order among equal scores.
-    ranked = sorted(compress(range(index.doc_count), scores), key=scores.__getitem__, reverse=True)
-    videos = index.videos
-    return [(videos[doc], scores[doc]) for doc in ranked[:k]]
+    _check_k(k)
+    return _ranked(index, query, k, params, index.length_norms(params))
 
 
 def run_from_searches(
@@ -190,11 +167,13 @@ def run_from_searches(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> dict[str, list[RetrievalRunEntry]]:
-    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``."""
+    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``; the length norms are computed once."""
+    _check_k(k)
+    norms = index.length_norms(params)
     return {
         qid: [
             tuple.__new__(RetrievalRunEntry, (qid, video, rank, score, BASELINE_TAG))
-            for rank, (video, score) in enumerate(search(index, text, k, params), start=1)
+            for rank, (video, score) in enumerate(_ranked(index, text, k, params, norms), start=1)
         ]
         for qid, text in queries.items()
     }

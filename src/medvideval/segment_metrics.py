@@ -113,16 +113,6 @@ def _best_iou_prefix(
     return prefix
 
 
-def question_iou(
-    candidates: Sequence[LocalizationCandidate],
-    judged: Sequence[JudgedVideo],
-    lam: float = 0.0,
-) -> float:
-    """Best gated IoU over an already-truncated (top-n) candidate list."""
-    prefix = _best_iou_prefix(candidates, judged, lam)
-    return prefix[-1] if prefix else 0.0
-
-
 def mean_iou(
     run: Mapping[QuestionId, Sequence[LocalizationCandidate]],
     qrels: Mapping[QuestionId, Sequence[JudgedVideo]],

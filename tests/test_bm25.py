@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from medvideval import bm25
 from medvideval.bm25 import (
     Bm25Params,
+    InvertedIndex,
     build_index,
-    bm25_score,
-    idf,
     load_index,
     run_from_searches,
     save_index,
@@ -69,40 +68,37 @@ class TestBuildIndex:
 
 class TestScoring:
     def test_single_doc_idf(self):
+        # tf=1, dl=3, avg=3 -> norm = k1, so the score is idf = ln(1 + 0.5/1.5)
         index = build_index(docs("press the wound"))
-        assert idf(index, "press") == pytest.approx(math.log(1 + 0.5 / 1.5), abs=1e-9)
-        assert idf(index, "press") == pytest.approx(0.2877, abs=1e-4)
+        [(video, score)] = search(index, "press", 1)
+        assert video == "v1"
+        assert score == pytest.approx(math.log(1 + 0.5 / 1.5), abs=1e-9)
+        assert score == pytest.approx(0.2877, abs=1e-4)
 
     def test_absent_term_contributes_zero(self):
         index = build_index(docs("press the wound"))
-        with_term = bm25_score(["press"], "v1", index)
-        padded = bm25_score(["press", "zebra"], "v1", index)
-        assert with_term == padded
-        assert bm25_score(["zebra"], "v1", index) == 0.0
+        assert search(index, "press zebra", 1) == search(index, "press", 1)
+        assert search(index, "zebra", 1) == []
 
     def test_k1_irrelevant_when_tf_zero(self):
         index = build_index(docs("press the wound"))
-        assert bm25_score(["zebra"], "v1", index, Bm25Params(k1=0.9)) == 0.0
-        assert bm25_score(["zebra"], "v1", index, Bm25Params(k1=1.8)) == 0.0
+        assert search(index, "zebra", 1, Bm25Params(k1=0.9)) == []
+        assert search(index, "zebra", 1, Bm25Params(k1=1.8)) == []
 
     def test_single_doc_full_score_from_definition(self):
         index = build_index(docs("press the wound press"))
         params = Bm25Params()
         # tf=2, dl=4, avg=4 -> norm = k1; idf = ln(1 + 0.5/1.5)
         expected = math.log(1 + 0.5 / 1.5) * 2 * (params.k1 + 1) / (2 + params.k1)
-        assert bm25_score(["press"], "v1", index, params) == pytest.approx(expected, abs=1e-12)
+        [(_, score)] = search(index, "press", 1, params)
+        assert score == pytest.approx(expected, abs=1e-12)
 
-    def test_unknown_video_rejected(self):
-        index = build_index(docs("press the wound"))
-        with pytest.raises(KeyError):
-            bm25_score(["press"], "ghost", index)
-
-    def test_idf_non_negative_for_all_document_frequencies(self):
-        corpus = docs(*["common word"] * 10)
-        index = build_index(corpus)
-        assert idf(index, "common") >= 0.0
-        assert idf(index, "word") >= 0.0
-        assert idf(index, "rare") >= 0.0
+    def test_term_in_every_document_still_scores_above_zero(self):
+        index = build_index(docs(*["common word"] * 10))
+        for query in ("common", "word"):
+            ranked = search(index, query, 10)
+            assert len(ranked) == 10
+            assert all(score > 0.0 for _, score in ranked)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -126,6 +122,13 @@ class TestSearch:
             search(index, "shared", True)
         with pytest.raises(ValueError, match="^cutoff k must be an integer, got 2.5$"):
             search(index, "shared", 2.5)
+        # A batch checks k up front, so even an empty one rejects a bad cutoff.
+        with pytest.raises(ValueError, match="^cutoff k must be >= 1, got 0$"):
+            run_from_searches(index, {}, 0)
+        with pytest.raises(ValueError, match="^cutoff k must be an integer, got True$"):
+            run_from_searches(index, {}, True)
+        with pytest.raises(ValueError, match="^cutoff k must be an integer, got 2.5$"):
+            run_from_searches(index, {}, 2.5)
 
     def test_no_indexed_terms_yields_empty(self):
         index = build_index(docs("press the wound"))
@@ -168,6 +171,19 @@ class TestSearch:
             assert run[qid] == expected
             assert all(type(entry) is RetrievalRunEntry for entry in run[qid])
 
+    def test_a_batch_computes_the_length_norms_once(self, monkeypatch):
+        index = build_index(docs("attach the mouthpiece", "rinse the mouthpiece", "attach the spacer"))
+        calls = []
+        length_norms = InvertedIndex.length_norms
+
+        def counted(self, params):
+            calls.append(params)
+            return length_norms(self, params)
+
+        monkeypatch.setattr(InvertedIndex, "length_norms", counted)
+        run_from_searches(index, {f"Q{i}": "attach mouthpiece" for i in range(10)}, k=10)
+        assert len(calls) == 1
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -176,10 +192,13 @@ class TestPersistence:
         loaded = load_index(tmp_path)
         assert loaded == index
 
-    def test_equality_compares_data_not_the_norms_cache(self, tmp_path):
+    def test_index_holds_nothing_beyond_its_data(self, tmp_path):
         index = build_index(docs("attach the mouthpiece", "rinse the ear canal"))
+        assert InvertedIndex.__slots__ == ()
+        assert not hasattr(index, "__dict__")
         save_index(index, tmp_path)
-        search(index, "the mouthpiece", 2)  # caches the length norms on index only
+        search(index, "the mouthpiece", 2)
+        run_from_searches(index, {"Q1": "rinse the canal"}, 2)
         assert load_index(tmp_path) == index
         assert build_index(docs("attach the mouthpiece")) != index
 
@@ -353,16 +372,3 @@ def test_round_trip_search_is_identical(tmp_path, case, k, k1, b):
     loaded = load_index(tmp_path)
     assert loaded == index
     assert search(loaded, query, k, params) == search(index, query, k, params)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12).map(" ".join), min_size=1, max_size=8),
-    st.lists(st.sampled_from("abcdefgz"), min_size=1, max_size=6),
-)
-def test_bm25_score_matches_search_bit_for_bit(subtitles, query_terms):
-    index = build_index(docs(*subtitles))
-    params = Bm25Params(k1=1.2, b=0.75)
-    ranked = dict(search(index, " ".join(query_terms), len(subtitles), params))
-    for video in index.videos:
-        assert bm25_score(query_terms, video, index, params) == ranked.get(video, 0.0)

@@ -16,7 +16,6 @@ from medvideval.segment_metrics import (
     normalise_depths,
     normalise_thresholds,
     percent_at_least,
-    question_iou,
     recall_at_n_iou,
     relaxed_iou,
     temporal_iou,
@@ -70,22 +69,22 @@ class TestQuestionIoU:
     def test_exact_match_in_relevant_video(self):
         cands = [candidate("Q1", "v1", 150, 190, 1)]
         pool = [judged_video("Q1", "v1", 2, [(150, 190)])]
-        assert question_iou(cands, pool) == 1.0
+        assert mean_iou({"Q1": cands}, {"Q1": pool}, n=1) == 1.0
 
     def test_candidate_in_non_relevant_video_scores_zero(self):
         cands = [candidate("Q1", "bad", 150, 190, 1)]
         pool = [judged_video("Q1", "bad", 0), judged_video("Q1", "good", 2, [(150, 190)])]
-        assert question_iou(cands, pool) == 0.0
+        assert mean_iou({"Q1": cands}, {"Q1": pool}, n=1) == 0.0
 
     def test_multi_answer_takes_max(self):
         cands = [candidate("Q1", "v1", 155, 190, 1)]
         pool = [judged_video("Q1", "v1", 2, [(150, 190), (300, 330)])]
-        assert question_iou(cands, pool) == pytest.approx(0.875)
+        assert mean_iou({"Q1": cands}, {"Q1": pool}, n=1) == pytest.approx(0.875)
 
     def test_possibly_relevant_counts_like_definitely(self):
         cands = [candidate("Q1", "v1", 0, 10, 1)]
         pool = [judged_video("Q1", "v1", 1, [(0, 10)])]
-        assert question_iou(cands, pool) == 1.0
+        assert mean_iou({"Q1": cands}, {"Q1": pool}, n=1) == 1.0
 
 
 def build_fixture():
