@@ -57,7 +57,6 @@ from .step_alignment import (
 from .text_metrics import (
     CaptionPair,
     bleu_n,
-    bleu_scores,
     bleu_scores_tokens,
     lcs_length,
     meteor,

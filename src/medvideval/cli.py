@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run queries against a persisted index, emitting a run file")
     p.add_argument("index_dir", type=_path, metavar="INDEX_DIR", help="directory written by the index command")
     p.add_argument("queries", type=_path, metavar="QUERIES", help="query file: qid followed by query text")
-    p.add_argument("--k", type=_int_list, default=[10], help="results per query (default 10)")
+    p.add_argument("--k", nargs=1, type=_positive_int, default=[10], help="results per query (default 10)")
     p.add_argument("--k1", type=_number, default=_BM25.k1, help="BM25 k1 (default %(default)g)")
     p.add_argument("--b", type=_number, default=_BM25.b, help="BM25 b (default %(default)g)")
     p.add_argument("--out", type=_path, metavar="PATH", help="write the run here instead of stdout")
@@ -209,18 +209,6 @@ def _emit_report(report: MetricReport, args: argparse.Namespace) -> None:
     _emit(write_report(report, args.format), args.out)
 
 
-def _check_qrels_flag(paths: Sequence[str]) -> None:
-    """Reject a ``--qrels`` with more than two paths; called before any input is read."""
-    if len(paths) > 2:
-        raise FormatError("--qrels takes a grade file plus at most one answer sidecar")
-
-
-def _load_qrels(paths: Sequence[str]):
-    grades, *sidecar = paths
-    texts = [read_text(path) for path in paths]
-    return parse_qrels(*texts, grades_source=grades, answers_source=sidecar[0] if sidecar else "<answers>")
-
-
 def _params(build, **values):
     """Build parameters (an object or a normalised grid), reporting an out-of-range flag value as bad input."""
     try:
@@ -229,10 +217,18 @@ def _params(build, **values):
         raise FormatError(str(exc)) from None
 
 
+def _judged_run(args: argparse.Namespace, parse: Callable):
+    """The ``--run`` file read by ``parse``, then the ``--qrels`` judgments; a third ``--qrels`` path is rejected first."""
+    if len(args.qrels) > 2:
+        raise FormatError("--qrels takes a grade file plus at most one answer sidecar")
+    run = parse(read_text(args.run), source=args.run)
+    grades, *sidecar = args.qrels
+    texts = [read_text(path) for path in args.qrels]
+    return run, parse_qrels(*texts, grades_source=grades, answers_source=sidecar[0] if sidecar else "<answers>")
+
+
 def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    _check_qrels_flag(args.qrels)
-    run = parse_retrieval_run(read_text(args.run), source=args.run)
-    qrels = _load_qrels(args.qrels)
+    run, qrels = _judged_run(args, parse_retrieval_run)
     score = evaluate_retrieval(run, qrels, ks=args.k)
     _emit_report(retrieval_report(score), args)
     return EXIT_OK
@@ -241,9 +237,7 @@ def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
 def _localization_inputs(args: argparse.Namespace):
     """The run's judged questions, the judgments, and the IoU grid, which is checked before any file is read."""
     params = _params(IoUParams, n_values=args.n, mu_values=args.mu, lam=args.lam)
-    _check_qrels_flag(args.qrels)
-    run = parse_localization_run(read_text(args.run), source=args.run)
-    qrels = _load_qrels(args.qrels)
+    run, qrels = _judged_run(args, parse_localization_run)
     return judged_questions(run, qrels), qrels, params
 
 
@@ -319,8 +313,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if len(args.k) != 1:
-        raise FormatError("search takes a single --k cutoff")
     params = _params(Bm25Params, k1=args.k1, b=args.b)
     index = load_index(args.index_dir)
     queries = parse_queries(read_text(args.queries), source=args.queries)

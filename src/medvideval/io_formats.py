@@ -248,8 +248,10 @@ def _timestamp_field(
     return seconds
 
 
-def _interval(start: float, end: float, source: str, line: int) -> TimeInterval:
-    """The interval between two ``_timestamp_field`` values, which are already in range."""
+def _interval_field(obj: Mapping[str, object], source: str, line: int, converted: dict[str, float]) -> TimeInterval:
+    """The interval from the ``start`` and ``end`` timestamps of ``obj``; see ``_timestamp_field``."""
+    start = _timestamp_field(obj, "start", source, line, converted)
+    end = _timestamp_field(obj, "end", source, line, converted)
     if end < start:
         raise FormatError(f"interval end {end} precedes start {start}", source=source, line=line)
     return tuple.__new__(TimeInterval, (start, end))
@@ -407,9 +409,7 @@ def parse_qrels(
                     source=answers_source,
                     line=lineno,
                 )
-            start = _timestamp_field(obj, "start", answers_source, lineno, converted)
-            end = _timestamp_field(obj, "end", answers_source, lineno, converted)
-            record.answers.append(_interval(start, end, answers_source, lineno))
+            record.answers.append(_interval_field(obj, answers_source, lineno, converted))
 
     return {qid: list(videos.values()) for qid, videos in judged.items()}
 
@@ -434,9 +434,7 @@ def parse_localization_run(text: str, source: str = "<localization-run>") -> dic
     for lineno, obj in _jsonl_records(text, source):
         qid = _str_field(obj, "question", source, lineno)
         video = _str_field(obj, "video", source, lineno)
-        start = _timestamp_field(obj, "start", source, lineno, converted)
-        end = _timestamp_field(obj, "end", source, lineno, converted)
-        interval = _interval(start, end, source, lineno)
+        interval = _interval_field(obj, source, lineno, converted)
         score = _number_field(obj, "score", source, lineno)
         ranked = "rank" in obj
         rank = obj["rank"] if ranked else lineno  # an unranked record's line number is its tiebreak
@@ -501,9 +499,7 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
                     ),
                     stacklevel=2,
                 )
-            start = _timestamp_field(raw, "start", source, lineno, converted)
-            end = _timestamp_field(raw, "end", source, lineno, converted)
-            steps.append(Step(caption, _interval(start, end, source, lineno)))
+            steps.append(Step(caption, _interval_field(raw, source, lineno, converted)))
         steps.sort(key=lambda step: step.interval.start)  # stable: source order breaks ties
         sequences[segment_id] = StepSequence(segment_id, steps)
     return sequences

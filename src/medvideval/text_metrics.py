@@ -104,11 +104,6 @@ def _repeated_clipped_matches(pred_grams: list, ref_grams: list, shared: set) ->
     return sum(min(pred_counts[gram], ref_counts[gram]) for gram in shared)
 
 
-def bleu_scores(pairs: Sequence[CaptionPair], orders: Sequence[int]) -> dict[int, float]:
-    """Corpus-level BLEU for each order in ``orders``; see ``bleu_scores_tokens``."""
-    return bleu_scores_tokens([(tokenize(pair.predicted), tokenize(pair.reference)) for pair in pairs], orders)
-
-
 def bleu_scores_tokens(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], orders: Sequence[int]) -> dict[int, float]:
     """Corpus-level BLEU of (pred tokens, ref tokens) pairs for each order in ``orders``, from one counting pass.
 
@@ -162,8 +157,8 @@ def bleu_scores_tokens(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], ord
 
 
 def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
-    """Corpus-level BLEU with uniform weights up to order ``n``; see ``bleu_scores``."""
-    return bleu_scores(pairs, (n,))[n]
+    """Corpus-level BLEU of caption pairs with uniform weights up to order ``n``; see ``bleu_scores_tokens``."""
+    return bleu_scores_tokens([(tokenize(pair.predicted), tokenize(pair.reference)) for pair in pairs], (n,))[n]
 
 
 def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
@@ -221,8 +216,6 @@ def _searched_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, i
     # Every maximum alignment matches token t exactly quota[t] times.
     quota = {token: min(n, mask[token].bit_count()) for token, n in count.items()}
     max_matches = sum(quota.values())
-    if max_matches == 0:
-        return 0, 0
     best = max_matches + 1  # any alignment has at most one chunk per match
     # Node: (pred position, bitmask of used ref positions, ref position that
     # would continue the current chunk, chunks so far).  len(ref) is never free.

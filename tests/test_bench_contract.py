@@ -5,7 +5,8 @@ renaming a function it names breaks the replay only when a full trace runs.
 These tests read the replay's source with ``ast`` (without importing or
 running it) and check each name it reads on a ``medvideval`` module, each
 keyword it passes to one, and each ``(module, "name")`` entry point it wraps,
-against the package as it is.
+against the package as it is.  One more test pins the shape of the parsed
+``search --k`` value, which the replay indexes.
 """
 
 import ast
@@ -14,6 +15,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from medvideval import cli
 
 REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
 
@@ -119,3 +122,10 @@ def test_every_entry_point_the_replay_names_resolves():
     assert KEPT_ENTRY_POINTS <= resolved
     missing = set(pairs) - resolved
     assert missing == DEAD_ENTRY_POINTS, f"perfbench/replay.py names entry points that do not resolve: {sorted(missing)}"
+
+
+def test_search_k_is_the_one_item_list_the_replay_indexes():
+    # The replay's probe_search reads ``args.k[0]``.
+    parser = cli.build_parser()
+    assert parser.parse_args(["search", "idx", "q.txt", "--k", "7"]).k[0] == 7
+    assert parser.parse_args(["search", "idx", "q.txt"]).k[0] == 10

@@ -220,7 +220,7 @@ BAD_COMMAND_LINES = [
     *[(command, "--mu", ["1.5"], "mu must be …") for command in _LOCALIZATION],
     *[("search", flag, [value], f"{flag[2:]} must be …") for flag in ("--k1", "--b") for value in ("inf", "-inf", "nan", "1e309", "1e308")],
     ("search", "--k1", ["0"], "k1 must be …"),
-    ("search", "--k", ["5,10"], "search takes a single --k cutoff"),
+    ("search", "--k", ["5,10"], "argument --k: expected a positive integer, got '5,10'"),
     *[(command, "--mu", ["0.3,0.30000001"], "mu values 0.3 and 0.30000001 share the column IoU=0.3") for command in (*_LOCALIZATION, "eval-steps")],
     *[(command, "--qrels", ["a", "b", "c"], "--qrels takes a grade file plus at most one answer sidecar") for command in _JUDGED],
     *[(command, "--threads", ["0"], "argument --threads: expected a positive integer, got '0'") for command in (*_SCORED, "search")],

@@ -408,6 +408,16 @@ OTHER_PARSER_FAULTS = {
                 for i, end in enumerate(["00:20", "0:2", "00:20", "0:2"], start=1)),
         "<answers>:2: malformed timestamp '0:2'; expected MM:SS or plain seconds (field 'end')",
     ),
+    "answers-end-before-start": (
+        partial(parse_qrels, "q1 0 v1 1"),
+        '{"question": "q1", "video": "v1", "start": "02:50", "end": "01:00"}',
+        "<answers>:1: interval end 60.0 precedes start 170.0",
+    ),
+    "steps-end-before-start": (
+        parse_steps,
+        '{"segment": "s1", "steps": [{"caption": "wrap", "start": "02:50", "end": "01:00"}]}',
+        "<steps>:1: interval end 60.0 precedes start 170.0",
+    ),
     "steps-repeated-bad-timestamp": (
         parse_steps,
         "".join(f'{{"segment": "s{i}", "steps": [{{"caption": "wrap", "start": "00:05", "end": "{end}"}}]}}\n'

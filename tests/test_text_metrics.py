@@ -8,7 +8,7 @@ from medvideval.text_metrics import (
     PRF,
     CaptionPair,
     bleu_n,
-    bleu_scores,
+    bleu_scores_tokens,
     lcs_length,
     meteor,
     rouge_l,
@@ -168,6 +168,12 @@ class TestMeteor:
     def test_crossed_tokens_worked_example(self):
         assert meteor(CaptionPair("b a", "a b")) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("pred, ref", [(["a", "a"], ["b"]), ([], []), (["a"], [])])
+    def test_search_with_nothing_shared_aligns_nothing(self, pred, ref):
+        from medvideval.text_metrics import _searched_alignment
+
+        assert _searched_alignment(pred, ref) == (0, 0)
+
     @given(words.filter(bool), words.filter(bool))
     def test_bounded_and_formula_consistent(self, pred, ref):
         from medvideval.text_metrics import _exact_alignment
@@ -192,7 +198,7 @@ short_captions = st.sampled_from(PUNCTUATION_ONLY) | st.lists(st.sampled_from("a
 @given(st.lists(st.tuples(short_captions, short_captions), min_size=1, max_size=5))
 def test_every_bleu_order_from_one_pass_equals_bleu_n(sides):
     pairs = [CaptionPair(pred, ref) for pred, ref in sides]
-    scores = bleu_scores(pairs, (1, 2, 3, 4))
+    scores = bleu_scores_tokens([(tokenize(pred), tokenize(ref)) for pred, ref in sides], (1, 2, 3, 4))
     assert list(scores) == [1, 2, 3, 4]
     for n in (1, 2, 3, 4):
         assert scores[n] == bleu_n(pairs, n)
