@@ -119,41 +119,39 @@ class MetricReport(namedtuple("MetricReport", "name params values")):
 # ---------------------------------------------------------------------------
 
 
-def _json_value(text: str, what: str, source: str, line: int) -> object:
-    """``json.loads(text)``, with every way it can fail as a FormatError naming ``source`` and ``line``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        reason = exc.msg
-    except RecursionError:
-        reason = "nested too deeply"
-    except ValueError:  # an integer literal longer than int() accepts
-        reason = "integer has too many digits"
-    raise FormatError(f"malformed {what}: {reason}", source=source, line=line)
-
-
 # json.loads minus its BOM and whitespace handling, which a stripped line does
 # not need.  Like json's default decoder it keeps no state between calls.
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_record(line: str, source: str, lineno: int) -> dict:
-    """The JSON object that makes up all of ``line``, a stripped non-empty line."""
-    try:
-        obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = -1
-    if end == len(line) and type(obj) is dict:
-        return obj
-    _json_value(line, "JSON record", source, lineno)  # raises unless the line is valid JSON
-    raise FormatError("expected a JSON object", source=source, line=lineno)
-
-
 def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of ``text``, which must be one JSON object.
+
+    Any other line is a FormatError naming ``source`` and the line; when the
+    line is not valid JSON, ``json.loads`` names the fault.
+    """
     for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if stripped:
-            yield lineno, _json_record(stripped, source, lineno)
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(line) and type(obj) is dict:
+            yield lineno, obj
+            continue
+        try:
+            json.loads(line)
+        except json.JSONDecodeError as exc:
+            reason = exc.msg
+        except RecursionError:
+            reason = "nested too deeply"
+        except ValueError:  # an integer literal longer than int() accepts
+            reason = "integer has too many digits"
+        else:
+            raise FormatError("expected a JSON object", source=source, line=lineno)
+        raise FormatError(f"malformed JSON record: {reason}", source=source, line=lineno)
 
 
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*\Z")  # the literals int() accepts, digit limit aside

@@ -329,8 +329,14 @@ def matched_caption_pairs(
     ]
 
 
-class CaptionScore(namedtuple("CaptionScore", "params pair_count bleu meteor rouge_l")):
-    """Corpus text metrics over the greedily matched caption pairs; ``bleu`` maps order to score."""
+class CaptionScore(
+    namedtuple("CaptionScore", "params pair_count bleu meteor rouge_l meteor_fallback_pairs", defaults=(0,))
+):
+    """Corpus text metrics over the greedily matched caption pairs; ``bleu`` maps order to score.
+
+    ``meteor_fallback_pairs`` counts the pairs whose METEOR alignment search
+    stopped at its node budget.
+    """
 
     __slots__ = ()
 
@@ -354,9 +360,10 @@ def evaluate_captions(
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
     bleu = bleu_scores_tokens(pairs, BLEU_ORDERS)
-    meteor_mean = plain_sum(meteor_tokens(pred, ref) for pred, ref in pairs) / len(pairs)
+    fallbacks: list = []
+    meteor_mean = plain_sum(meteor_tokens(pred, ref, fallbacks) for pred, ref in pairs) / len(pairs)
     rouge_mean = plain_sum(caption_f) / len(pairs)
-    return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean)
+    return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean, len(fallbacks))
 
 
 def captions_report(score: CaptionScore) -> MetricReport:
@@ -376,6 +383,8 @@ def captions_report(score: CaptionScore) -> MetricReport:
             "bleu": "corpus-level, no smoothing",
             "meteor": "meteor-exact",
             "meteor_aggregation": "mean-over-pairs",
+            # Named only when the search fell back, so that other reports keep their bytes.
+            **({"meteor_fallback_pairs": score.meteor_fallback_pairs} if score.meteor_fallback_pairs else {}),
             "rouge_aggregation": "mean-F-over-pairs",
             "tokenizer": "lowercase, whitespace, edge-punctuation stripped",
             "units": "percent",

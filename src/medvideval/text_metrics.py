@@ -161,15 +161,16 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
     return bleu_scores_tokens([(tokenize(pair.predicted), tokenize(pair.reference)) for pair in pairs], (n,))[n]
 
 
-def _exact_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
+def _exact_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> tuple[int, int]:
     """(matches, chunks) of the best one-to-one exact-token alignment.
 
     Maximizes the number of matched tokens, then minimizes the number of
     chunks (maximal runs that are contiguous in both sides).  When no shared
-    token repeats, that alignment is forced; otherwise it is searched for.
+    token repeats, that alignment is forced; otherwise it is searched for,
+    within a node budget (see ``_searched_alignment``).
     """
     forced = _forced_alignment(pred, ref)
-    return _searched_alignment(pred, ref) if forced is None else forced
+    return _searched_alignment(pred, ref, fallbacks) if forced is None else forced
 
 
 def _forced_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int] | None:
@@ -196,12 +197,22 @@ def _forced_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int
     return len(matched), chunks
 
 
-def _searched_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
-    """(matches, chunks) of ``_exact_alignment`` by exhaustive search.
+# The nodes that METEOR's search pops before it settles for the best alignment
+# found so far.  No caption pair of at most eight tokens needs more than 7,659;
+# the worst are over two distinct tokens.
+METEOR_NODE_BUDGET = 20_000
 
-    Depth-first search with branch-and-bound pruning; caption-sized inputs
-    resolve immediately because chunk continuation is tried first.  Its
-    worst case is exponential in the repeated shared tokens.
+
+def _searched_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> tuple[int, int]:
+    """(matches, chunks) of ``_exact_alignment`` by depth-first search.
+
+    Branch-and-bound pruning; caption-sized inputs resolve immediately
+    because chunk continuation is tried first.  Minimizing the chunks is
+    NP-hard (it is minimum common string partition), so once the search has
+    popped ``METEOR_NODE_BUDGET`` nodes and reached a leaf, it stops with the
+    fewest chunks of any leaf so far, and appends the pair to ``fallbacks``
+    when that is given.  Every leaf meets every quota, so the matches are
+    still the most possible; only the chunks may be too many.
     """
     mask = token_masks(ref)
     # later[i]: occurrences of pred[i] after position i, counted only for
@@ -220,7 +231,13 @@ def _searched_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, i
     # Node: (pred position, bitmask of used ref positions, ref position that
     # would continue the current chunk, chunks so far).  len(ref) is never free.
     stack = [(0, 0, len(ref), 0)]
+    popped = 0
     while stack:
+        popped += 1
+        if popped > METEOR_NODE_BUDGET and best <= max_matches:  # past the budget, with a leaf reached
+            if fallbacks is not None:
+                fallbacks.append((pred, ref))
+            break
         i, used, cont, chunks = stack.pop()
         if chunks >= best:
             continue
@@ -248,13 +265,14 @@ def meteor(pair: CaptionPair) -> float:
     return meteor_tokens(tokenize(pair.predicted), tokenize(pair.reference))
 
 
-def meteor_tokens(pred: Sequence[str], ref: Sequence[str]) -> float:
+def meteor_tokens(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> float:
     """Exact-match METEOR of two token lists: harmonic mean weighted toward recall, chunk penalty.
 
     F_mean = 10PR / (R + 9P), penalty = 0.5 (chunks/matches)^3, and the score
-    is F_mean (1 - penalty); 0 when nothing matches.
+    is F_mean (1 - penalty); 0 when nothing matches.  A pair whose alignment
+    search stops at its node budget is appended to ``fallbacks``, when given.
     """
-    matches, chunks = _exact_alignment(pred, ref)
+    matches, chunks = _exact_alignment(pred, ref, fallbacks)
     if matches == 0:
         return 0.0
     precision = matches / len(pred)

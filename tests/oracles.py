@@ -9,7 +9,8 @@ the two-row dynamic program that the bit-parallel LCS replaced.
 ``reference_align_steps`` is the full scan that the bounded step alignment
 replaced, scoring every cell through ``alignment_score``.  The
 reference parsers at the end are the run parsers that the current ones
-replaced, and they share the per-field checks of ``medvideval.io_formats``.
+replaced, and they share the per-field checks of ``medvideval.io_formats``;
+each reads its lines, JSON included, itself.
 
 The instance generators at the end draw each family's random instances as
 plain values, once for every test that compares a family with its oracles;
@@ -18,6 +19,7 @@ plain values, once for every test that compares a family with its oracles;
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -381,13 +383,7 @@ def reference_parse_retrieval_run(text: str, source: str = "<run>"):
 
 def reference_parse_localization_run(text: str, source: str = "<localization-run>"):
     from medvideval.core import FormatError, TimeInterval
-    from medvideval.io_formats import (
-        LocalizationCandidate,
-        _json_value,
-        _number_field,
-        _str_field,
-        _timestamp_field,
-    )
+    from medvideval.io_formats import LocalizationCandidate, _number_field, _str_field, _timestamp_field
 
     by_question: dict = {}
     seen_ranks: set = set()
@@ -396,7 +392,14 @@ def reference_parse_localization_run(text: str, source: str = "<localization-run
         stripped = line.strip()
         if not stripped:
             continue
-        obj = _json_value(stripped, "JSON record", source, lineno)
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"malformed JSON record: {exc.msg}", source=source, line=lineno) from None
+        except RecursionError:
+            raise FormatError("malformed JSON record: nested too deeply", source=source, line=lineno) from None
+        except ValueError:  # an integer literal longer than int() accepts
+            raise FormatError("malformed JSON record: integer has too many digits", source=source, line=lineno) from None
         if not isinstance(obj, dict):
             raise FormatError("expected a JSON object", source=source, line=lineno)
         qid = _str_field(obj, "question", source, lineno)

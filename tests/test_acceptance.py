@@ -11,11 +11,13 @@ the metric definitions and import nothing of the package.  Three references
 there do reuse production helpers, so a fault in a shared helper shows on
 neither side: ``reference_parse_retrieval_run`` parses fields with
 ``_parse_int`` and ``_parse_score``, ``reference_parse_localization_run`` with
-``_json_value``, ``_str_field``, ``_timestamp_field`` and ``_number_field``,
-and ``reference_align_steps`` scores each cell through ``alignment_score``.
+``_str_field``, ``_timestamp_field`` and ``_number_field``, and
+``reference_align_steps`` scores each cell through ``alignment_score``.
 The two parsers still check record assembly, the order of each question's
-records and which of several faults is reported first in file order; the
-alignment reference still checks which cells the bounded scan may skip.
+records and which of several faults is reported first in file order, and the
+localization reference decodes each line with ``json.loads`` itself, so it
+checks the package's JSON Lines decoder; the alignment reference still checks
+which cells the bounded scan may skip.
 """
 
 import json

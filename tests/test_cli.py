@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -623,6 +625,30 @@ def test_long_caption_pair_rouge_l_is_exact(tmp_path):
         warnings.simplefilter("ignore")  # a caption past seven words warns by design
         assert main(["eval-captions", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]), "--out", str(out_path)]) == 0
     assert f"\nROUGE-L\t{100.0 * rouge:.4f}\n" in out_path.read_text()
+
+
+def test_a_long_caption_pair_over_two_words_stops_at_the_node_budget(tmp_path):
+    # Every shared word repeats, so METEOR searches, and without its node budget
+    # the search over these 40 words would run for hours.
+    rng = random.Random("two words")
+    argv = ["eval-captions"]
+    for name in ("pred", "gold"):
+        step = {"caption": " ".join(rng.choices(["wrap", "tie"], k=40)), "start": 0, "end": 10}
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(json.dumps({"segment": "s1", "steps": [step]}) + "\n", encoding="utf-8")
+        argv += [f"--{name}", str(path)]
+    reports = []
+    for attempt in range(2):
+        out_path = tmp_path / f"captions{attempt}.tsv"
+        started = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a caption past seven words warns by design
+            assert main([*argv, "--out", str(out_path)]) == 0
+        assert time.perf_counter() - started < 1.0
+        reports.append(out_path.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"\n# meteor_fallback_pairs = 1\n" in reports[0]
+    assert b"\nmatched_pairs\t1\n" in reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,24 @@ search is counted by the line events of ``sys.settrace`` instead.  Work done
 inside one C call (a sort, a set lookup) is at most one event, so it is not
 covered here, nor is the arithmetic on one big int.
 
-Three paths are super-linear.  Step alignment within one segment scores
-predicted × gold steps: four times the steps of one segment cost at most
-about sixteen times the work.  METEOR's exact search is exponential in the
-shared tokens that repeat, and nothing bounds it yet; a caption pair whose
-shared tokens each occur once per side skips the search and is aligned in
-one linear pass, pinned here.  ROUGE-L is quadratic in caption length: its
-bit-parallel LCS makes one big-int step per token, on ints as wide as the
-reference, so its quadratic part is the big-int arithmetic these events do
-not see.
+METEOR's exact search is exponential in the shared tokens that repeat, so
+it stops at a node budget: a pair over two words, whose every shared token
+repeats, is pinned here at 50 and 200 tokens.  A pair whose shared tokens
+each occur once per side skips the search and is aligned in one linear pass,
+also pinned here.  Two paths are super-linear.  Step alignment within one
+segment scores predicted × gold steps: four times the steps of one segment
+cost at most about sixteen times the work.  ROUGE-L is quadratic in caption
+length: its bit-parallel LCS makes one big-int step per token, on ints as
+wide as the reference, so its quadratic part is the big-int arithmetic these
+events do not see.  A count stops at ``EVENT_LIMIT`` events and fails the
+test, so a path that runs away fails instead of hanging.
 
 The parsers convert each distinct timestamp string and rank token once per
 call; the last tests count those conversions, again with no clock.
 """
 
 import json
+import random
 import sys
 
 import pytest
@@ -53,15 +56,18 @@ from medvideval.text_metrics import meteor_tokens
 SIZE = 200  # records at the smaller size; the larger has four times as many
 MAX_RATIO = 4.5
 QUESTIONS = 5  # parser inputs spread their records over this many questions
+EVENT_LIMIT = 10_000_000  # about seven times the most that any case here counts
 
 
 def profile_events(call) -> int:
-    """The number of profile events while ``call()`` runs."""
+    """The number of profile events while ``call()`` runs; the test fails once it passes ``EVENT_LIMIT``."""
     count = 0
 
     def tally(frame, event, arg):
         nonlocal count
         count += 1
+        if count > EVENT_LIMIT:
+            pytest.fail(f"more than {EVENT_LIMIT:,} profile events")
 
     previous = sys.getprofile()
     sys.setprofile(tally)
@@ -176,6 +182,12 @@ def forced_caption_pair(n: int) -> tuple[list[str], list[str]]:
     return pred, ref
 
 
+def two_word_caption_pair(n: int) -> tuple[list[str], list[str]]:
+    """Two token lists of ``n`` tokens, each drawn from the same two words, so METEOR searches."""
+    rng = random.Random(f"meteor:{n}")
+    return rng.choices(["a", "b"], k=n), rng.choices(["a", "b"], k=n)
+
+
 def corpus_text(n: int) -> str:
     return jsonl({"video": f"v{i}", "title": f"video {i}", "subtitle": "wash and dry the hands"} for i in range(n))
 
@@ -253,6 +265,7 @@ CASES = {
     "evaluate_steps": lambda n: (evaluate_steps, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
     "evaluate_captions": lambda n: (evaluate_captions, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
     "meteor-forced": lambda n: (meteor_tokens, *forced_caption_pair(n)),
+    "meteor-searched": lambda n: (meteor_tokens, *two_word_caption_pair(n // 4)),  # 50 and 200 tokens
     "write_report-tsv": lambda n: (write_report, report(n), "tsv"),
     "write_report-structured": lambda n: (write_report, report(n), "structured"),
 }
