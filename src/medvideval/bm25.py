@@ -22,14 +22,14 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import compress
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .core import CheckedRecord, FormatError, VideoId
 from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token, write_atomically
-from .text_metrics import tokenize
+from .text_metrics import token_counts, tokenize
 
 BASELINE_TAG = "bm25-baseline"
 INDEX_FILENAME = "bm25.idx"
@@ -91,25 +91,26 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
     """Index token counts of title + subtitle (or subtitle alone) per video."""
     documents = sorted(corpus, key=attrgetter("video"))
     lengths = array("I")
-    term_postings: dict[str, tuple[array, array]] = {}  # term -> (doc ids, tfs); merged below by C-level copies
+    term_postings: dict[str, list[int]] = {}  # term -> [doc, tf, doc, tf, ...]; split below by C-level slices
     for doc_id, doc in enumerate(documents):
         _check_token(doc.video, "video id")
         if doc_id and doc.video == documents[doc_id - 1].video:
             raise ValueError(f"duplicate video id {doc.video!r} in corpus")
-        tokens = tokenize(f"{doc.title} {doc.subtitle}" if include_title else doc.subtitle)
-        lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
+        counts = token_counts(f"{doc.title} {doc.subtitle}" if include_title else doc.subtitle)
+        lengths.append(sum(counts.values()))
+        for term, tf in counts.items():
             posting = term_postings.get(term)
             if posting is None:
-                posting = term_postings[term] = (array("I"), array("I"))
-            posting[0].append(doc_id)
-            posting[1].append(tf)
+                term_postings[term] = [doc_id, tf]
+            else:
+                posting.append(doc_id)
+                posting.append(tf)
     terms = sorted(term_postings)
     offsets, doc_ids, tfs = array("Q", [0]), array("I"), array("I")
     for term in terms:
-        ids, counts = term_postings.pop(term)  # each posting is freed once copied
-        doc_ids.extend(ids)
-        tfs.extend(counts)
+        posting = term_postings.pop(term)  # each posting is freed once copied
+        doc_ids.fromlist(posting[::2])
+        tfs.fromlist(posting[1::2])
         offsets.append(len(doc_ids))
     average = sum(lengths) / len(lengths) if lengths else 0.0
     return InvertedIndex([doc.video for doc in documents], lengths, average, terms, offsets, doc_ids, tfs)
@@ -127,27 +128,62 @@ def _check_k(k: int) -> None:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
 
 
+def _column(
+    index: InvertedIndex, start: int, end: int, weight: float, scale: float, norms: list[float]
+) -> list[float] | None:
+    """The contribution of the postings ``[start, end)`` to each document id's score, 0.0 where absent.
+
+    None when the postings list a document twice, which ``load_index`` accepts
+    and one addition per document could not reproduce.
+    """
+    column = [0.0] * index.doc_count
+    for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
+        if column[doc]:  # every contribution is non-zero
+            return None
+        column[doc] = weight * tf * scale / (tf + norms[doc])
+    return column
+
+
 def _ranked(
-    index: InvertedIndex, query: str, k: int, params: Bm25Params, norms: list[float]
-) -> list[tuple[VideoId, float]]:
-    """Top-k ``(video, score)`` pairs of one query, each score summing the query's terms in order."""
+    index: InvertedIndex,
+    query: str,
+    k: int,
+    params: Bm25Params,
+    norms: list[float],
+    columns: dict[str, list[float] | None] | None = None,
+) -> tuple[list[int], list[float]]:
+    """The top-k document ids of one query and every document's score, each summing the query's terms in order.
+
+    ``columns`` holds, across a batch, the column of each term found in at
+    least half the documents.  Adding a column gives each document the same
+    additions in the same order as the posting loop: a document outside the
+    postings gets ``+ 0.0``, which leaves a non-negative score's bits as they
+    are.  A column has at most twice as many entries as the postings it covers.
+    """
     scale = params.k1 + 1.0
+    doc_count = index.doc_count
     # One dense accumulator per query: list indexing beats dict get/set in the
     # posting loop, and allocating it is a single C-level fill.
-    scores = [0.0] * index.doc_count
+    scores = [0.0] * doc_count
     for term in tokenize(query):
         start, end = index.span(term)
         if start == end:
             continue
-        weight = _idf_from_df(index.doc_count, end - start)
+        weight = _idf_from_df(doc_count, end - start)
+        if columns is not None and 2 * (end - start) >= doc_count:
+            if term not in columns:
+                columns[term] = _column(index, start, end, weight, scale, norms)
+            column = columns[term]
+            if column is not None:
+                scores = list(map(add, scores, column))
+                continue
         for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
             scores[doc] += weight * tf * scale / (tf + norms[doc])
     # Every contribution is positive (tf >= 1, idf > 0), so the positively
     # scoring documents are the non-zero entries, picked in ascending video-id
     # order; the stable sort keeps that order among equal scores.
-    ranked = sorted(compress(range(index.doc_count), scores), key=scores.__getitem__, reverse=True)
-    videos = index.videos
-    return [(videos[doc], scores[doc]) for doc in ranked[:k]]
+    ranked = sorted(compress(range(doc_count), scores), key=scores.__getitem__, reverse=True)
+    return ranked[:k], scores
 
 
 def search(
@@ -158,7 +194,9 @@ def search(
 ) -> list[tuple[VideoId, float]]:
     """Top-k positively scoring videos, ties broken by ascending video id; ``k`` is an ``int`` >= 1."""
     _check_k(k)
-    return _ranked(index, query, k, params, index.length_norms(params))
+    ranked, scores = _ranked(index, query, k, params, index.length_norms(params))
+    videos = index.videos
+    return [(videos[doc], scores[doc]) for doc in ranked]
 
 
 def run_from_searches(
@@ -167,16 +205,23 @@ def run_from_searches(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> dict[str, list[RetrievalRunEntry]]:
-    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``; the length norms are computed once."""
+    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``; each equals ``search``'s.
+
+    The length norms are computed once per batch, and so is the column of
+    each term found in at least half the documents.
+    """
     _check_k(k)
     norms = index.length_norms(params)
-    return {
-        qid: [
-            tuple.__new__(RetrievalRunEntry, (qid, video, rank, score, BASELINE_TAG))
-            for rank, (video, score) in enumerate(_ranked(index, text, k, params, norms), start=1)
+    columns: dict[str, list[float] | None] = {}
+    videos = index.videos
+    run = {}
+    for qid, text in queries.items():
+        ranked, scores = _ranked(index, text, k, params, norms, columns)
+        run[qid] = [
+            tuple.__new__(RetrievalRunEntry, (qid, videos[doc], rank, scores[doc], BASELINE_TAG))
+            for rank, doc in enumerate(ranked, start=1)
         ]
-        for qid, text in queries.items()
-    }
+    return run
 
 
 # ---------------------------------------------------------------------------

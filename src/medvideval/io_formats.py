@@ -326,6 +326,9 @@ def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -
     """
     lines = []
     checked: set[str] = set()  # video ids and run tags that already passed _check_token
+    # Tied scores sit next to each other, so each is printed once.  A zero is
+    # always printed anew, since 0.0 == -0.0 but the two print differently.
+    last_score = last_text = None
     for qid in sorted(run):
         videos: set[VideoId] = set()
         ranks: set[int] = set()
@@ -347,8 +350,11 @@ def write_retrieval_run(run: Mapping[QuestionId, Sequence[RetrievalRunEntry]]) -
                 raise ValueError(f"duplicate rank {rank} for question {qid!r}")
             videos.add(video)
             ranks.add(rank)
-            lines.append(f"{question} Q0 {video} {rank} {plain_number(score)} {tag}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            if score != last_score or not score:
+                last_score, last_text = score, plain_number(score)
+            lines.append(f"{question} Q0 {video} {rank} {last_text} {tag}")
+    lines.append("")  # the final line break, or "" for an empty run
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
 """From-scratch caption similarity metrics: tokenization, BLEU-n, ROUGE-L, METEOR.
 
 One tokenizer is shared by every metric (and by the BM25 index) so that
-scores stay comparable.  BLEU is corpus-level with no smoothing; METEOR uses
-exact-match alignment only (no stemming or synonymy).  Both choices are
-surfaced in report metadata by the callers.
+scores stay comparable; ``token_counts`` is a view of it that counts its
+tokens.  BLEU is corpus-level with no smoothing; METEOR uses exact-match
+alignment only (no stemming or synonymy).  Both choices are surfaced in
+report metadata by the callers.
 """
 
 from __future__ import annotations
 
 import math
-import string
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from .core import CheckedRecord, plain_sum
 
-_PUNCT = string.punctuation
+_PUNCT = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"  # string.punctuation, without importing string
 
 
 class CaptionPair(CheckedRecord, namedtuple("CaptionPair", "predicted reference")):
@@ -54,6 +54,18 @@ def tokenize(text: str) -> list[str]:
         if token:
             tokens.append(token)
     return tokens
+
+
+def token_counts(text: str) -> Counter:
+    """``Counter(tokenize(text))``, stripping punctuation once per distinct word rather than once per word."""
+    counts = Counter(text.lower().split())
+    for raw in list(counts):
+        token = raw.strip(_PUNCT)
+        if token != raw:
+            count = counts.pop(raw)
+            if token:
+                counts[token] = counts.get(token, 0) + count
+    return counts
 
 
 def token_masks(tokens: Sequence[str]) -> dict[str, int]:

@@ -58,6 +58,12 @@ class TestBuildIndex:
         assert "nebulizer" in with_title.terms
         assert "nebulizer" not in without.terms
 
+    def test_lengths_count_the_tokens_of_each_document(self):
+        corpus = [CorpusDocument("v1", "Tie.", "Tie the elbow, TIE! ... 02:30"), CorpusDocument("v2", "", "(-) !!")]
+        index = build_index(corpus)
+        assert index.lengths.tolist() == [len(tokenize(f"{doc.title} {doc.subtitle}")) for doc in corpus] == [6, 0]
+        assert index.tfs[slice(*index.span("tie"))].tolist() == [3]
+
     def test_insertion_order_invariant(self):
         corpus = docs("alpha beta gamma", "beta beta delta", "gamma alpha alpha")
         forward = build_index(corpus)
@@ -183,6 +189,23 @@ class TestSearch:
         monkeypatch.setattr(InvertedIndex, "length_norms", counted)
         run_from_searches(index, {f"Q{i}": "attach mouthpiece" for i in range(10)}, k=10)
         assert len(calls) == 1
+
+    def test_a_batch_builds_the_column_of_a_common_term_once(self, monkeypatch):
+        # "the" is in all three documents, "spacer" in one: 2 * 1 < 3, so it keeps the posting loop.
+        index = build_index(docs("attach the mouthpiece", "rinse the mouthpiece", "attach the spacer"))
+        spans = []
+        column = bm25._column
+
+        def counted(index, start, end, *rest):
+            spans.append((start, end))
+            return column(index, start, end, *rest)
+
+        monkeypatch.setattr(bm25, "_column", counted)
+        run_from_searches(index, {f"Q{i}": "the spacer" for i in range(10)}, k=10)
+        assert spans == [index.span("the")]
+        spans.clear()
+        search(index, "the spacer", 10)
+        assert spans == []
 
 
 class TestPersistence:
@@ -322,6 +345,24 @@ def test_each_index_fault_keeps_its_message(tmp_path, data, message):
     assert str(raised.value) == f"{tmp_path / 'bm25.idx'}: {message}"
 
 
+def _ranked_pairs(run):
+    """A run's ``(video, score)`` pairs per question, in ``search``'s shape."""
+    return {qid: [(entry.video, entry.score) for entry in entries] for qid, entries in run.items()}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [_VALID_FILE, _changed(doc_ids=[0, 0, 0])],
+    ids=["valid", "document-repeated-within-a-term"],
+)
+def test_a_loaded_batch_equals_the_search_of_each_query(tmp_path, data):
+    (tmp_path / "bm25.idx").write_bytes(data)
+    index = load_index(tmp_path)
+    queries = {"Q1": "alpha", "Q2": "alpha beta alpha", "Q3": "beta"}
+    run = run_from_searches(index, queries, 2)
+    assert _ranked_pairs(run) == {qid: search(index, text, 2) for qid, text in queries.items()}
+
+
 class TestFormatV2:
     def write(self, tmp_path, data):
         (tmp_path / "bm25.idx").write_bytes(data)
@@ -372,3 +413,28 @@ def test_round_trip_search_is_identical(tmp_path, case, k, k1, b):
     loaded = load_index(tmp_path)
     assert loaded == index
     assert search(loaded, query, k, params) == search(index, query, k, params)
+
+
+@st.composite
+def common_term_batches(draw):
+    """A corpus over a vocabulary of one to four words, so most terms are in half the documents or more,
+    and a batch of queries that repeat its words."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    subtitles = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=8).map(" ".join), max_size=12))
+    texts = draw(st.lists(st.lists(st.sampled_from([*vocab, "absent"]), max_size=6).map(" ".join), min_size=1, max_size=5))
+    return docs(*subtitles), {f"Q{i}": text for i, text in enumerate(texts)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    common_term_batches(),
+    st.integers(min_value=1, max_value=15),
+    st.sampled_from([0.01, 0.9, 1.2, 5.0, 1e100]),
+    st.sampled_from([0.0, 0.4, 0.75, 1.0]),
+)
+def test_a_batch_equals_the_search_of_each_query(case, k, k1, b):
+    corpus, queries = case
+    params = Bm25Params(k1=k1, b=b)
+    index = build_index(corpus)
+    run = run_from_searches(index, queries, k, params)
+    assert _ranked_pairs(run) == {qid: search(index, text, k, params) for qid, text in queries.items()}

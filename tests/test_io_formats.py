@@ -688,6 +688,18 @@ class TestRetrievalRunWriter:
     def test_empty_question_writes_nothing(self):
         run = {"q1": [], "q2": [RetrievalRunEntry("q2", "v1", 1, 1.0, "t")]}
         assert write_retrieval_run(run) == "q2 Q0 v1 1 1.0 t\n"
+        assert write_retrieval_run({}) == ""
+        assert write_retrieval_run({"q1": []}) == ""
+
+    def test_each_line_prints_its_own_score_when_adjacent_scores_tie(self):
+        # The writer prints a tied score once; 0.0 == -0.0 and 3 == 3.0 compare equal.
+        scores = [2.5, 2.5, 0.0, -0.0, -0.0, 0.0, 3, 3.0, 1e-05]
+        run = {"q1": [RetrievalRunEntry("q1", f"v{rank}", rank, score, "t") for rank, score in enumerate(scores, start=1)]}
+        expected = "".join(f"q1 Q0 v{rank} {rank} {plain_number(score)} t\n" for rank, score in enumerate(scores, start=1))
+        assert write_retrieval_run(run) == expected
+        assert [line.split()[4] for line in expected.splitlines()] == [
+            "2.5", "2.5", "0.0", "-0.0", "-0.0", "0.0", "3.0", "3.0", "0.00001"
+        ]
 
 
 # Values drawn so that most runs break a rule of the format, and about a quarter do not.

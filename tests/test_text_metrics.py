@@ -1,9 +1,12 @@
 import random
+import string
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medvideval import text_metrics
 from medvideval.text_metrics import (
     PRF,
     CaptionPair,
@@ -13,6 +16,7 @@ from medvideval.text_metrics import (
     meteor,
     rouge_l,
     rouge_l_tokens,
+    token_counts,
     token_masks,
     tokenize,
 )
@@ -45,6 +49,23 @@ class TestTokenize:
 
     def test_lowercases(self):
         assert tokenize("TIE The Elbow") == ["tie", "the", "elbow"]
+
+    def test_punctuation_is_ascii_punctuation(self):
+        assert text_metrics._PUNCT == string.punctuation
+
+
+@st.composite
+def tokenizer_texts(draw):
+    """Words with edge and internal punctuation, all-punctuation words and mixed case, each
+    followed by whitespace that ``str.split`` splits on, ASCII or not; possibly empty."""
+    word = st.sampled_from(["tie", "TIE", "Tie.", "(tie)", "02:30", "02:30,", "...", "!!", "-", "a'b", "ÉLBOW", "élbow!", ""])
+    gap = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u2028", "\u3000"])
+    return "".join(draw(word) + draw(gap) for _ in range(draw(st.integers(0, 12))))
+
+
+@given(st.one_of(tokenizer_texts(), st.text()))
+def test_token_counts_is_the_counter_of_tokenize(text):
+    assert token_counts(text) == Counter(tokenize(text))
 
 
 class TestLcs:
