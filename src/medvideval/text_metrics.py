@@ -173,58 +173,25 @@ def bleu_n(pairs: Sequence[CaptionPair], n: int) -> float:
     return bleu_scores_tokens([(tokenize(pair.predicted), tokenize(pair.reference)) for pair in pairs], (n,))[n]
 
 
-def _exact_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> tuple[int, int]:
-    """(matches, chunks) of the best one-to-one exact-token alignment.
-
-    Maximizes the number of matched tokens, then minimizes the number of
-    chunks (maximal runs that are contiguous in both sides).  When no shared
-    token repeats, that alignment is forced; otherwise it is searched for,
-    within a node budget (see ``_searched_alignment``).
-    """
-    forced = _forced_alignment(pred, ref)
-    return _searched_alignment(pred, ref, fallbacks) if forced is None else forced
-
-
-def _forced_alignment(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int] | None:
-    """(matches, chunks) when every token that both sides share occurs once on each side, else None.
-
-    Then the one maximum alignment matches each shared token to its one
-    position, and one pass over ``pred`` counts its chunks.
-    """
-    position: dict[str, int] = {}  # each token's position in ref, or -1 when ref repeats it
-    for j, token in enumerate(ref):
-        position[token] = -1 if token in position else j
-    matched: set[str] = set()
-    chunks = 0
-    follows = -1  # the ref position that would continue the current chunk
-    for token in pred:
-        j = position.get(token, -2)  # -2: not in ref, so the next match starts a chunk
-        if j == -1 or token in matched:
-            return None
-        if j >= 0:
-            matched.add(token)
-            if j != follows:
-                chunks += 1
-        follows = j + 1
-    return len(matched), chunks
-
-
 # The nodes that METEOR's search pops before it settles for the best alignment
 # found so far.  No caption pair of at most eight tokens needs more than 7,659;
 # the worst are over two distinct tokens.
 METEOR_NODE_BUDGET = 20_000
 
 
-def _searched_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> tuple[int, int]:
-    """(matches, chunks) of ``_exact_alignment`` by depth-first search.
+def _exact_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list | None = None) -> tuple[int, int]:
+    """(matches, chunks) of the best one-to-one exact-token alignment, by depth-first search.
 
-    Branch-and-bound pruning; caption-sized inputs resolve immediately
-    because chunk continuation is tried first.  Minimizing the chunks is
-    NP-hard (it is minimum common string partition), so once the search has
-    popped ``METEOR_NODE_BUDGET`` nodes and reached a leaf, it stops with the
-    fewest chunks of any leaf so far, and appends the pair to ``fallbacks``
-    when that is given.  Every leaf meets every quota, so the matches are
-    still the most possible; only the chunks may be too many.
+    Maximizes the number of matched tokens, then minimizes the number of
+    chunks (maximal runs that are contiguous in both sides).  Branch-and-bound
+    pruning; caption-sized inputs resolve immediately because chunk
+    continuation is tried first, and a pair whose shared tokens never repeat
+    is one descent.  Minimizing the chunks is NP-hard (it is minimum common
+    string partition), so once the search has popped ``METEOR_NODE_BUDGET``
+    nodes and reached a leaf, it stops with the fewest chunks of any leaf so
+    far, and appends the pair to ``fallbacks`` when that is given.  Every leaf
+    meets every quota, so the matches are still the most possible; only the
+    chunks may be too many.
     """
     mask = token_masks(ref)
     # later[i]: occurrences of pred[i] after position i, counted only for
@@ -240,17 +207,28 @@ def _searched_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list
     quota = {token: min(n, mask[token].bit_count()) for token, n in count.items()}
     max_matches = sum(quota.values())
     best = max_matches + 1  # any alignment has at most one chunk per match
-    # Node: (pred position, bitmask of used ref positions, ref position that
-    # would continue the current chunk, chunks so far).  len(ref) is never free.
-    stack = [(0, 0, len(ref), 0)]
+    # Entry: (pred position, bitmask of used ref positions, ref position that
+    # would continue the current chunk, chunks so far, siblings).  An entry
+    # with no siblings is a node; len(ref) is never free.  Otherwise it is a
+    # cursor over the nodes that start a new chunk at each sibling position:
+    # a pop expands the lowest and pushes the rest back, so nodes pop in
+    # ascending position and each pop pushes at most four entries.  Each
+    # expanded node counts as one pop, pruned or not.
+    stack = [(0, 0, len(ref), 0, 0)]
     popped = 0
     while stack:
+        i, used, cont, chunks, siblings = stack.pop()
+        if siblings:
+            low = siblings & -siblings
+            if siblings != low:
+                stack.append((i, used, cont, chunks, siblings ^ low))
+            used |= low
+            cont = low.bit_length()
         popped += 1
         if popped > METEOR_NODE_BUDGET and best <= max_matches:  # past the budget, with a leaf reached
             if fallbacks is not None:
                 fallbacks.append((pred, ref))
             break
-        i, used, cont, chunks = stack.pop()
         if chunks >= best:
             continue
         if i == len(pred):
@@ -259,16 +237,14 @@ def _searched_alignment(pred: Sequence[str], ref: Sequence[str], fallbacks: list
         token = pred[i]
         need = quota.get(token, 0) - (used & mask.get(token, 0)).bit_count()
         if need <= later[i]:  # the quota can still be met after skipping
-            stack.append((i + 1, used, len(ref), chunks))
+            stack.append((i + 1, used, len(ref), chunks, 0))
         if need > 0:
             free = mask[token] & ~used
             others = free & ~(1 << cont)
-            while others:  # highest first, so the lowest position pops first
-                j = others.bit_length() - 1
-                others ^= 1 << j
-                stack.append((i + 1, used | 1 << j, j + 1, chunks + 1))
+            if others:
+                stack.append((i + 1, used, 0, chunks + 1, others))
             if free >> cont & 1:
-                stack.append((i + 1, used | 1 << cont, cont + 1, chunks))
+                stack.append((i + 1, used | 1 << cont, cont + 1, chunks, 0))
     return max_matches, best
 
 

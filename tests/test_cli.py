@@ -627,13 +627,15 @@ def test_long_caption_pair_rouge_l_is_exact(tmp_path):
     assert f"\nROUGE-L\t{100.0 * rouge:.4f}\n" in out_path.read_text()
 
 
-def test_a_long_caption_pair_over_two_words_stops_at_the_node_budget(tmp_path):
-    # Every shared word repeats, so METEOR searches, and without its node budget
-    # the search over these 40 words would run for hours.
+@pytest.mark.parametrize("words", [40, 6400])
+def test_a_long_caption_pair_over_two_words_stops_at_the_node_budget(tmp_path, words):
+    # Every shared word repeats, so without its node budget METEOR's search
+    # over 40 words would run for hours; each of its pops pushes at most four
+    # entries, so 6,400 words stop within the same second.
     rng = random.Random("two words")
     argv = ["eval-captions"]
     for name in ("pred", "gold"):
-        step = {"caption": " ".join(rng.choices(["wrap", "tie"], k=40)), "start": 0, "end": 10}
+        step = {"caption": " ".join(rng.choices(["wrap", "tie"], k=words)), "start": 0, "end": 10}
         path = tmp_path / f"{name}.jsonl"
         path.write_text(json.dumps({"segment": "s1", "steps": [step]}) + "\n", encoding="utf-8")
         argv += [f"--{name}", str(path)]

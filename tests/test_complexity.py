@@ -14,15 +14,16 @@ covered here, nor is the arithmetic on one big int.
 
 METEOR's exact search is exponential in the shared tokens that repeat, so
 it stops at a node budget: a pair over two words, whose every shared token
-repeats, is pinned here at 50 and 200 tokens.  A pair whose shared tokens
-each occur once per side skips the search and is aligned in one linear pass,
-also pinned here.  Two paths are super-linear.  Step alignment within one
-segment scores predicted × gold steps: four times the steps of one segment
-cost at most about sixteen times the work.  ROUGE-L is quadratic in caption
-length: its bit-parallel LCS makes one big-int step per token, on ints as
-wide as the reference, so its quadratic part is the big-int arithmetic these
-events do not see.  A count stops at ``EVENT_LIMIT`` events and fails the
-test, so a path that runs away fails instead of hanging.
+repeats, is pinned here at 50 and 200 tokens, and at 1,600 and 6,400 tokens,
+where each of the search's pushes is one counted ``list.append``.  A pair
+whose shared tokens each occur once per side is also pinned here.  Two paths
+are super-linear.  Step alignment within one segment scores predicted × gold
+steps: four times the steps of one segment cost at most about sixteen times
+the work.  ROUGE-L is quadratic in caption length: its bit-parallel LCS
+makes one big-int step per token, on ints as wide as the reference, so its
+quadratic part is the big-int arithmetic these events do not see.  A count
+stops at ``EVENT_LIMIT`` events and fails the test, so a path that runs away
+fails instead of hanging.
 
 The parsers convert each distinct timestamp string and rank token once per
 call; the last tests count those conversions, again with no clock.
@@ -266,6 +267,7 @@ CASES = {
     "evaluate_captions": lambda n: (evaluate_captions, parse_steps(steps_text(n)), parse_steps(steps_text(n))),
     "meteor-forced": lambda n: (meteor_tokens, *forced_caption_pair(n)),
     "meteor-searched": lambda n: (meteor_tokens, *two_word_caption_pair(n // 4)),  # 50 and 200 tokens
+    "meteor-long": lambda n: (meteor_tokens, *two_word_caption_pair(8 * n)),  # 1,600 and 6,400 tokens
     "write_report-tsv": lambda n: (write_report, report(n), "tsv"),
     "write_report-structured": lambda n: (write_report, report(n), "structured"),
 }

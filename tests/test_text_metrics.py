@@ -21,6 +21,7 @@ from medvideval.text_metrics import (
     tokenize,
 )
 from oracles import PUNCTUATION_ONLY, lcs_oracle, reference_lcs_length
+from test_complexity import two_word_caption_pair
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=8)
 
@@ -191,9 +192,28 @@ class TestMeteor:
 
     @pytest.mark.parametrize("pred, ref", [(["a", "a"], ["b"]), ([], []), (["a"], [])])
     def test_search_with_nothing_shared_aligns_nothing(self, pred, ref):
-        from medvideval.text_metrics import _searched_alignment
+        from medvideval.text_metrics import _exact_alignment
 
-        assert _searched_alignment(pred, ref) == (0, 0)
+        assert _exact_alignment(pred, ref) == (0, 0)
+
+    # Pairs that stop at METEOR_NODE_BUDGET: the chunks found so far depend on
+    # the order in which the search pops its nodes, so these pin that order.
+    @pytest.mark.parametrize(
+        "pred, ref, expected",
+        [
+            (*two_word_caption_pair(50), (47, 25)),
+            (*two_word_caption_pair(200), (186, 109)),
+            (*two_word_caption_pair(800), (792, 477)),
+            ("a b a b b c a c a b a b".split(), "c a b b b c a a c b b c".split(), (10, 5)),
+        ],
+        ids=["two-words-50", "two-words-200", "two-words-800", "three-words-12"],
+    )
+    def test_a_search_cut_short_by_the_node_budget_keeps_its_pinned_result(self, pred, ref, expected):
+        from medvideval.text_metrics import _exact_alignment
+
+        fallbacks: list = []
+        assert _exact_alignment(pred, ref, fallbacks) == expected
+        assert fallbacks == [(pred, ref)]
 
     @given(words.filter(bool), words.filter(bool))
     def test_bounded_and_formula_consistent(self, pred, ref):
