@@ -1,15 +1,16 @@
 """BM25 lexical retrieval over video subtitles, with a persistent index.
 
 The index is built once (single writer) and then immutable, so any number of
-searches may run concurrently.  Scoring uses the non-negative idf variant
-ln(1 + (N - df + 0.5)/(df + 0.5)), which never assigns negative weight to
-very common terms.
+searches may run concurrently.  Scoring uses the idf variant
+ln(1 + (N - df + 0.5)/(df + 0.5)), which is positive even for a term in every
+document, since a term lists each document at most once.
 
 Documents get integer ids in ascending video-id order, so ascending id is
 ascending video id.  Postings live in two flat ``array('I')`` blocks (doc ids
 and term frequencies); term ``t`` owns positions ``offsets[t]`` up to
-``offsets[t + 1]``, doc ids ascending.  The file is the same arrays dumped
-little-endian, so loading is a handful of ``frombytes`` calls.
+``offsets[t + 1]``, doc ids strictly ascending.  The file is the same arrays
+dumped little-endian, so loading is a handful of ``frombytes`` calls, and
+``load_index`` checks the whole layout, this order included.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from itertools import compress
-from operator import add, attrgetter
+from itertools import compress, islice, pairwise
+from operator import add, attrgetter, ge
 
 from .core import CheckedRecord, FormatError, VideoId
 from .io_formats import CorpusDocument, RetrievalRunEntry, _check_token, write_atomically
@@ -61,7 +62,9 @@ class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length t
     ``videos`` is ascending and a document's id is its position; ``lengths``
     ('I') is the token count per document id; ``terms`` is ascending; term
     ``t``'s postings are ``[offsets[t], offsets[t + 1])`` ('Q') of ``doc_ids``
-    ('I', ascending within each term) and ``tfs`` ('I').
+    ('I', strictly ascending within each term, so a term lists each document
+    at most once) and ``tfs`` ('I').  ``build_index`` builds this layout, and
+    ``load_index`` rejects a file that breaks any of it.
 
     The index holds nothing beyond these fields.  ``search`` computes the
     length norms on each call and ``run_from_searches`` once per batch, so a
@@ -117,7 +120,7 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
 
 
 def _idf_from_df(doc_count: int, df: int) -> float:
-    """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
+    """ln(1 + (N - df + 0.5) / (df + 0.5)); positive for every df <= N, which every index that loads has."""
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
@@ -130,16 +133,10 @@ def _check_k(k: int) -> None:
 
 def _column(
     index: InvertedIndex, start: int, end: int, weight: float, scale: float, norms: list[float]
-) -> list[float] | None:
-    """The contribution of the postings ``[start, end)`` to each document id's score, 0.0 where absent.
-
-    None when the postings list a document twice, which ``load_index`` accepts
-    and one addition per document could not reproduce.
-    """
+) -> list[float]:
+    """The contribution of the postings ``[start, end)`` to each document id's score, 0.0 where absent."""
     column = [0.0] * index.doc_count
     for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
-        if column[doc]:  # every contribution is non-zero
-            return None
         column[doc] = weight * tf * scale / (tf + norms[doc])
     return column
 
@@ -150,7 +147,7 @@ def _ranked(
     k: int,
     params: Bm25Params,
     norms: list[float],
-    columns: dict[str, list[float] | None] | None = None,
+    columns: dict[str, list[float]] | None = None,
 ) -> tuple[list[int], list[float]]:
     """The top-k document ids of one query and every document's score, each summing the query's terms in order.
 
@@ -173,10 +170,8 @@ def _ranked(
         if columns is not None and 2 * (end - start) >= doc_count:
             if term not in columns:
                 columns[term] = _column(index, start, end, weight, scale, norms)
-            column = columns[term]
-            if column is not None:
-                scores = list(map(add, scores, column))
-                continue
+            scores = list(map(add, scores, columns[term]))
+            continue
         for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
             scores[doc] += weight * tf * scale / (tf + norms[doc])
     # Every contribution is positive (tf >= 1, idf > 0), so the positively
@@ -212,7 +207,7 @@ def run_from_searches(
     """
     _check_k(k)
     norms = index.length_norms(params)
-    columns: dict[str, list[float] | None] = {}
+    columns: dict[str, list[float]] = {}
     videos = index.videos
     run = {}
     for qid, text in queries.items():
@@ -322,7 +317,11 @@ def _strings(blob: memoryview, count: int, what: str, source: str) -> list[str]:
 
 
 def load_index(directory: str | os.PathLike) -> InvertedIndex:
-    """Read an index written by save_index, validating its whole structure up front."""
+    """Read an index written by save_index, validating its whole structure up front.
+
+    Every fault is a FormatError naming the file, and ``save_index`` writes
+    what it is given, so this is the one check of an index's layout.
+    """
     source = os.path.join(directory, INDEX_FILENAME)
     try:
         with open(source, "rb") as handle:
@@ -356,7 +355,12 @@ def load_index(directory: str | os.PathLike) -> InvertedIndex:
     terms = _strings(term_blob, term_count, "term", source)
     if offsets[0] != 0 or offsets[-1] != posting_count or offsets.tolist() != sorted(offsets):
         raise FormatError("term offsets are not monotone up to the posting count", source=source)
-    if posting_count and max(doc_ids) >= doc_count:
+    # Doc ids strictly ascend within a term, so an adjacent pair that does not
+    # ascend must straddle a term offset, and a term's last id is its largest.
+    # Neither check builds a list as long as the postings.
+    if not set(offsets).issuperset(compress(range(1, posting_count), map(ge, doc_ids, islice(doc_ids, 1, None)))):
+        raise FormatError("a term lists a document twice or out of order", source=source)
+    if any(doc_ids[end - 1] >= doc_count for start, end in pairwise(offsets) if start < end):
         raise FormatError("posting references an unknown document", source=source)
     if 0 in tfs:
         raise FormatError("posting with zero term frequency", source=source)

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from array import array
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from commands import ORGANISER, STEPS, TESTS, command_argv, track_inputs
 from medvideval import cli
+from medvideval.bm25 import load_index, save_index
 from medvideval.cli import build_parser
 from medvideval.cli import run_cli as main
 from medvideval.io_formats import MetricReport, write_report
@@ -146,25 +148,32 @@ class TestIndexAndSearch:
         assert f"{corpus}:1:" in capsys.readouterr().err
         assert not (tmp_path / "index").exists()
 
-    @pytest.mark.parametrize("damage", ["version-1", "corrupt", "truncated"])
+    @pytest.mark.parametrize("damage", ["version-1", "corrupt", "truncated", "repeated-document"])
     def test_damaged_index_exits_2_naming_the_file(self, fixture_inputs, tmp_path, damage, capsys):
         argv = command_argv(fixture_inputs, tmp_path)
         assert main(argv["index"]) == 0
         target = tmp_path / "index" / "bm25.idx"
-        data = bytearray(target.read_bytes())
-        if damage == "version-1":
-            data[0] = 1
-        elif damage == "corrupt":
-            data[len(data) // 2] ^= 0xFF
+        if damage == "repeated-document":
+            # save_index writes what it is given, with a valid checksum: every posting names document 0.
+            index = load_index(tmp_path / "index")
+            save_index(index._replace(doc_ids=array("I", [0]) * len(index.doc_ids)), tmp_path / "index")
         else:
-            del data[len(data) // 2 :]
-        target.write_bytes(bytes(data))
+            data = bytearray(target.read_bytes())
+            if damage == "version-1":
+                data[0] = 1
+            elif damage == "corrupt":
+                data[len(data) // 2] ^= 0xFF
+            else:
+                del data[len(data) // 2 :]
+            target.write_bytes(bytes(data))
         capsys.readouterr()
         assert main(_search_argv(argv, tmp_path / "index")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target}: ")
         if damage == "version-1":
             assert "version 1" in err
+        if damage == "repeated-document":
+            assert err == f"error: {target}: a term lists a document twice or out of order\n"
 
 
 @pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
