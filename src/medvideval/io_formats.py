@@ -3,8 +3,10 @@
 Two families of formats:
 
 * Flat formats (retrieval runs, qrels grade files, pool files, query files)
-  are UTF-8 text, fields separated by runs of ASCII whitespace, with ``#``
-  starting a comment line.
+  are UTF-8 text, fields separated by runs of whitespace, with ``#``
+  starting a comment line.  Whitespace is every character for which
+  ``str.isspace()`` holds, as for ``str.split()``: U+3000 and U+00A0
+  separate fields, as a space or a tab does.
 * Record formats (localization runs, step files, answer-interval sidecars,
   subtitle corpora) are JSON Lines, one object per line.
 
@@ -154,6 +156,22 @@ def _jsonl_records(text: str, source: str) -> Iterator[tuple[int, dict]]:
         raise FormatError(f"malformed JSON record: {reason}", source=source, line=lineno)
 
 
+def _flat_records(text: str, source: str, columns: str = "") -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each line of ``text`` that is neither blank nor a ``#`` comment.
+
+    Fields are split at whitespace, as by ``str.split()``.  Given ``columns``,
+    the space-separated field names, a line with another number of fields is
+    a FormatError naming ``source`` and the line.
+    """
+    count = len(columns.split())
+    for lineno, fields in enumerate(map(str.split, text.split("\n")), start=1):
+        if not fields or fields[0][0] == "#":
+            continue
+        if count and len(fields) != count:
+            raise FormatError(f"expected {count} fields ({columns}), got {len(fields)}", source=source, line=lineno)
+        yield lineno, fields
+
+
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*\Z")  # the literals int() accepts, digit limit aside
 
 
@@ -280,17 +298,7 @@ def parse_retrieval_run(text: str, source: str = "<run>") -> dict[QuestionId, li
     # question -> (the question's first qid string, its entries, their videos, their ranks)
     questions: dict[QuestionId, tuple[QuestionId, list[RetrievalRunEntry], set[VideoId], set[int]]] = {}
     rank_of: dict[str, int] = {}  # each rank token that already parsed; ranks run 1..depth for every question
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        fields = line.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if len(fields) != 6:
-            raise FormatError(
-                f"expected 6 fields (qid Q0 video rank score tag), got {len(fields)}",
-                source=source,
-                line=lineno,
-            )
-        qid, _, video, rank_token, score_token, tag = fields
+    for lineno, (qid, _, video, rank_token, score_token, tag) in _flat_records(text, source, "qid Q0 video rank score tag"):
         rank = rank_of.get(rank_token)
         if rank is None:
             rank = rank_of[rank_token] = _parse_int(rank_token, "rank", source, lineno)
@@ -376,17 +384,7 @@ def parse_qrels(
     must reference a (question, video) pair present in the grade file.
     """
     judged: defaultdict[QuestionId, dict[VideoId, JudgedVideo]] = defaultdict(dict)
-    for lineno, line in enumerate(grades.split("\n"), start=1):
-        fields = line.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if len(fields) != 4:
-            raise FormatError(
-                f"expected 4 fields (qid iter video grade), got {len(fields)}",
-                source=grades_source,
-                line=lineno,
-            )
-        qid, _, video, grade_token = fields
+    for lineno, (qid, _, video, grade_token) in _flat_records(grades, grades_source, "qid iter video grade"):
         grade = _parse_int(grade_token, "grade", grades_source, lineno, minimum=0)
         if grade >= len(_GRADES):
             raise FormatError(f"grade must be 0, 1, or 2, got {quote_token(grade_token)}", source=grades_source, line=lineno)
@@ -540,10 +538,7 @@ def parse_corpus(text: str, source: str = "<corpus>") -> list[CorpusDocument]:
 
 def parse_queries(text: str, source: str = "<queries>") -> dict[QuestionId, str]:
     queries: dict[QuestionId, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        fields = line.split()
-        if not fields or fields[0][0] == "#":
-            continue
+    for lineno, fields in _flat_records(text, source):
         if len(fields) < 2:
             raise FormatError("expected a question id followed by query text", source=source, line=lineno)
         qid, query = fields[0], " ".join(fields[1:])

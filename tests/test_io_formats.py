@@ -75,6 +75,11 @@ RUN_FAULTS = {
     "repeated-bad-rank": ("q1 Q0 v1 1 2.0 t\nq1 Q0 v2 0 1.0 t\nq1 Q0 v3 2 0.5 t\nq1 Q0 v4 0 0.4 t", "<run>:2: rank must be >= 1, got '0'"),
     # U+000C and U+2028 end a line for str.splitlines() but not here, so the bad rank is on line 2.
     "line-ends-at-line-feed-only": ("q1 Q0 v1 1 2.0 t\x0c\u2028\nq1 Q0 v2 x 1.0 t\n", "<run>:2: rank must be an integer, got 'x'"),
+    # Comment and blank lines still count: the fault is reported on its own line.
+    "fault-after-comment-and-blank": ("# c\n\nq1 Q0 v1 x 2.0 t", "<run>:3: rank must be an integer, got 'x'"),
+    "fault-after-indented-comment": ("  # c\nq1 Q0 v1 1 2.0\n", "<run>:2: expected 6 fields (qid Q0 video rank score tag), got 5"),
+    # Every str.isspace() character separates fields, so a no-break space splits the video id in two.
+    "no-break-space-in-video": ("q1 Q0 v\u00a01 1 2.0 t", "<run>:1: expected 6 fields (qid Q0 video rank score tag), got 7"),
 }
 
 
@@ -86,6 +91,9 @@ class TestRetrievalRunParsing:
     def test_comments_and_blanks_skipped(self):
         run = parse_retrieval_run("# header\n\nQ1 Q0 v1 1 2.0 t\n")
         assert list(run) == ["Q1"]
+
+    def test_an_ideographic_space_separates_fields(self):
+        assert parse_retrieval_run("q1\u3000Q0 v1 1 2.0 t") == {"q1": [RetrievalRunEntry("q1", "v1", 1, 2.0, "t")]}
 
     def test_sorted_by_score_then_rank(self):
         text = "Q1 Q0 low 2 1.0 t\nQ1 Q0 high 3 9.0 t\nQ1 Q0 tie 1 1.0 t\n"
@@ -383,6 +391,7 @@ OTHER_PARSER_FAULTS = {
     "qrels-3-fields": (parse_qrels, "Q1 0 v1", "<qrels>:1: expected 4 fields (qid iter video grade), got 3"),
     "grade-7": (parse_qrels, "Q1 0 v1 7", "<qrels>:1: grade must be 0, 1, or 2, got '7'"),
     "grade-5000-digits": (parse_qrels, "q1 0 v1 " + "9" * 5000, "<qrels>:1: grade has too many digits (5,000 characters)"),
+    "grade-after-comment-and-blank": (parse_qrels, "# c\n\nq1 0 v1 7", "<qrels>:3: grade must be 0, 1, or 2, got '7'"),
     "duplicate-judgment": (parse_qrels, "q1 0 v1 1\nq1 0 v1 2\n", "<qrels>:2: duplicate judgment for video 'v1'"),
     "answer-for-unjudged-pair": (
         partial(parse_qrels, "Q1 0 v1 1"),
@@ -457,6 +466,7 @@ OTHER_PARSER_FAULTS = {
     ),
     "corpus-non-string-title": (parse_corpus, '{"video": "v1", "title": 1}', "<corpus>:1: 'title' and 'subtitle' must be strings"),
     "query-without-text": (parse_queries, "Q1", "<queries>:1: expected a question id followed by query text"),
+    "query-after-comment-and-blank": (parse_queries, "# c\n\nq1", "<queries>:3: expected a question id followed by query text"),
     "duplicate-query-id": (parse_queries, "q1 wrap the wrist\nq1 tie the elbow\n", "<queries>:2: duplicate question id 'q1'"),
 }
 
