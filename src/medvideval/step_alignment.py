@@ -64,9 +64,9 @@ def _steps(sequence: StepSequence | Sequence) -> Sequence:
     return sequence.steps if isinstance(sequence, StepSequence) else sequence
 
 
-def _cell(params: AlignmentParams, overlap: float, caption_f: float) -> float:
+def _cell(params: AlignmentParams, overlap: float, rouge_f: float) -> float:
     """The one alignment score: alpha * interval IoU + beta * caption ROUGE-L F."""
-    return params.alpha * overlap + params.beta * caption_f
+    return params.alpha * overlap + params.beta * rouge_f
 
 
 def alignment_score(pred_step: Step, gt_step: Step, params: AlignmentParams = AlignmentParams()) -> float:
@@ -81,7 +81,6 @@ def _bounded_scanner(
     params: AlignmentParams,
     pred_tokens: Sequence[list[str]],
     gold_tokens: Sequence[list[str]],
-    caption_f: list[float],
 ):
     """``scan(p_idx, start) -> (best score, best gold index)`` under the default score.
 
@@ -95,8 +94,7 @@ def _bounded_scanner(
     remaining gold step does, the scan stops if beta cannot win either.
 
     ``pred_tokens`` and ``gold_tokens`` hold each step's caption tokens; each
-    gold caption's LCS masks are built when first needed.  Each scan stores
-    the ROUGE-L F of its best cell in ``caption_f[p_idx]``.
+    gold caption's LCS masks are built when first needed.
     """
     theta = params.theta
     beta = params.beta
@@ -110,7 +108,6 @@ def _bounded_scanner(
         interval = pred_steps[p_idx].interval
         best_score = -1.0
         best_g = -1
-        best_f = 0.0
         for g_idx in range(start, len(gold_steps)):
             if earliest_start[g_idx] >= interval.end and (beta < theta or beta <= best_score):
                 break
@@ -121,13 +118,10 @@ def _bounded_scanner(
             masks = gold_masks[g_idx]
             if masks is None:
                 masks = gold_masks[g_idx] = token_masks(gold_tokens[g_idx])
-            rouge_f = rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], masks).f
-            cell = _cell(params, overlap, rouge_f)
+            cell = _cell(params, overlap, rouge_l_tokens(pred_tokens[p_idx], gold_tokens[g_idx], masks).f)
             if cell > best_score and cell >= theta:
                 best_score = cell
                 best_g = g_idx
-                best_f = rouge_f
-        caption_f[p_idx] = best_f
         return best_score, best_g
 
     return scan
@@ -166,9 +160,8 @@ def _greedy(scan, pred_count: int, gold_count: int) -> AlignmentResult:
     return AlignmentResult(tp, fp, gold_count - tp, pairs)
 
 
-class _TokenAlignment(namedtuple("_TokenAlignment", "result pred_tokens gold_tokens caption_f")):
-    """An alignment under the default score, each step's caption tokens, and
-    ``caption_f[p_idx]``, the ROUGE-L F of the cell that predicted step matched."""
+class _TokenAlignment(namedtuple("_TokenAlignment", "result pred_tokens gold_tokens")):
+    """An alignment under the default score and each step's caption tokens."""
 
     __slots__ = ()
 
@@ -177,9 +170,8 @@ def _align_tokens(pred_steps: Sequence[Step], gold_steps: Sequence[Step], params
     """The default-score alignment, tokenizing each caption once."""
     pred_tokens = [tokenize(step.caption) for step in pred_steps]
     gold_tokens = [tokenize(step.caption) for step in gold_steps]
-    caption_f = [0.0] * len(pred_steps)
-    scan = _bounded_scanner(pred_steps, gold_steps, params, pred_tokens, gold_tokens, caption_f)
-    return _TokenAlignment(_greedy(scan, len(pred_steps), len(gold_steps)), pred_tokens, gold_tokens, caption_f)
+    scan = _bounded_scanner(pred_steps, gold_steps, params, pred_tokens, gold_tokens)
+    return _TokenAlignment(_greedy(scan, len(pred_steps), len(gold_steps)), pred_tokens, gold_tokens)
 
 
 def align_steps(
@@ -348,21 +340,19 @@ def evaluate_captions(
 ) -> CaptionScore:
     """BLEU / METEOR / ROUGE-L over matched pairs at the alignment threshold.
 
-    Every metric scores the token lists that the alignment built, and each
-    pair's ROUGE-L F is the one the alignment computed for its cell.
+    Every metric scores the token lists that the alignment built.
     """
-    pairs = []
-    caption_f = []
-    for _, _, alignment in _align_segments(pred_map, gold_map, params):
-        for p_idx, g_idx, _ in alignment.result.pairs:
-            pairs.append((alignment.pred_tokens[p_idx], alignment.gold_tokens[g_idx]))
-            caption_f.append(alignment.caption_f[p_idx])
+    pairs = [
+        (alignment.pred_tokens[p_idx], alignment.gold_tokens[g_idx])
+        for _, _, alignment in _align_segments(pred_map, gold_map, params)
+        for p_idx, g_idx, _ in alignment.result.pairs
+    ]
     if not pairs:
         return CaptionScore(params, 0, {order: 0.0 for order in BLEU_ORDERS}, 0.0, 0.0)
     bleu = bleu_scores_tokens(pairs, BLEU_ORDERS)
     fallbacks: list = []
     meteor_mean = plain_sum(meteor_tokens(pred, ref, fallbacks) for pred, ref in pairs) / len(pairs)
-    rouge_mean = plain_sum(caption_f) / len(pairs)
+    rouge_mean = plain_sum(rouge_l_tokens(pred, ref).f for pred, ref in pairs) / len(pairs)
     return CaptionScore(params, len(pairs), bleu, meteor_mean, rouge_mean, len(fallbacks))
 
 

@@ -46,6 +46,9 @@ def prf(tp: float, predicted: float, actual: float) -> PRF:
 def tokenize(text: str) -> list[str]:
     """Lowercase whitespace tokens with leading/trailing ASCII punctuation stripped.
 
+    Tokens split at every ``str.isspace()`` character, as the flat formats'
+    fields do, so U+00A0 and U+3000 separate tokens too.  Only ASCII
+    punctuation is stripped from each token's ends: curly quotes stay.
     Internal punctuation is kept, so timestamps like ``02:30`` survive intact.
     """
     tokens = []

@@ -583,7 +583,7 @@ class TestReports:
 
     def test_unknown_format_rejected(self):
         for fmt in ["xml", "tabular", "json", "TSV"]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^unknown report format {fmt!r}$"):
                 write_report(MetricReport("demo", {}, {}), fmt)
 
 

@@ -54,6 +54,11 @@ class TestTokenize:
     def test_punctuation_is_ascii_punctuation(self):
         assert text_metrics._PUNCT == string.punctuation
 
+    def test_unicode_spaces_split_and_only_ascii_punctuation_strips(self):
+        # U+3000, U+00A0 and U+2028 separate tokens; curly quotes and the curly apostrophe stay.
+        text = "\u201cTie\u201d\u3000TIE\u00a0\u00c9lbow! ...\u2028A\u2019B"
+        assert tokenize(text) == ["\u201ctie\u201d", "tie", "\u00e9lbow", "a\u2019b"]
+
 
 @st.composite
 def tokenizer_texts(draw):
