@@ -66,9 +66,9 @@ class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length t
     at most once) and ``tfs`` ('I').  ``build_index`` builds this layout, and
     ``load_index`` rejects a file that breaks any of it.
 
-    The index holds nothing beyond these fields.  ``search`` computes the
-    length norms on each call and ``run_from_searches`` once per batch, so a
-    batch of queries should go through the latter.
+    The index holds nothing beyond these fields.  ``run_from_searches``
+    computes the length norms once per batch, and ``search`` is a batch of
+    one, so a batch of queries should go through the former.
     """
 
     __slots__ = ()
@@ -124,13 +124,6 @@ def _idf_from_df(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def _check_k(k: int) -> None:
-    if type(k) is bool or not isinstance(k, int):
-        raise ValueError(f"cutoff k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
-
-
 def _column(
     index: InvertedIndex, start: int, end: int, weight: float, scale: float, norms: list[float]
 ) -> list[float]:
@@ -147,7 +140,7 @@ def _ranked(
     k: int,
     params: Bm25Params,
     norms: list[float],
-    columns: dict[str, list[float]] | None = None,
+    columns: dict[str, list[float]],
 ) -> tuple[list[int], list[float]]:
     """The top-k document ids of one query and every document's score, each summing the query's terms in order.
 
@@ -167,7 +160,7 @@ def _ranked(
         if start == end:
             continue
         weight = _idf_from_df(doc_count, end - start)
-        if columns is not None and 2 * (end - start) >= doc_count:
+        if 2 * (end - start) >= doc_count:
             if term not in columns:
                 columns[term] = _column(index, start, end, weight, scale, norms)
             scores = list(map(add, scores, columns[term]))
@@ -187,11 +180,11 @@ def search(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> list[tuple[VideoId, float]]:
-    """Top-k positively scoring videos, ties broken by ascending video id; ``k`` is an ``int`` >= 1."""
-    _check_k(k)
-    ranked, scores = _ranked(index, query, k, params, index.length_norms(params))
-    videos = index.videos
-    return [(videos[doc], scores[doc]) for doc in ranked]
+    """Top-k positively scoring videos, ties broken by ascending video id; ``k`` is an ``int`` >= 1.
+
+    This is ``run_from_searches`` on a batch of one.
+    """
+    return [(entry.video, entry.score) for entry in run_from_searches(index, {"": query}, k, params)[""]]
 
 
 def run_from_searches(
@@ -200,12 +193,15 @@ def run_from_searches(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> dict[str, list[RetrievalRunEntry]]:
-    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``; each equals ``search``'s.
+    """Scoreable run entries for a batch of queries, tagged ``BASELINE_TAG``.
 
     The length norms are computed once per batch, and so is the column of
     each term found in at least half the documents.
     """
-    _check_k(k)
+    if type(k) is bool or not isinstance(k, int):
+        raise ValueError(f"cutoff k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"cutoff k must be >= 1, got {k}")
     norms = index.length_norms(params)
     columns: dict[str, list[float]] = {}
     videos = index.videos

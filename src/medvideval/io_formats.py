@@ -30,6 +30,7 @@ import os
 import re
 import stat
 import warnings
+import zlib
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from operator import itemgetter
@@ -634,7 +635,10 @@ def write_atomically(path: str | os.PathLike, *chunks: bytes) -> None:
         kind = stat.S_IFREG
     if kind not in (stat.S_IFREG, stat.S_IFDIR):  # a directory fails the rename below with its own message
         raise FormatError("not a regular file", source=str(path))
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    # A bounded name, so any name the filesystem accepts can be written; the
+    # target's checksum keeps distinct targets apart, even across processes
+    # that share a pid.
+    temporary = os.path.join(directory, f".medvideval.{os.getpid()}.{zlib.crc32(os.fsencode(name)):08x}.tmp")
     try:
         with open(temporary, "wb") as handle:
             for chunk in chunks:
@@ -643,7 +647,7 @@ def write_atomically(path: str | os.PathLike, *chunks: bytes) -> None:
     except BaseException as exc:
         try:
             os.remove(temporary)
-        except FileNotFoundError:
+        except OSError:  # the original fault is the one to report
             pass
         if isinstance(exc, OSError):
             raise FormatError(str(exc.strerror or exc), source=str(path)) from exc

@@ -2,12 +2,14 @@
 
 Nothing here imports the production metric code; every function is a naive
 restatement of a definition so the test suite can check the optimized paths
-against it.  Four kinds of reference are the exception.
+against it.  Five kinds of reference are the exception.
 ``reference_relaxed_iou`` is the interval-by-interval IoU arithmetic that the
 one float core of ``segment_metrics`` replaced.  ``reference_lcs_length`` is
 the two-row dynamic program that the bit-parallel LCS replaced.
 ``reference_align_steps`` is the full scan that the bounded step alignment
-replaced, scoring every cell through ``alignment_score``.  The
+replaced, scoring every cell through ``alignment_score``.
+``reference_bm25_search`` is the per-query posting loop that per-batch
+columns replaced for common terms, over the index's own postings.  The
 reference parsers at the end are the run parsers that the current ones
 replaced, and they share the per-field checks of ``medvideval.io_formats``;
 each reads its lines, JSON included, itself.
@@ -336,6 +338,30 @@ def bm25_rank_oracle(
         scored.append((video, score))
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
     return [(video, score) for video, score in ranked if score > 0.0][:k]
+
+
+def reference_bm25_search(index, query: str, k: int, params) -> list[tuple[str, float]]:
+    """The posting loop that each query ran before common terms became per-batch columns.
+
+    Each query term, in order, adds ``weight * tf * scale / (tf + norm)`` to
+    every document in its postings; the positively scoring documents are then
+    ranked by score, ties by ascending document id (which is video-id order).
+    """
+    from medvideval.text_metrics import tokenize
+
+    scale = params.k1 + 1.0
+    norms = index.length_norms(params)
+    scores = [0.0] * index.doc_count
+    for term in tokenize(query):
+        start, end = index.span(term)
+        if start == end:
+            continue
+        df = end - start
+        weight = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        for doc, tf in zip(index.doc_ids[start:end], index.tfs[start:end]):
+            scores[doc] += weight * tf * scale / (tf + norms[doc])
+    ranked = sorted((doc for doc in range(index.doc_count) if scores[doc] > 0.0), key=lambda doc: -scores[doc])
+    return [(index.videos[doc], scores[doc]) for doc in ranked[:k]]
 
 
 # --- run parsers ----------------------------------------------------------------

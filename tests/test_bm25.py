@@ -23,7 +23,7 @@ from medvideval.bm25 import (
 from medvideval.core import FormatError
 from medvideval.io_formats import CorpusDocument, RetrievalRunEntry
 from medvideval.text_metrics import tokenize
-from oracles import bm25_rank_oracle
+from oracles import bm25_rank_oracle, reference_bm25_search
 
 
 def docs(*subtitles):
@@ -172,7 +172,7 @@ class TestSearch:
         for qid, text in queries.items():
             expected = [
                 RetrievalRunEntry(qid, video, rank, score, "bm25-baseline")
-                for rank, (video, score) in enumerate(search(index, text, 10), start=1)
+                for rank, (video, score) in enumerate(reference_bm25_search(index, text, 10, Bm25Params()), start=1)
             ]
             assert run[qid] == expected
             assert all(type(entry) is RetrievalRunEntry for entry in run[qid])
@@ -205,7 +205,7 @@ class TestSearch:
         assert spans == [index.span("the")]
         spans.clear()
         search(index, "the spacer", 10)
-        assert spans == []
+        assert spans == [index.span("the")]
 
 
 class TestPersistence:
@@ -363,7 +363,9 @@ def test_a_loaded_batch_equals_the_search_of_each_query(tmp_path, data):
     index = load_index(tmp_path)
     queries = {"Q1": "alpha", "Q2": "alpha beta alpha", "Q3": "beta"}
     run = run_from_searches(index, queries, 2)
-    assert _ranked_pairs(run) == {qid: search(index, text, 2) for qid, text in queries.items()}
+    expected = {qid: reference_bm25_search(index, text, 2, Bm25Params()) for qid, text in queries.items()}
+    assert _ranked_pairs(run) == expected
+    assert {qid: search(index, text, 2) for qid, text in queries.items()} == expected
 
 
 class TestFormatV2:
@@ -436,8 +438,12 @@ def common_term_batches(draw):
     st.sampled_from([0.0, 0.4, 0.75, 1.0]),
 )
 def test_a_batch_equals_the_search_of_each_query(case, k, k1, b):
+    # A column gives each document the same additions in the same order as
+    # the posting loop, so the scores are equal bit for bit, not just close.
     corpus, queries = case
     params = Bm25Params(k1=k1, b=b)
     index = build_index(corpus)
     run = run_from_searches(index, queries, k, params)
-    assert _ranked_pairs(run) == {qid: search(index, text, k, params) for qid, text in queries.items()}
+    expected = {qid: reference_bm25_search(index, text, k, params) for qid, text in queries.items()}
+    assert _ranked_pairs(run) == expected
+    assert {qid: search(index, text, k, params) for qid, text in queries.items()} == expected

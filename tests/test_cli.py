@@ -381,6 +381,20 @@ def test_failed_out_write_names_the_out_path(fixture_inputs, tmp_path, capsys, t
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
+def test_out_name_near_the_filesystem_limit_is_written(fixture_inputs, tmp_path):
+    try:
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        pytest.skip("the filesystem's name limit is unknown")
+    argv = command_argv(fixture_inputs, tmp_path)["eval-retrieval"]
+    long_path, short_path = tmp_path / ("r" * (limit - 5) + ".tsv"), tmp_path / "r.tsv"
+    assert main([*argv, "--out", str(long_path)]) == 0
+    assert main([*argv, "--out", str(short_path)]) == 0
+    assert long_path.read_bytes() == short_path.read_bytes()
+    assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
+
+
 @pytest.mark.parametrize(
     "target, reason",
     [("blocker", "File exists"), ("blocker/sub", "Not a directory")],

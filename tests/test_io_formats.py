@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import sys
 from decimal import Decimal
@@ -961,6 +962,51 @@ def test_write_that_raises_leaves_target_and_no_temporary(tmp_path):
         write_atomically(target, b"partial", "not bytes")
     assert target.read_bytes() == b"old"
     assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+
+def name_max(directory):
+    """The longest file name, in bytes, that ``directory``'s filesystem accepts."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        pytest.skip("the filesystem's name limit is unknown")
+
+
+def test_write_to_a_name_too_long_for_the_filesystem_names_the_target(tmp_path):
+    target = str(tmp_path / ("r" * (name_max(tmp_path) + 1)))
+    with pytest.raises(FormatError, match="^" + re.escape(f"{target}: ")):
+        write_atomically(target, b"bytes")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_distinct_targets_get_distinct_temporary_files(tmp_path, monkeypatch):
+    temporaries = []
+    replace = os.replace
+
+    def recorded(source, target):
+        temporaries.append(os.path.basename(source))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    for name in ("a.txt", "b.txt", "a.txt"):
+        write_atomically(tmp_path / name, name.encode())
+    assert temporaries[0] != temporaries[1] and temporaries[0] == temporaries[2]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+def test_failed_cleanup_keeps_the_original_fault(tmp_path, monkeypatch):
+    def fail_replace(source, target):
+        raise OSError(28, "No space left on device")
+
+    def fail_remove(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    monkeypatch.setattr(os, "remove", fail_remove)
+    target = tmp_path / "out.txt"
+    with pytest.raises(FormatError) as raised:
+        write_atomically(target, b"bytes")
+    assert str(raised.value) == f"{target}: No space left on device"
 
 
 class TestLinesAndHostileValues:
