@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from functools import partial
 
 from .bm25 import Bm25Params, build_index, load_index, run_from_searches, save_index
-from .core import FormatError
+from .core import FormatError, ToolkitWarning
 from .io_formats import (
     MetricReport,
     parse_corpus,
@@ -322,7 +322,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit status."""
+    """Parse arguments and dispatch; returns the process exit status.
+
+    Every ``ToolkitWarning`` is written to stderr as one ``warning: …`` line as it
+    happens, repeats included; the caller's warning filters and hooks are restored.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -330,7 +334,10 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_INPUT
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", ToolkitWarning)
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+            return args.handler(args)
     except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -340,11 +347,10 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """Console-script and ``python -m`` entry point: print each warning as one ``warning: …`` line.
+    """Console-script and ``python -m`` entry point.
 
     The command runs with the cyclic garbage collector off; ``run_cli`` keeps the interpreter's settings.
     """
-    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     # A command builds large acyclic structures and then exits, so a cyclic
     # collection frees nothing of its own (tests/test_cli.py checks that no
     # command leaves cyclic garbage).  Freezing the start-up objects keeps the

@@ -497,7 +497,7 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
             if words > STEP_CAPTION_WORD_LIMIT:
                 warnings.warn(
                     StepLintWarning(
-                        f"{source}:{lineno}: caption of segment {segment_id!r} has "
+                        f"{source}:{lineno}: step {number} of segment {segment_id!r} has "
                         f"{words} words (guideline is <= {STEP_CAPTION_WORD_LIMIT})"
                     ),
                     stacklevel=2,

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -28,6 +29,8 @@ from medvideval.io_formats import MetricReport, write_report
 ORGANISER_QRELS = ["--qrels", str(ORGANISER / "qrels.txt"), str(ORGANISER / "answers.jsonl")]
 STEPS_FILES = ["--pred", str(STEPS / "pred.jsonl"), "--gold", str(STEPS / "gold.jsonl")]
 REPO = TESTS.parent
+# The one warning of each judged command on the organiser fixtures.
+UNJUDGED = "warning: run question 'qx' has no judgments; ignoring it"
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +179,6 @@ class TestIndexAndSearch:
             assert err == f"error: {target}: a term lists a document twice or out of order\n"
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 class TestThreads:
     def test_thread_count_does_not_change_output(self, fixture_inputs, tmp_path):
         for command in ("eval-localization", "search"):
@@ -261,14 +263,12 @@ def test_bad_command_line_exits_2_naming_the_fault(fixture_inputs, inputs, comma
     else:
         positionals = [action.metavar for action in _subcommands()[command]._actions if not action.option_strings]
         argv[1 + positionals.index(argument)] = values[0]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv)
+    code = main(argv)
     out, err = capsys.readouterr()
     *usage, last = err.splitlines()
     by_argparse = message.startswith("argument ")
     expected = f"medvideval {command}: " * by_argparse + f"error: {message}"
-    assert (code, out, caught, bool(usage)) == (2, "", [], by_argparse), err
+    assert (code, out, bool(usage)) == (2, "", by_argparse), err
     assert last == expected or expected.endswith("…") and last.startswith(expected[:-1]), err
     assert not usage or usage[0].startswith(f"usage: medvideval {command} "), err
     assert not list(tmp_path.iterdir())
@@ -305,9 +305,7 @@ ORGANISER_CASES = [
 @pytest.mark.parametrize("golden, argv", ORGANISER_CASES)
 def test_organiser_outputs_match_golden_bytes(golden, argv, tmp_path):
     out_path = tmp_path / golden
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the fixture's unjudged question warns by design
-        assert main([*argv, "--out", str(out_path)]) == 0
+    assert main([*argv, "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == (ORGANISER / "expected" / golden).read_bytes()
 
 
@@ -336,9 +334,7 @@ STEP_CASES = [
 @pytest.mark.parametrize("golden, argv", STEP_CASES)
 def test_step_outputs_match_golden_bytes(golden, argv, tmp_path):
     out_path = tmp_path / golden
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a long caption and a prediction-only segment warn by design
-        assert main([*argv, "--out", str(out_path)]) == 0
+    assert main([*argv, "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == (STEPS / "expected" / golden).read_bytes()
 
 
@@ -349,7 +345,6 @@ def test_every_golden_file_has_a_case(fixture, cases):
     assert set(goldens) == {path.name for path in (fixture / "expected").iterdir()}
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 def test_failed_out_write_keeps_the_previous_file(fixture_inputs, tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "eval-retrieval"
     out_path.write_bytes(b"previous report\n")
@@ -365,7 +360,6 @@ def test_failed_out_write_keeps_the_previous_file(fixture_inputs, tmp_path, monk
     assert not [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 @pytest.mark.parametrize(
     "target, reason",
     [("missing/report.tsv", "No such file or directory"), ("report.tsv", "Is a directory")],
@@ -377,11 +371,10 @@ def test_failed_out_write_names_the_out_path(fixture_inputs, tmp_path, capsys, t
     before = sorted(tmp_path.rglob("*"))
     code = main([*command_argv(fixture_inputs, tmp_path)["eval-retrieval"], "--out", str(out_path)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {out_path}: {reason}\n"
+    assert capsys.readouterr().err == f"{UNJUDGED}\nerror: {out_path}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 def test_out_name_near_the_filesystem_limit_is_written(fixture_inputs, tmp_path):
     try:
         limit = os.pathconf(tmp_path, "PC_NAME_MAX")
@@ -408,7 +401,6 @@ def test_failed_index_directory_names_the_out_path(fixture_inputs, tmp_path, cap
     assert (tmp_path / "blocker").read_bytes() == b"not a directory\n"
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 @pytest.mark.parametrize("command, target", [("eval-retrieval", "eval-retrieval"), ("index", "index/bm25.idx")], ids=["report", "index"])
 def test_out_naming_a_fifo_exits_2_and_leaves_it(fixture_inputs, tmp_path, capsys, command, target):
     # The rename would replace the FIFO with a regular file; it is never opened, so nothing blocks.
@@ -417,7 +409,8 @@ def test_out_naming_a_fifo_exits_2_and_leaves_it(fixture_inputs, tmp_path, capsy
     os.mkfifo(fifo)
     before = sorted(tmp_path.rglob("*"))
     assert main(command_argv(fixture_inputs, tmp_path)[command]) == 2
-    assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+    warned = f"{UNJUDGED}\n" if command == "eval-retrieval" else ""
+    assert capsys.readouterr().err == f"{warned}error: {fifo}: not a regular file\n"
     assert sorted(tmp_path.rglob("*")) == before and fifo.is_fifo()
 
 
@@ -432,8 +425,7 @@ def test_unexpected_exception_exits_1_with_one_line(fixture_inputs, tmp_path, mo
 
 def _report(command, *argv):
     out = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out):
         assert main([command, *argv]) == 0
     return out.getvalue()
 
@@ -474,9 +466,7 @@ def test_negative_zero_flag_gives_the_zero_report(command, flag, fmt):
 def test_eval_steps_lists_thresholds_sorted(capsys):
     reports = []
     for mu in ("0.7,0.3", "0.3,0.7"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["eval-steps", *STEPS_FILES, "--mu", mu]) == 0
+        assert main(["eval-steps", *STEPS_FILES, "--mu", mu]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert "# mu = 0.3, 0.7\n" in reports[0]
@@ -487,11 +477,8 @@ def test_eval_steps_lists_thresholds_sorted(capsys):
     "command, run", [("eval-retrieval", "retrieval.run"), ("eval-localization", "localization.jsonl"), ("eval-vcval", "localization.jsonl")]
 )
 def test_unjudged_run_question_warns_once(command, run, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # record every warn call, even repeats from one line
-        assert main([command, "--run", str(ORGANISER / run), *ORGANISER_QRELS]) == 0
-    messages = [str(w.message) for w in caught]
-    assert messages == ["run question 'qx' has no judgments; ignoring it"]
+    assert main([command, "--run", str(ORGANISER / run), *ORGANISER_QRELS]) == 0
+    assert capsys.readouterr().err == f"{UNJUDGED}\n"
 
 
 # Every numeric scoring flag, the subcommands that take it, and values it must
@@ -539,9 +526,7 @@ def test_caption_with_a_raw_line_separator_is_one_line(tmp_path, capsys):
     text = (STEPS / "pred.jsonl").read_text(encoding="utf-8").replace("Put on gloves", "Put on\u2028gloves")
     pred = tmp_path / "pred.jsonl"
     pred.write_text(text, encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["eval-steps", "--pred", str(pred), "--gold", str(STEPS / "gold.jsonl")]) == 0
+    assert main(["eval-steps", "--pred", str(pred), "--gold", str(STEPS / "gold.jsonl")]) == 0
     assert capsys.readouterr().out == (STEPS / "expected" / "steps.tsv").read_text(encoding="utf-8")
 
 
@@ -552,12 +537,10 @@ def test_byte_order_mark_is_not_data(tmp_path, capsys):
     reports = []
     for name, prefix in [("plain.run", ""), ("bom.run", "\ufeff")]:
         (tmp_path / name).write_text(prefix + body, encoding="utf-8")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["eval-retrieval", "--run", str(tmp_path / name), *ORGANISER_QRELS]) == 0
-        reports.append((capsys.readouterr().out, [str(w.message) for w in caught]))
+        assert main(["eval-retrieval", "--run", str(tmp_path / name), *ORGANISER_QRELS]) == 0
+        reports.append(capsys.readouterr())
     assert reports[0] == reports[1]
-    assert reports[1][1] == ["run question 'qx' has no judgments; ignoring it"]
+    assert reports[1].err == f"{UNJUDGED}\n"
 
 
 def test_byte_order_mark_at_a_line_start_is_not_data(tmp_path, capsys):
@@ -566,43 +549,54 @@ def test_byte_order_mark_at_a_line_start_is_not_data(tmp_path, capsys):
     lines[3] = "\ufeff" + lines[3]
     run = tmp_path / "retrieval.run"
     run.write_text("\n".join(lines), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["eval-retrieval", "--run", str(run), *ORGANISER_QRELS]) == 0
-    assert capsys.readouterr().out == (ORGANISER / "expected" / "retrieval.tsv").read_text(encoding="utf-8")
-    assert [str(w.message) for w in caught] == ["run question 'qx' has no judgments; ignoring it"]
+    assert main(["eval-retrieval", "--run", str(run), *ORGANISER_QRELS]) == 0
+    expected = (ORGANISER / "expected" / "retrieval.tsv").read_text(encoding="utf-8")
+    assert capsys.readouterr() == (expected, f"{UNJUDGED}\n")
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        *[
-            ([command, "--run", f"tests/data/organiser/{run}", "--qrels", "tests/data/organiser/qrels.txt",
-              "tests/data/organiser/answers.jsonl"], ["warning: run question 'qx' has no judgments; ignoring it"])
-            for command, run in [("eval-retrieval", "retrieval.run"), ("eval-localization", "localization.jsonl"),
-                                 ("eval-vcval", "localization.jsonl")]
-        ],
-        (["pool", "--run", "tests/data/organiser/retrieval.run"], []),
-        (
-            ["eval-steps", "--pred", "tests/data/steps/pred.jsonl", "--gold", "tests/data/steps/gold.jsonl"],
-            [
-                "warning: tests/data/steps/pred.jsonl:4: caption of segment 's5' has 12 words (guideline is <= 7)",
-                "warning: predicted segment 's6' has no ground truth; ignoring it",
-            ],
-        ),
-        (
-            ["eval-captions", "--pred", "tests/data/steps/pred.jsonl", "--gold", "tests/data/steps/gold.jsonl"],
-            [
-                "warning: tests/data/steps/pred.jsonl:4: caption of segment 's5' has 12 words (guideline is <= 7)",
-                "warning: predicted segment 's6' has no ground truth; ignoring it",
-            ],
-        ),
+# Command lines relative to the repository, with each one's stderr lines.
+_STEP_FILES = ["--pred", "tests/data/steps/pred.jsonl", "--gold", "tests/data/steps/gold.jsonl"]
+_STEP_WARNINGS = [
+    "warning: tests/data/steps/pred.jsonl:4: step 1 of segment 's5' has 12 words (guideline is <= 7)",
+    "warning: predicted segment 's6' has no ground truth; ignoring it",
+]
+WARNING_CASES = [
+    *[
+        ([command, "--run", f"tests/data/organiser/{run}", "--qrels", "tests/data/organiser/qrels.txt",
+          "tests/data/organiser/answers.jsonl"], [UNJUDGED])
+        for command, run in [("eval-retrieval", "retrieval.run"), ("eval-localization", "localization.jsonl"),
+                             ("eval-vcval", "localization.jsonl")]
     ],
-)
-def test_entry_point_prints_one_line_per_warning(argv, expected):
+    (["pool", "--run", "tests/data/organiser/retrieval.run"], []),
+    (["eval-steps", *_STEP_FILES], _STEP_WARNINGS),
+    (["eval-captions", *_STEP_FILES], _STEP_WARNINGS),
+]
+
+
+@pytest.mark.parametrize("argv, expected", WARNING_CASES)
+def test_entry_point_prints_one_line_per_warning(argv, expected, monkeypatch, capsys):
     result = _python_m(argv)
     assert result.returncode == 0
     assert result.stderr.splitlines() == expected
+    monkeypatch.chdir(REPO)
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+@pytest.mark.parametrize("command", list(command_argv(Path(), Path())))
+def test_repeated_call_gives_the_same_result_and_keeps_the_warning_state(fixture_inputs, command, tmp_path, capsys):
+    # Python's default filter prints a repeated warning once per call site
+    # and process; run_cli prints it on every call, and restores the caller's
+    # filters and hooks.
+    argv = command_argv(fixture_inputs, tmp_path)[command]
+    state, filters = [warnings.filters, warnings.showwarning, warnings.formatwarning], list(warnings.filters)
+    results = []
+    for _ in range(2):
+        code = main(argv)
+        written = sorted((path.name, path.read_bytes()) for path in tmp_path.rglob("*") if path.is_file())
+        results.append((code, *capsys.readouterr(), written))
+        assert all(map(operator.is_, [warnings.filters, warnings.showwarning, warnings.formatwarning], state))
+    assert results[0] == results[1] and warnings.filters == filters
 
 
 def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
@@ -620,14 +614,23 @@ def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
     assert result.stdout == "[]\n"
 
 
+def test_every_long_caption_warns_on_every_parse(tmp_path, capsys):
+    # The step number tells apart two long captions with one word count, and
+    # a file read as both sides warns for each side.
+    steps = [{"caption": "one two three four five six seven eight", "start": start, "end": start + 1} for start in (0, 1)]
+    path = tmp_path / "steps.jsonl"
+    path.write_text(json.dumps({"segment": "s1", "steps": steps}) + "\n", encoding="utf-8")
+    assert main(["eval-captions", "--pred", str(path), "--gold", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = [f"warning: {path}:1: step {number} of segment 's1' has 8 words (guideline is <= 7)" for number in (1, 2)]
+    assert capsys.readouterr().err.splitlines() == lines * 2
+
+
 def test_long_identical_caption_pair_scores_without_recursion_limit(tmp_path):
     caption = " ".join(f"word{i}" for i in range(1200))
     steps = tmp_path / "steps.jsonl"
     steps.write_text(json.dumps({"segment": "s1", "steps": [{"caption": caption, "start": 0, "end": 10}]}) + "\n")
     out_path = tmp_path / "captions.tsv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a caption past seven words warns by design
-        assert main(["eval-captions", "--pred", str(steps), "--gold", str(steps), "--out", str(out_path)]) == 0
+    assert main(["eval-captions", "--pred", str(steps), "--gold", str(steps), "--out", str(out_path)]) == 0
     assert "\nMETEOR\t100.0000\n" in out_path.read_text()
 
 
@@ -644,9 +647,7 @@ def test_long_caption_pair_rouge_l_is_exact(tmp_path):
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text(json.dumps({"segment": "s1", "steps": [step]}) + "\n")
     out_path = tmp_path / "captions.tsv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a caption past seven words warns by design
-        assert main(["eval-captions", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]), "--out", str(out_path)]) == 0
+    assert main(["eval-captions", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]), "--out", str(out_path)]) == 0
     assert f"\nROUGE-L\t{100.0 * rouge:.4f}\n" in out_path.read_text()
 
 
@@ -666,9 +667,7 @@ def test_a_long_caption_pair_over_two_words_stops_at_the_node_budget(tmp_path, w
     for attempt in range(2):
         out_path = tmp_path / f"captions{attempt}.tsv"
         started = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a caption past seven words warns by design
-            assert main([*argv, "--out", str(out_path)]) == 0
+        assert main([*argv, "--out", str(out_path)]) == 0
         assert time.perf_counter() - started < 1.0
         reports.append(out_path.read_bytes())
     assert reports[0] == reports[1]
@@ -713,10 +712,8 @@ def test_no_command_leaves_cyclic_garbage(scaled_inputs, command, tmp_path, caps
             write_report(MetricReport("empty"), "structured")
 
     codes = []
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")  # take the warning path on every warning
-        expected = _cyclic_garbage_after(fixed_part)
-        after_command = _cyclic_garbage_after(lambda: codes.append(main(argv)))
+    expected = _cyclic_garbage_after(fixed_part)
+    after_command = _cyclic_garbage_after(lambda: codes.append(main(argv)))
     assert codes == [2 if command == "malformed-run" else 0], capsys.readouterr().err
     assert after_command == expected
 
@@ -738,7 +735,6 @@ def test_entry_point_turns_the_collector_off_and_freezes_start_up(monkeypatch, r
         return 0
 
     monkeypatch.setattr(cli, "run_cli", run_cli)
-    monkeypatch.setattr(warnings, "formatwarning", warnings.formatwarning)  # the entry point replaces it
     with pytest.raises(SystemExit) as exited:
         cli.entrypoint()
     assert exited.value.code == 0
@@ -747,7 +743,6 @@ def test_entry_point_turns_the_collector_off_and_freezes_start_up(monkeypatch, r
     assert frozen > 0
 
 
-@pytest.mark.filterwarnings("ignore::medvideval.core.ToolkitWarning")  # the fixture's unjudged question warns by design
 def test_run_cli_keeps_the_collector_settings(fixture_inputs, tmp_path, restore_gc):
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
