@@ -210,7 +210,7 @@ def _emit_report(report: MetricReport, args: argparse.Namespace) -> None:
 
 
 def _params(build, **values):
-    """Build parameters (an object or a normalised grid), reporting an out-of-range flag value as bad input."""
+    """Call the library function ``build`` on command-line input, reporting its ``ValueError`` as bad input."""
     try:
         return build(**values)
     except ValueError as exc:
@@ -294,10 +294,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     # memory holds one full run at a time; every run is still parsed before
     # any is pooled, so a malformed line is reported before a tag conflict.
     runs = [run_prefix(parse_retrieval_run(read_text(path), source=path), spec) for path in args.run]
-    try:
-        pool = build_pool(runs, spec, sources=args.run)
-    except ValueError as exc:  # two runs share a tag on one question
-        raise FormatError(str(exc)) from None
+    pool = _params(build_pool, runs=runs, spec=spec, sources=args.run)  # bad input if two runs share a tag on one question
     _emit(write_pool(pool), args.out)
     return EXIT_OK
 

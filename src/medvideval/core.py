@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import warnings
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import IntEnum
@@ -28,6 +30,14 @@ MAX_SECONDS = 1e100
 
 class ToolkitWarning(UserWarning):
     """Base class for non-fatal diagnostics emitted while parsing or scoring."""
+
+
+def warn(warning: ToolkitWarning) -> None:
+    """Issue ``warning`` from the first frame outside this package, so it names the line that called into the package."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(warning, stacklevel=stacklevel)
 
 
 class FormatError(ValueError):

@@ -2,9 +2,9 @@
 
 Two families of formats:
 
-* Flat formats (retrieval runs, qrels grade files, pool files, query files)
-  are UTF-8 text, fields separated by runs of whitespace, with ``#``
-  starting a comment line.  Whitespace is every character for which
+* Flat formats (retrieval runs, qrels grade files, query files) are UTF-8
+  text, fields separated by runs of whitespace, with ``#`` starting a
+  comment line.  Whitespace is every character for which
   ``str.isspace()`` holds, as for ``str.split()``: U+3000 and U+00A0
   separate fields, as a space or a tab does.
 * Record formats (localization runs, step files, answer-interval sidecars,
@@ -29,7 +29,6 @@ import math
 import os
 import re
 import stat
-import warnings
 import zlib
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator, Mapping, Sequence
@@ -46,6 +45,7 @@ from .core import (
     parse_timestamp,
     plain_number,
     quote_token,
+    warn,
 )
 
 STEP_CAPTION_WORD_LIMIT = 7
@@ -495,12 +495,11 @@ def parse_steps(text: str, source: str = "<steps>") -> dict[str, StepSequence]:
                 raise FormatError(f"step {number} of segment {segment_id!r} {problem}", source=source, line=lineno)
             words = len(caption.split())
             if words > STEP_CAPTION_WORD_LIMIT:
-                warnings.warn(
+                warn(
                     StepLintWarning(
                         f"{source}:{lineno}: step {number} of segment {segment_id!r} has "
                         f"{words} words (guideline is <= {STEP_CAPTION_WORD_LIMIT})"
-                    ),
-                    stacklevel=2,
+                    )
                 )
             steps.append(Step(caption, _interval_field(raw, source, lineno, converted)))
         steps.sort(key=lambda step: step.interval.start)  # stable: source order breaks ties

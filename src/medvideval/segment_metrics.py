@@ -11,11 +11,10 @@ localization depths n) and IoU thresholds mu, each sorted and deduplicated.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .core import MAX_SECONDS, CheckedRecord, QuestionId, TimeInterval, ToolkitWarning, plain_sum
+from .core import MAX_SECONDS, CheckedRecord, QuestionId, TimeInterval, ToolkitWarning, plain_sum, warn
 from .io_formats import JudgedVideo, LocalizationCandidate, MetricReport
 
 DEFAULT_N_VALUES = (1, 3, 5, 10)
@@ -61,7 +60,7 @@ def judged_questions(run: Mapping[QuestionId, object], qrels: Mapping[QuestionId
     """The run's judged questions, in run order; each unjudged one is ignored with a warning."""
     for qid in run:
         if qid not in qrels:
-            warnings.warn(ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"), stacklevel=3)
+            warn(ToolkitWarning(f"run question {qid!r} has no judgments; ignoring it"))
     return {qid: entry for qid, entry in run.items() if qid in qrels}
 
 

@@ -14,11 +14,10 @@ Scores combine temporal IoU and ROUGE-L F with weights alpha and beta.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
-from .core import CheckedRecord, ToolkitWarning, plain_sum
+from .core import CheckedRecord, ToolkitWarning, plain_sum, warn
 from .io_formats import MetricReport, Step, StepSequence
 from .segment_metrics import (
     DEFAULT_MU_VALUES,
@@ -212,10 +211,7 @@ def _align_segments(
     """
     for segment_id in pred_map:
         if segment_id not in gold_map:
-            warnings.warn(
-                ToolkitWarning(f"predicted segment {segment_id!r} has no ground truth; ignoring it"),
-                stacklevel=3,  # the caller of evaluate_steps, evaluate_captions or matched_caption_pairs
-            )
+            warn(ToolkitWarning(f"predicted segment {segment_id!r} has no ground truth; ignoring it"))
     aligned = []
     for segment_id in sorted(gold_map):
         gold = gold_map[segment_id]

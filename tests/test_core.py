@@ -1,14 +1,24 @@
+import ast
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medvideval import core
 from medvideval.core import (
     FormatError,
     RelevanceGrade,
     TimeInterval,
+    ToolkitWarning,
     parse_timestamp,
     plain_sum,
 )
+from medvideval.io_formats import LocalizationCandidate, RetrievalRunEntry, Step, StepSequence, parse_steps
+from medvideval.retrieval_metrics import evaluate_rankings, evaluate_retrieval
+from medvideval.segment_metrics import evaluate_localization, judged_questions, mean_iou, recall_at_n_iou
+from medvideval.step_alignment import evaluate_captions, evaluate_steps, matched_caption_pairs
 
 
 class TestParseTimestamp:
@@ -79,3 +89,49 @@ def test_plain_sum_adds_left_to_right():
     assert plain_sum([0.1] * 10) == 0.9999999999999999
     assert plain_sum([]) == 0.0
     assert plain_sum(iter([1e16, 1.0, -1e16])) == 0.0
+
+
+# Every public path to a toolkit warning, called with no judgments or no ground truth, or with an 8-word caption.
+RUN = {"Q1": [RetrievalRunEntry("Q1", "v1", 1, 1.0, "t")]}
+LOCALIZATION_RUN = {"Q1": [LocalizationCandidate("Q1", "v1", TimeInterval(0, 10), 1.0, 1)]}
+STEPS = {"s1": StepSequence("s1", [Step("wrap the wrist", TimeInterval(0, 5))])}
+LONG_CAPTION = json.dumps({"segment": "s1", "steps": [{"caption": "one two three four five six seven eight", "start": 0, "end": 5}]})
+WARNING_PATHS = {
+    "parse_steps": lambda: parse_steps(LONG_CAPTION),
+    "judged_questions": lambda: judged_questions(RUN, {}),
+    "evaluate_rankings": lambda: evaluate_rankings({"Q1": ["v1"]}, {}),
+    "evaluate_retrieval": lambda: evaluate_retrieval(RUN, {}),
+    "evaluate_localization": lambda: evaluate_localization(LOCALIZATION_RUN, {}),
+    "mean_iou": lambda: mean_iou(LOCALIZATION_RUN, {}, n=1),
+    "recall_at_n_iou": lambda: recall_at_n_iou(LOCALIZATION_RUN, {}, n=1, mu=0.5),
+    "evaluate_steps": lambda: evaluate_steps(STEPS, {}),
+    "evaluate_captions": lambda: evaluate_captions(STEPS, {}),
+    "matched_caption_pairs": lambda: matched_caption_pairs(STEPS, {}),
+}
+
+
+# Each row's call sits on its lambda's first line, which every warning it raises must name.
+@pytest.mark.parametrize("call", WARNING_PATHS.values(), ids=WARNING_PATHS)
+def test_each_warning_names_the_callers_line(call):
+    with pytest.warns(ToolkitWarning) as caught:
+        call()
+    places = [(w.filename, w.lineno) for w in caught if issubclass(w.category, ToolkitWarning)]
+    assert places == [(__file__, call.__code__.co_firstlineno)] * len(places)
+
+
+def test_only_core_warn_calls_warnings_warn():
+    """Every warning goes through core.warn, so no other call counts its own stack levels."""
+    callers = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "warnings"), f"{path.name}: {ast.unparse(node)}"
+            if isinstance(node, ast.Call) and (
+                ast.unparse(node.func) == "warnings.warn" or any(kw.arg == "stacklevel" for kw in node.keywords)
+            ):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                callers.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert callers == ["core.warn"]
