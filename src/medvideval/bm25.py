@@ -1,7 +1,10 @@
 """BM25 lexical retrieval over video subtitles, with a persistent index.
 
-The index is built once (single writer) and then immutable, so any number of
-searches may run concurrently.  Scoring uses the idf variant
+The index is built once and then immutable, so any number of searches may
+run concurrently.  Building it, and the ``search`` command's batch of
+queries, split their work over forked worker processes when more than one CPU
+is usable (``_fork_join``); every index and run byte is the same at every
+worker count.  Scoring uses the idf variant
 ln(1 + (N - df + 0.5)/(df + 0.5)), which is positive even for a term in every
 document, since a term lists each document at most once.
 
@@ -15,6 +18,7 @@ dumped little-endian, so loading is a handful of ``frombytes`` calls, and
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import re
@@ -24,7 +28,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from itertools import compress, islice, pairwise
 from operator import add, attrgetter, ge
 
@@ -41,6 +45,11 @@ _COUNTS = struct.Struct("<QQQd")  # doc count, term count, posting count, averag
 _BLOB_SIZE = struct.Struct("<Q")
 _SWAP = sys.byteorder == "big"  # the file is little-endian; 'I' is 4 bytes, 'Q' 8
 _TABLE = re.compile(r"\S+(?:\n\S+)*")  # "\n"-joined whitespace-free entries
+
+# The least text, in characters, worth a forked ``build_index`` worker: on 2
+# vCPUs the ``index`` command first ran faster with a worker at about 250
+# seed-1 documents (333k characters, so two workers of 167k).
+_INDEX_WORK_MIN = 150_000
 
 
 class Bm25Params(CheckedRecord, namedtuple("Bm25Params", "k1 b")):
@@ -91,23 +100,38 @@ class InvertedIndex(namedtuple("InvertedIndex", "videos lengths avg_doc_length t
 
 
 def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True) -> InvertedIndex:
-    """Index token counts of title + subtitle (or subtitle alone) per video."""
+    """Index token counts of title + subtitle (or subtitle alone) per video.
+
+    The documents are checked, sorted and numbered here; their words are then
+    counted over contiguous ranges of document ids, in forked workers when
+    ``_fork_join`` finds the corpus large enough, and the ranges' postings are
+    merged term by term in id order.
+    """
     documents = sorted(corpus, key=attrgetter("video"))
-    lengths = array("I")
-    term_postings: dict[str, list[int]] = {}  # term -> [doc, tf, doc, tf, ...]; split below by C-level slices
+    work = 0
     for doc_id, doc in enumerate(documents):
         _check_token(doc.video, "video id")
         if doc_id and doc.video == documents[doc_id - 1].video:
             raise ValueError(f"duplicate video id {doc.video!r} in corpus")
-        counts = token_counts(f"{doc.title} {doc.subtitle}" if include_title else doc.subtitle)
-        lengths.append(sum(counts.values()))
-        for term, tf in counts.items():
-            posting = term_postings.get(term)
-            if posting is None:
-                term_postings[term] = [doc_id, tf]
-            else:
-                posting.append(doc_id)
-                posting.append(tf)
+        work += len(doc.subtitle) + (len(doc.title) if include_title else 0)
+
+    def count_words(start: int, stop: int) -> tuple[list[int], dict[str, list[int]]]:
+        lengths: list[int] = []
+        term_postings: dict[str, list[int]] = {}  # term -> [doc, tf, doc, tf, ...]; split below by C-level slices
+        for doc_id, doc in enumerate(islice(documents, start, stop), start):
+            counts = token_counts(f"{doc.title} {doc.subtitle}" if include_title else doc.subtitle)
+            lengths.append(sum(counts.values()))
+            for term, tf in counts.items():
+                posting = term_postings.get(term)
+                if posting is None:
+                    term_postings[term] = [doc_id, tf]
+                else:
+                    posting.append(doc_id)
+                    posting.append(tf)
+        return lengths, term_postings
+
+    counted_lengths, term_postings = _fork_join(count_words, _merge_counts, len(documents), work, _INDEX_WORK_MIN)
+    lengths = array("I", counted_lengths)
     terms = sorted(term_postings)
     offsets, doc_ids, tfs = array("Q", [0]), array("I"), array("I")
     for term in terms:
@@ -117,6 +141,19 @@ def build_index(corpus: Iterable[CorpusDocument], *, include_title: bool = True)
         offsets.append(len(doc_ids))
     average = sum(lengths) / len(lengths) if lengths else 0.0
     return InvertedIndex([doc.video for doc in documents], lengths, average, terms, offsets, doc_ids, tfs)
+
+
+def _merge_counts(counted: tuple, later: tuple) -> tuple:
+    """``count_words`` of two adjacent ranges as one; the later range's ids are larger, so postings stay in id order."""
+    lengths, term_postings = counted
+    later_lengths, later_postings = later
+    lengths += later_lengths
+    while later_postings:  # each list of the later range is freed once merged
+        term, posting = later_postings.popitem()
+        merged = term_postings.setdefault(term, posting)
+        if merged is not posting:
+            merged += posting
+    return counted
 
 
 def _idf_from_df(doc_count: int, df: int) -> float:
@@ -213,6 +250,105 @@ def run_from_searches(
             for rank, doc in enumerate(ranked, start=1)
         ]
     return run
+
+
+# ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _threads_alive() -> bool:
+    """Whether a thread besides this one runs: a forked child would inherit the locks it holds, unreleased."""
+    import threading  # here, so that commands too small to fork do not load it
+
+    return threading.active_count() > 1
+
+
+def _fork_join(task: Callable[[int, int], object], merge: Callable, count: int, work: int, minimum: int):
+    """``task(start, stop)`` over contiguous ranges that split ``range(count)``, merged in range order.
+
+    The first range runs in this process and each other range in a child made
+    by ``os.fork``, which shares this process's memory copy-on-write and sends
+    its result, which ``marshal`` must be able to write, back through a pipe.
+    ``merge(result, later)`` folds each range's result into those before it,
+    as it arrives, so that at most one worker's result waits to be merged.
+    Everything runs here, as one range, when ``os.fork`` is missing, another
+    thread is alive, one CPU is usable, or a worker would get less than
+    ``minimum`` (>= 1) of the ``work``, both in the caller's unit.  A range
+    that cannot get a process or a pipe runs here too.
+
+    A worker that raises, or exits non-zero, makes this raise ``RuntimeError``
+    once every worker is reaped; if this process's own range raises, the
+    workers are killed and reaped before the exception propagates.  A worker
+    whose pipe is closed exits, so no worker outlives its range.
+    """
+    workers = min(count, work // minimum, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or _threads_alive():
+        return task(0, count)
+    ranges = list(pairwise(count * i // workers for i in range(workers + 1)))
+    children = []  # (pid, read end of its pipe) per forked range, in range order; a worker leaves once reaped
+    try:
+        for start, stop in ranges[1:]:
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:  # no descriptor to spare: this range and the rest run here
+                break
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:  # the worker: write the result, or the exception, and exit without returning
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:  # so that only the parent holds a sibling's read end
+                        pipe.close()
+                    try:
+                        data, status = marshal.dumps(task(start, stop)), 0
+                    except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                        data, status = f"{type(exc).__name__}: {exc}".encode("utf-8", "replace"), 1
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                except BaseException:  # noqa: BLE001 - a closed pipe: the parent has given up
+                    status = 1
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        result, *unforked = [task(start, stop) for start, stop in [ranges[0], *ranges[len(children) + 1 :]]]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                reason = data.decode("utf-8", "replace") or f"exit status {os.waitstatus_to_exitcode(status)}"
+                raise RuntimeError(f"worker process {pid} failed: {reason}")
+            later = marshal.loads(data)
+            del data  # freed before the merge
+            result = merge(result, later)
+        for later in unforked:
+            result = merge(result, later)
+        return result
+    finally:
+        if children:
+            from signal import SIGKILL  # here, so that a command whose workers all succeed does not load signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import operator
 import sys
 import warnings
 from collections.abc import Callable, Sequence
 from functools import partial
 
-from .bm25 import Bm25Params, build_index, load_index, run_from_searches, save_index
+from .bm25 import Bm25Params, _fork_join, build_index, load_index, run_from_searches, save_index
 from .core import FormatError, ToolkitWarning
 from .io_formats import (
     MetricReport,
@@ -51,6 +52,11 @@ from .step_alignment import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+
+# The least questions times documents worth a forked ``search`` worker: on 2
+# vCPUs the command ran no faster with a worker up to 15 questions on 2,000
+# documents (two workers of 15,000), and faster from 30.
+_SEARCH_WORK_MIN = 15_000
 
 # The library's defaults, which the flags and their help text repeat.
 _ALIGNMENT = AlignmentParams()
@@ -105,7 +111,8 @@ _float_list = partial(_comma_list, convert=_number, what="numbers")
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     # Scoring is pure-Python CPU work that threads cannot speed up under the
-    # GIL; the flag is kept so existing command lines keep working.
+    # GIL, and index and search fork their own workers when more than one CPU
+    # is usable; the flag is kept so existing command lines keep working.
     parser.add_argument("--threads", type=_positive_int, metavar="N", help="accepted for compatibility and ignored")
 
 
@@ -313,8 +320,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     params = _params(Bm25Params, k1=args.k1, b=args.b)
     index = load_index(args.index_dir)
     queries = parse_queries(read_text(args.queries), source=args.queries)
-    run = run_from_searches(index, queries, args.k[0], params)
-    _emit(write_retrieval_run(run), args.out)
+    qids = sorted(queries)
+
+    # The run writer orders questions by id and ends every line with "\n", so
+    # the texts of contiguous ranges of the sorted ids join into the whole run.
+    def run_text(start: int, stop: int) -> str:
+        batch = {qid: queries[qid] for qid in qids[start:stop]}
+        return write_retrieval_run(run_from_searches(index, batch, args.k[0], params))
+
+    _emit(_fork_join(run_text, operator.add, len(qids), len(qids) * index.doc_count, _SEARCH_WORK_MIN), args.out)
     return EXIT_OK
 
 

@@ -1,16 +1,28 @@
+import ast
+import errno
+import json
 import math
+import operator
+import os
 import random
+import signal
 import struct
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import zlib
 from array import array
+from contextlib import contextmanager
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from medvideval import bm25
+from medvideval import bm25, cli
 from medvideval.bm25 import (
     Bm25Params,
     InvertedIndex,
@@ -447,3 +459,257 @@ def test_a_batch_equals_the_search_of_each_query(case, k, k1, b):
     expected = {qid: reference_bm25_search(index, text, k, params) for qid, text in queries.items()}
     assert _ranked_pairs(run) == expected
     assert {qid: search(index, text, k, params) for qid, text in queries.items()} == expected
+
+
+# ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def workers(count):
+    """Up to ``count`` workers for any work of at least one unit; yields the pids forked, which must all be reaped."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bm25, "_usable_cpus", lambda: count)
+        patch.setattr(bm25, "_INDEX_WORK_MIN", 1)
+        patch.setattr(cli, "_SEARCH_WORK_MIN", 1)
+        patch.setattr(os, "fork", counted_fork)
+        yield forked
+    assert_no_children()
+
+
+def bounds(start, stop):
+    """A task whose results, merged by ``+``, list the ranges in the order they were merged."""
+    return [(start, stop)]
+
+
+# A worker per usable CPU, as long as each gets ``minimum`` of the ``work``; the first range runs here.
+@pytest.mark.parametrize("count, cpus, work, minimum, expected", [
+    (9, 3, 9, 1, [(0, 3), (3, 6), (6, 9)]),
+    (10, 4, 10, 1, [(0, 2), (2, 5), (5, 7), (7, 10)]),
+    (3, 8, 3, 1, [(0, 1), (1, 2), (2, 3)]),
+    (10, 4, 100, 40, [(0, 5), (5, 10)]),
+    (10, 4, 100, 60, [(0, 10)]),
+    (10, 1, 100, 1, [(0, 10)]),
+    (10, 4, 0, 1, [(0, 10)]),
+    (1, 4, 1, 1, [(0, 1)]),
+    (0, 4, 0, 1, [(0, 0)]),
+])
+def test_fork_join_merges_each_ranges_result_in_order(count, cpus, work, minimum, expected):
+    with workers(cpus) as forked:
+        assert bm25._fork_join(bounds, operator.add, count, work, minimum) == expected
+    assert len(forked) == len(expected) - 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform has no CPU affinity mask")
+def test_one_cpu_in_the_affinity_mask_keeps_one_process():
+    # What `taskset -c 0` does, in a child interpreter, so this process keeps its CPUs.
+    code = (
+        "import operator, os, sys; sys.path.insert(0, sys.argv[1]); os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from medvideval import bm25; print(bm25._usable_cpus(), bm25._fork_join(lambda *bounds: [bounds], operator.add, 4, 4, 1))"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(Path(bm25.__file__).parents[1])], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1 [(0, 4)]\n", "")
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_a_range_without_a_process_runs_here(forks):
+    with workers(3) as forked, pytest.MonkeyPatch.context() as patch:
+        fork = os.fork
+
+        def fork_while_pids_last():
+            if len(forked) == forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        patch.setattr(os, "fork", fork_while_pids_last)
+        assert bm25._fork_join(bounds, operator.add, 9, 9, 1) == [(0, 3), (3, 6), (6, 9)]
+    assert len(forked) == forks
+
+
+def fail_in_worker(start, stop):
+    if start:
+        raise ValueError(f"bad range {start}-{stop}")
+    return start
+
+
+def die_in_worker(start, stop):
+    if start:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return start
+
+
+@pytest.mark.parametrize("task, reason", [
+    (fail_in_worker, r"ValueError: bad range \d+-\d+$"),
+    (die_in_worker, "exit status -9$"),
+], ids=["raises", "killed"])
+def test_a_failed_worker_fails_the_call_once_every_worker_is_reaped(task, reason):
+    with workers(4) as forked:
+        with pytest.raises(RuntimeError, match=rf"^worker process \d+ failed: {reason}"):
+            bm25._fork_join(task, operator.add, 8, 8, 1)
+    assert len(forked) == 3
+
+
+def test_a_failure_here_kills_and_reaps_the_workers_first():
+    def task(start, stop):
+        if not start:
+            raise KeyError("own range")
+        time.sleep(60)
+
+    started = time.perf_counter()
+    with workers(3) as forked:
+        with pytest.raises(KeyError, match="own range"):
+            bm25._fork_join(task, operator.add, 3, 3, 1)
+    assert len(forked) == 2
+    assert time.perf_counter() - started < 30
+
+
+def test_a_worker_whose_pipe_is_closed_exits(monkeypatch):
+    # With kill disabled, only the closed pipe can end the worker, which
+    # writes more than a pipe holds.
+    killed = []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+
+    def task(start, stop):
+        if not start:
+            raise KeyError("own range")
+        return "x" * 1_000_000
+
+    with workers(2) as forked:
+        with pytest.raises(KeyError):
+            bm25._fork_join(task, operator.add, 2, 2, 1)
+    assert killed == forked and len(forked) == 1
+
+
+def test_nothing_forks_while_another_thread_runs():
+    # A forked child would inherit whatever locks the other thread holds.
+    event = threading.Event()
+    thread = threading.Thread(target=event.wait)
+    thread.start()
+    try:
+        with workers(4), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", lambda: pytest.fail("forked while a second thread ran"))
+            assert bm25._fork_join(bounds, operator.add, 8, 8, 1) == [(0, 8)]
+            assert build_index(docs("a b", "b c", "c d")) == build_index(docs("a b", "b c", "c d"))
+    finally:
+        event.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_only_the_fork_join_helper_forks_reaps_or_exits():
+    """One function owns every worker process, so no other code can leave one running."""
+    calls = []
+    for path in sorted(Path(bm25.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "os"), f"{path.name}: {ast.unparse(node)}"
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.fork", "os._exit", "os.waitpid"):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                calls.append((ast.unparse(node), f"{path.stem}.{getattr(scope, 'name', '<module>')}"))
+    assert {scope for _, scope in calls} == {"bm25._fork_join"}
+    assert {name for name, _ in calls} == {"os.fork", "os._exit", "os.waitpid"}
+
+
+@st.composite
+def forkable_corpora(draw):
+    """Corpora with empty and all-punctuation documents, and maybe a term in every document."""
+    text = st.one_of(
+        st.lists(st.sampled_from(["w0", "w1", "W2,", "w3", "(w4)"]), max_size=6).map(" ".join),
+        st.sampled_from(["", "... !! (-)"]),
+    )
+    everywhere = draw(st.sampled_from(["", "every "]))
+    return [CorpusDocument(f"v{i:02d}", draw(text), everywhere + draw(text)) for i in range(draw(st.integers(0, 11)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(forkable_corpora(), st.booleans())
+def test_the_index_is_the_same_at_every_worker_count(corpus, include_title):
+    characters = sum(len(doc.subtitle) + (len(doc.title) if include_title else 0) for doc in corpus)
+    saved = set()
+    for count in range(1, 5):
+        with workers(count) as forked, TemporaryDirectory() as directory:
+            saved.add(save_index(build_index(corpus, include_title=include_title), directory).read_bytes())
+        assert len(forked) == max(min(count, len(corpus), characters) - 1, 0)
+    assert len(saved) == 1
+
+
+SEARCH_CORPUS = "".join(
+    json.dumps({"video": f"v{i}", "title": "", "subtitle": text}) + "\n"
+    for i, text in enumerate(["press the wound", "rinse the wound", "the spacer", "attach a spacer", "", "wound care"])
+)
+# Ids whose file order is not their sorted order, and a question with no positive score.
+SEARCH_QUERIES = "q3 the wound\nq10 spacer\nq1 zebra\nq2 press wound care\nq7 the the spacer\n"
+
+
+@pytest.mark.parametrize("queries", [SEARCH_QUERIES, ""], ids=["questions", "empty"])
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_search_writes_the_same_run_at_every_worker_count(tmp_path, queries, count):
+    (tmp_path / "corpus.jsonl").write_text(SEARCH_CORPUS)
+    (tmp_path / "queries.txt").write_text(queries)
+    assert cli.run_cli(["index", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "idx")]) == 0
+    argv = ["search", str(tmp_path / "idx"), str(tmp_path / "queries.txt"), "--k", "100", "--out"]
+    assert cli.run_cli([*argv, str(tmp_path / "one.run")]) == 0
+    with workers(count) as forked:
+        assert cli.run_cli([*argv, str(tmp_path / "forked.run")]) == 0
+    assert len(forked) == (count - 1 if queries else 0)
+    assert (tmp_path / "forked.run").read_text() == (tmp_path / "one.run").read_text()
+    assert (tmp_path / "one.run").read_text().count("\n") == (13 if queries else 0)
+
+
+def _fails_in_workers(function, failure):
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            failure()
+        return function(*args, **kwargs)
+
+    return failing
+
+
+def _raise():
+    raise ValueError("worker bug")
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("failure, reason", [(_raise, "ValueError: worker bug"), (_die, "exit status -9")], ids=["raises", "killed"])
+@pytest.mark.parametrize("command", ["index", "search"])
+def test_a_failed_worker_exits_1_and_writes_nothing(tmp_path, command, failure, reason, monkeypatch, capsys):
+    (tmp_path / "corpus.jsonl").write_text(SEARCH_CORPUS)
+    (tmp_path / "queries.txt").write_text(SEARCH_QUERIES)
+    assert cli.run_cli(["index", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "idx")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "index":
+        monkeypatch.setattr(bm25, "token_counts", _fails_in_workers(bm25.token_counts, failure))
+        argv = ["index", str(tmp_path / "corpus.jsonl"), "--out", str(out / "idx")]
+    else:
+        monkeypatch.setattr(cli, "run_from_searches", _fails_in_workers(cli.run_from_searches, failure))
+        argv = ["search", str(tmp_path / "idx"), str(tmp_path / "queries.txt"), "--out", str(out / "bm25.run")]
+    with workers(2) as forked:
+        assert cli.run_cli(argv) == 1
+    assert len(forked) == 1
+    assert capsys.readouterr() == ("", f"internal error: worker process {forked[0]} failed: {reason}\n")
+    assert list(out.iterdir()) == []
